@@ -13,7 +13,6 @@ from .codes import (
     classical_distance,
     complex_to_css,
     css_distance,
-    css_from_matrices,
     css_to_complex,
     logical_basis,
     repetition_code,

@@ -11,14 +11,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
-from .codes import INF, CapExceeded, CssCode, ClassicalCode, css_distance
+from .codes import INF, CapExceeded, CssCode, ClassicalCode, css_search
 from .cone import build_cone_parts, cellulate, cone_code, thicken_cone_detail
 from .f2la import BinMatrix, bit_indices
 from .faultdist import DEFAULT_MAX_D, effective_distance, hook_weight_audit
@@ -142,7 +140,6 @@ class PipelineConfig:
     seed: int = 0
     out: str | None = None
     out_prefix: str | None = None
-    threads: int = 0
 
 
 def _digest(path: str) -> str:
@@ -159,15 +156,6 @@ def _code_params(q: CssCode) -> dict:
 
 def _dist_value(v) -> int | str:
     return "inf" if v == INF else int(v)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("QWR_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"QWR_THREADS must be an integer, got {raw!r}")
-    return n if n > 0 else (os.cpu_count() or 1)
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
@@ -310,20 +298,13 @@ def _compute_distances(code: CssCode, schedule: Schedule | None, bases, cfg: Pip
         tasks[f"code_{b}"] = (_code_distance_entry, code, b)
         if schedule is not None and cfg.max_d is not None:
             tasks[f"effective_{b}"] = (_effective_entry, code, schedule, b, cfg.max_d)
-    results = {}
-    workers = _worker_count()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {key: pool.submit(fn, *args) for key, (fn, *args) in sorted(tasks.items())}
-        for key in sorted(futures):
-            results[key] = futures[key].result()
-    return results
+    return {key: fn(*args) for key, (fn, *args) in sorted(tasks.items())}
 
 
 def _code_distance_entry(code: CssCode, basis: str) -> dict:
     try:
-        d = css_distance(code, basis)
-        method = "exhaustive" if code.k + (code.rank_x if basis == "X" else code.rank_z) <= 26 else "mitm"
-        return {"value": _dist_value(d), "method": method, "bound": None}
+        found = css_search(code, basis)
+        return {"value": _dist_value(found.distance), "method": found.route, "bound": None}
     except CapExceeded as e:
         return {"value": None, "method": "skipped", "bound": str(e)}
 

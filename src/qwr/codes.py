@@ -1,9 +1,9 @@
 """Classical codes, CSS codes, chain complexes, and exact distances.
 
-Distances are exact at desk scale: exhaustive Gray-code enumeration under a
-hard dimension cap, with a meet-in-the-middle fallback over single-qubit
-supports.  Infinite distance (no nontrivial codeword / logical) is the float
-``inf`` sentinel so that ``min()`` treats it as absorbing.
+Distances are exact at desk scale: one meet-in-the-middle kernel serves the
+code and effective distances, handing over to Gray-code enumeration of the
+logical space when that is less work; caps raise CapExceeded.  Infinite
+distance is the float ``inf`` sentinel so that ``min()`` treats it as absorbing.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from math import comb
+from typing import Callable
 
 from .f2la import (
     BinMatrix,
@@ -78,20 +78,9 @@ def classical_distance(code: ClassicalCode, k_cap: int = CLASSICAL_K_CAP) -> int
         return INF
     if k > k_cap:
         raise CapExceeded(f"kernel dimension {k} exceeds exhaustive cap {k_cap}")
-    return _gray_min_weight(basis.rows)
-
-
-def _gray_min_weight(basis_rows: tuple[int, ...] | list[int]) -> int:
-    """Min weight over all nonzero combinations of the given basis rows."""
-    best = None
-    v = 0
-    for g in range(1, 1 << len(basis_rows)):
-        v ^= basis_rows[(g & -g).bit_length() - 1]
-        w = v.bit_count()
-        if best is None or w < best:
-            best = w
-    assert best is not None
-    return best
+    # a nonzero codeword is its lowest basis row plus any later rows
+    rows = basis.rows
+    return min(exhaustive_min_weight(rows[i:i + 1], rows[i + 1:]) for i in range(k))
 
 
 class CssCode:
@@ -184,11 +173,6 @@ class CssCode:
         return f"CssCode(n={self.n}, k={self.k}, n_x={self.n_x}, n_z={self.n_z})"
 
 
-def css_from_matrices(h_x: BinMatrix, h_z: BinMatrix) -> CssCode:
-    """Validated CSS code from two parity check matrices."""
-    return CssCode(h_x, h_z)
-
-
 @dataclass(frozen=True)
 class ChainComplex:
     """Boundary maps [d_L, ..., d_1]; d_i maps level i (cols) to i-1 (rows)."""
@@ -269,45 +253,43 @@ def logical_basis(q: CssCode, basis: str) -> BinMatrix:
     return BinMatrix(out, q.n)
 
 
-def css_distance(
-    q: CssCode,
-    basis: str,
-    enum_cap: int = CSS_ENUM_CAP,
-    table_cap: int = MITM_TABLE_CAP,
-) -> int | float:
-    """Exact minimum weight of a nontrivial logical operator, or inf.
+def logical_signatures(q: CssCode, basis: str, vectors) -> tuple[list[int], int]:
+    """Per-vector signatures (syndrome << k | pairing) against the opposite
+    check matrix and logical basis: an XOR of vectors is a nontrivial logical
+    iff its syndrome is zero and its pairing is not."""
+    opp_basis = "Z" if basis == "X" else "X"
+    opp = q.h(opp_basis)
+    pair_rows = logical_basis(q, opp_basis)
+    k = pair_rows.nrows
+    return [(mat_vec(opp, v) << k) | mat_vec(pair_rows, v) for v in vectors], k
 
-    Enumerates the full kernel of the opposite check matrix by Gray code when
-    its dimension (k + rank of same-basis checks) fits under enum_cap;
-    otherwise runs an iterative-deepening meet-in-the-middle over single-qubit
-    supports.  Raises CapExceeded when neither route fits.
+
+def css_distance(
+    q: CssCode, basis: str, enum_cap: int = CSS_ENUM_CAP, table_cap: int = MITM_TABLE_CAP
+) -> int | float:
+    """Exact minimum weight of a nontrivial logical operator, or inf."""
+    return css_search(q, basis, enum_cap, table_cap).distance
+
+
+def css_search(
+    q: CssCode, basis: str, enum_cap: int = CSS_ENUM_CAP, table_cap: int = MITM_TABLE_CAP
+) -> Search:
+    """css_distance with the route that answered it.
+
+    The kernel runs over single-qubit supports; when the logical space has
+    dimension dim = k + rank(same-basis checks) <= enum_cap it may finish by
+    enumerating all 2^dim vectors.  Raises CapExceeded when no route fits.
     """
     if q.k == 0:
-        return INF
-    same = q.h(basis)
-    r_same = q.rank_x if basis == "X" else q.rank_z
-    dim = q.k + r_same
+        return Search(INF, None, "exhaustive")
+    sigs, k = logical_signatures(q, basis, [1 << j for j in range(q.n)])
+    dim = q.k + (q.rank_x if basis == "X" else q.rank_z)
+    exhaustive = None
     if dim <= enum_cap:
-        logicals = logical_basis(q, basis)
-        stab_rows = [row for _, row in q.stab_pivots(basis)]
-        rows = list(logicals.rows) + stab_rows
-        k = logicals.nrows
-        best = None
-        v = 0
-        lam = 0
-        for g in range(1, 1 << dim):
-            idx = (g & -g).bit_length() - 1
-            v ^= rows[idx]
-            if idx < k:
-                lam ^= 1 << idx
-            if lam:
-                w = v.bit_count()
-                if best is None or w < best:
-                    best = w
-        assert best is not None
-        return best
-    found = _unit_mitm_distance(q, basis, table_cap)
-    if found is None:
+        stabs = [row for _, row in q.stab_pivots(basis)]
+        exhaustive = (dim, lambda floor: exhaustive_min_weight(logical_basis(q, basis).rows, stabs, floor))
+    found = min_logical_search(sigs, k, q.n, table_cap, 100 * table_cap, exhaustive, witness=False)
+    if found.distance is None:
         raise CapExceeded(
             "code too large for exhaustive css_distance; use the fault-search bound "
             "(effective_distance with an explicit max_d) instead"
@@ -315,40 +297,134 @@ def css_distance(
     return found
 
 
-def _unit_mitm_distance(q: CssCode, basis: str, table_cap: int) -> int | None:
-    """Iterative-deepening MITM over unit vectors; None when the cap stops it."""
-    opp = q.h("Z" if basis == "X" else "X")
-    pair_basis = logical_basis(q, "Z" if basis == "X" else "X")
-    syn = [mat_vec(opp, 1 << j) for j in range(q.n)]
-    pair = [mat_vec(pair_basis, 1 << j) for j in range(q.n)]
-    for t in range(1, q.n + 1):
-        t_small = t // 2
-        t_big = t - t_small
-        if comb(q.n, t_small) > table_cap or comb(q.n, t_big) > 100 * table_cap:
-            return None
-        if _mitm_level(q.n, syn, pair, t_small, t_big) is not None:
-            return t
-    return INF
+# -- the exact search kernel ---------------------------------------------
+
+MULTI = -1  # table value once two different pairings share one syndrome
+LOW_STAB_ROWS = 10  # stabilizer rows in the exhaustive route's XOR table
 
 
-def _mitm_level(n_items, syn, pair, t_small, t_big):
-    """One MITM level: find disjointly-split index sets whose XOR is logical."""
-    table: dict[int, set[int]] = {}
-    for subset in combinations(range(n_items), t_small):
-        s = p = 0
-        for i in subset:
-            s ^= syn[i]
-            p ^= pair[i]
-        table.setdefault(s, set()).add(p)
-    for subset in combinations(range(n_items), t_big):
-        s = p = 0
-        for i in subset:
-            s ^= syn[i]
-            p ^= pair[i]
-        bucket = table.get(s)
-        if bucket and (len(bucket) > 1 or p not in bucket):
-            return subset
-    return None
+@dataclass(frozen=True)
+class Search:
+    """distance is None when a cap stopped the search at level `level`;
+    witness holds the sorted signature indices of one minimum set."""
+    distance: int | float | None
+    witness: tuple[int, ...] | None
+    route: str  # "mitm" | "exhaustive"
+    level: int = 0
+
+
+def min_logical_search(
+    sigs: list[int], k: int, max_t: int, table_cap: int = MITM_TABLE_CAP, probe_cap: int | None = None,
+    exhaustive: tuple[int, Callable[[int], int | float]] | None = None, witness: bool = True,
+) -> Search:
+    """Fewest signatures (see logical_signatures) whose XOR is a logical.
+
+    Level t = 1..max_t meets a table of the floor(t/2)-subsets with the
+    ceil(t/2)-subsets, walked in lex order with running prefix XORs.  The
+    table maps each syndrome to its pairing, or to MULTI once two pairings
+    share it; the size-s table serves t = 2s and 2s+1, whose probes fill the
+    size-(s+1) table.  The witness is the lex-first hitting probe plus its
+    lex-first partner.  A level is capped when its table side exceeds
+    table_cap or its probe side probe_cap.  With exhaustive = (dim, finish),
+    finish(t) answers instead (no logical weighs less than t) once the
+    subsets walked so far plus level t's exceed 2^dim, or t is capped.
+    """
+    n = len(sigs)
+    syn = [s >> k for s in sigs]
+    pair = [s & ((1 << k) - 1) for s in sigs]
+
+    def plan(t: int, spent: int) -> str:
+        capped = comb(n, t // 2) > table_cap or (probe_cap is not None and comb(n, t - t // 2) > probe_cap)
+        if exhaustive is not None and (capped or spent + comb(n, t - t // 2) > 1 << exhaustive[0]):
+            return "exhaustive"
+        return "capped" if capped else "mitm"
+
+    table = {0: 0}  # the empty set
+    spent = 0
+    for t in range(1, max_t + 1):
+        route = plan(t, spent)
+        if route == "exhaustive":
+            return Search(exhaustive[1](t), None, route, t)
+        if route == "capped":
+            return Search(None, None, "mitm", t)
+        small, big = t // 2, t - t // 2
+        spent += comb(n, big)
+        grow = big > small and t < max_t and plan(t + 1, spent) == "mitm"
+        hit, grown = _probe(syn, pair, big, table, grow)
+        if hit is not None:
+            found = tuple(sorted(hit + _first_partner(syn, pair, small, hit))) if witness else None
+            return Search(t, found, "mitm", t)
+        if grow:
+            table = grown
+    return Search(INF, None, "mitm", max_t)
+
+
+def _prefixes(syn, pair, m, stop, lo=0, chosen=(), s=0, p=0):
+    """The m-subsets of range(stop) in lex order as (subset, lo, syn XOR,
+    pair XOR), lo being one past the subset's last index."""
+    if m == 0:
+        yield chosen, lo, s, p
+        return
+    for i in range(lo, stop - m + 1):
+        yield from _prefixes(syn, pair, m - 1, stop, i + 1, chosen + (i,), s ^ syn[i], p ^ pair[i])
+
+
+def _probe(syn, pair, r, table, grow):
+    """First r-subset whose syndrome is in table with another pairing, or
+    None; with grow, the r-subsets also fill the next table."""
+    get = table.get
+    grown: dict[int, int] = {}
+    put = grown.setdefault
+    for prefix, lo, ps, pp in _prefixes(syn, pair, r - 1, len(syn) - 1):
+        for i in range(lo, len(syn)):
+            x = ps ^ syn[i]
+            e = get(x)
+            if e is not None and e != pp ^ pair[i]:
+                return prefix + (i,), None
+            if grow:
+                p = pp ^ pair[i]
+                if put(x, p) != p:
+                    grown[x] = MULTI
+    return None, grown
+
+
+def _first_partner(syn, pair, s, hit):
+    """Lex-first s-subset with the hit's syndrome and another pairing."""
+    target_syn = target_pair = 0
+    for i in hit:
+        target_syn, target_pair = target_syn ^ syn[i], target_pair ^ pair[i]
+    if s == 0:
+        return ()
+    for prefix, lo, ps, pp in _prefixes(syn, pair, s - 1, len(syn) - 1):
+        for i in range(lo, len(syn)):
+            if ps ^ syn[i] == target_syn and pp ^ pair[i] != target_pair:
+                return prefix + (i,)
+    raise AssertionError("a table hit has a partner")
+
+
+def exhaustive_min_weight(logicals, stabs, floor: int = 1) -> int | float:
+    """Least weight of a nonzero combination of logicals plus any of stabs.
+
+    Gray code over the logical rows and the high stabilizer rows; each vector
+    meets a precomputed XOR table of the low stabilizer rows.  Stops once the
+    weight reaches floor, a known lower bound.
+    """
+    table = [0]
+    for row in stabs[:LOW_STAB_ROWS]:
+        table += [x ^ row for x in table]
+    rows = list(logicals) + list(stabs[LOW_STAB_ROWS:])
+    best = INF
+    v = lam = 0
+    for g in range(1, 1 << len(rows)):
+        idx = (g & -g).bit_length() - 1
+        v ^= rows[idx]
+        if idx < len(logicals):
+            lam ^= 1 << idx
+        if lam:
+            best = min(best, min(map(int.bit_count, map(v.__xor__, table))))
+            if best <= floor:
+                break
+    return best
 
 
 # -- named desk-scale instances --------------------------------------

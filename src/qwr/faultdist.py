@@ -4,10 +4,9 @@ A fault generator is the residual data error left by one elementary fault:
 a single data-qubit error, or an ancilla fault at cut position k of a step,
 which spreads to the suffix of the step's gate order.  The effective
 distance is the least number of generators whose XOR is a nontrivial
-logical; it is found by iterative deepening with a meet-in-the-middle table
-keyed on (stabilizer syndrome, logical pairing), both linear in the
-residual.  A plain combination-enumeration oracle double-checks the search
-in tests.
+logical; codes.min_logical_search finds it on (stabilizer syndrome, logical
+pairing) signatures, both linear in the residual.  A plain
+combination-enumeration oracle double-checks the search in tests.
 """
 
 from __future__ import annotations
@@ -16,12 +15,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .codes import INF, CapExceeded, CssCode, logical_basis
+from .codes import INF, MITM_TABLE_CAP, CapExceeded, CssCode, logical_signatures, min_logical_search
 from .f2la import mat_vec, reduce_vector
 from .reduce import BalanceMap
 from .schedule import Schedule
 
-MITM_TABLE_CAP = 4_000_000
 ORACLE_COMBO_CAP = 100_000_000
 DEFAULT_MAX_D = 6
 
@@ -92,24 +90,6 @@ def enumerate_faults(q: CssCode, m: Schedule, basis: str, dedup: bool = True) ->
     return sorted(seen.values(), key=lambda g: g.origin)
 
 
-def _signatures(q: CssCode, basis: str, gens: list[FaultGenerator]) -> tuple[list[int], int]:
-    """Per-generator (syndrome | pairing) signature packed into one int.
-
-    The syndrome is against the opposite check matrix; the pairing is against
-    the opposite logical basis.  A residual XOR is a nontrivial logical iff
-    its syndrome part is zero and its pairing part is not.
-    """
-    opp = q.h("Z" if basis == "X" else "X")
-    pair_rows = logical_basis(q, "Z" if basis == "X" else "X")
-    k = pair_rows.nrows
-    sigs = []
-    for g in gens:
-        syn = mat_vec(opp, g.residual)
-        pair = mat_vec(pair_rows, g.residual)
-        sigs.append((syn << k) | pair)
-    return sigs, k
-
-
 def effective_distance(
     q: CssCode,
     m: Schedule,
@@ -120,9 +100,8 @@ def effective_distance(
 ) -> FaultSearchResult:
     """Exact effective distance up to max_d, else the infinite sentinel.
 
-    Iterative deepening t = 1..max_d; each level splits t into halves and
-    meets in the middle on the packed signature.  Any match at the first
-    feasible t is a genuine weight-t witness because all lower levels were
+    Runs codes.min_logical_search over the generators' signatures; a match at
+    the first feasible t is a weight-t witness since lower levels were
     exhausted first.
     """
     if max_d < 1:
@@ -130,54 +109,19 @@ def effective_distance(
     if q.k == 0:
         return FaultSearchResult(INF, None, basis, max_d)
     gens = enumerate_faults(q, m, basis) if generators is None else generators
-    sigs, k = _signatures(q, basis, gens)
-    pair_mask = (1 << k) - 1
-    n = len(gens)
-    for t in range(1, max_d + 1):
-        t_small = t // 2
-        t_big = t - t_small
-        if comb(n, t_small) > table_cap:
-            raise CapExceeded(
-                f"meet-in-the-middle table for t={t} needs {comb(n, t_small)} entries; "
-                f"lower max_d or raise table_cap"
-            )
-        hit = _mitm_witness(sigs, pair_mask, t_small, t_big)
-        if hit is not None:
-            # overlapping halves cannot match at the first feasible t: the
-            # cancelled XOR would have matched two levels earlier
-            assert len(hit) == t
-            witness = tuple(gens[i] for i in sorted(hit))
-            return FaultSearchResult(t, witness, basis, max_d)
-    return FaultSearchResult(INF, None, basis, max_d)
-
-
-def _mitm_witness(sigs: list[int], pair_mask: int, t_small: int, t_big: int):
-    """Indices of a logical-forming split, or None.  Lex-first deterministic."""
-    n = len(sigs)
-    table: dict[int, dict[int, tuple[int, ...]]] = {}
-    for subset in combinations(range(n), t_small):
-        sig = 0
-        for i in subset:
-            sig ^= sigs[i]
-        syn = sig & ~pair_mask
-        pair = sig & pair_mask
-        bucket = table.setdefault(syn, {})
-        if pair not in bucket:
-            bucket[pair] = subset
-    for subset in combinations(range(n), t_big):
-        sig = 0
-        for i in subset:
-            sig ^= sigs[i]
-        syn = sig & ~pair_mask
-        pair = sig & pair_mask
-        bucket = table.get(syn)
-        if not bucket:
-            continue
-        matches = [other for p, other in bucket.items() if p != pair]
-        if matches:
-            other = min(matches)
-            return set(subset) | set(other)
-    return None
+    sigs, k = logical_signatures(q, basis, [g.residual for g in gens])
+    found = min_logical_search(sigs, k, max_d, table_cap)
+    t = found.level
+    if found.distance is None:
+        raise CapExceeded(
+            f"meet-in-the-middle table for t={t} needs {comb(len(gens), t // 2)} entries; "
+            f"lower max_d or raise table_cap"
+        )
+    witness = None if found.witness is None else tuple(gens[i] for i in found.witness)
+    # overlapping halves cannot match at the first feasible t: the cancelled
+    # XOR would have matched two levels earlier
+    assert witness is None or len(witness) == t
+    return FaultSearchResult(found.distance, witness, basis, max_d)
 
 
 def oracle_effective_distance(
@@ -278,7 +222,6 @@ def component_weight_audit(
         rows = set()
         cols = set()
         v = g.residual
-        qb = 0
         while v:
             low = v & -v
             idx = low.bit_length() - 1

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
-from qwr.codes import ClassicalCode, CssCode
+from qwr.codes import INF, ClassicalCode, CssCode
 from qwr.f2la import BinMatrix, kernel_basis, mat_vec, rank
 from qwr.hgp import hgp
 
@@ -142,3 +143,43 @@ def soundness_lambda_bruteforce(parts) -> Fraction:
             if lam < best:
                 best = lam
     return best
+
+
+# The original per-level meet-in-the-middle search, kept verbatim as the
+# reference that codes.min_logical_search must reproduce witness for witness.
+def _mitm_witness(sigs: list[int], pair_mask: int, t_small: int, t_big: int):
+    """Indices of a logical-forming split, or None.  Lex-first deterministic."""
+    n = len(sigs)
+    table: dict[int, dict[int, tuple[int, ...]]] = {}
+    for subset in combinations(range(n), t_small):
+        sig = 0
+        for i in subset:
+            sig ^= sigs[i]
+        syn = sig & ~pair_mask
+        pair = sig & pair_mask
+        bucket = table.setdefault(syn, {})
+        if pair not in bucket:
+            bucket[pair] = subset
+    for subset in combinations(range(n), t_big):
+        sig = 0
+        for i in subset:
+            sig ^= sigs[i]
+        syn = sig & ~pair_mask
+        pair = sig & pair_mask
+        bucket = table.get(syn)
+        if not bucket:
+            continue
+        matches = [other for p, other in bucket.items() if p != pair]
+        if matches:
+            other = min(matches)
+            return set(subset) | set(other)
+    return None
+
+
+def reference_min_logical(sigs: list[int], k: int, max_t: int):
+    """(distance, sorted witness indices) by the original level loop."""
+    for t in range(1, max_t + 1):
+        hit = _mitm_witness(sigs, (1 << k) - 1, t // 2, t - t // 2)
+        if hit is not None:
+            return t, tuple(sorted(hit))
+    return INF, None

@@ -8,10 +8,10 @@ from qwr.codes import (
     CapExceeded,
     ChainComplex,
     ClassicalCode,
+    CssCode,
     classical_distance,
     complex_to_css,
     css_distance,
-    css_from_matrices,
     css_to_complex,
     hamming_7_4,
     logical_basis,
@@ -67,7 +67,7 @@ class TestCssConstruction:
         assert q.w_x == 4 and q.q_x == 3
 
     def test_no_checks(self):
-        q = css_from_matrices(BinMatrix([], 5), BinMatrix([], 5))
+        q = CssCode(BinMatrix([], 5), BinMatrix([], 5))
         assert q.k == 5
 
     def test_anticommuting_rejected(self):
@@ -75,11 +75,11 @@ class TestCssConstruction:
         hx = BinMatrix.from_rows([[1, 1]])
         hz = BinMatrix.from_rows([[1, 0]])
         with pytest.raises(ValueError, match="X row 0 vs Z row 0"):
-            css_from_matrices(hx, hz)
+            CssCode(hx, hz)
 
     def test_even_overlap_accepted(self):
         h = BinMatrix.from_rows([[1, 1]])
-        assert css_from_matrices(h, h).k == 0
+        assert CssCode(h, h).k == 0
 
 
 class TestComplexes:
@@ -90,7 +90,7 @@ class TestComplexes:
         assert complex_to_css(c, 1) == q
 
     def test_empty_code(self):
-        q = css_from_matrices(BinMatrix([], 0), BinMatrix([], 0))
+        q = CssCode(BinMatrix([], 0), BinMatrix([], 0))
         c = css_to_complex(q)
         assert c.dims == (0, 0, 0)
 
@@ -111,7 +111,7 @@ class TestLogicalBasis:
         assert lb.rows[0].bit_count() == 3
 
     def test_zero_k(self):
-        q = css_from_matrices(BinMatrix.identity(2), BinMatrix([], 2))
+        q = CssCode(BinMatrix.identity(2), BinMatrix([], 2))
         assert logical_basis(q, "X").nrows == 0
 
     def test_toric_two_logicals(self):
@@ -143,7 +143,7 @@ class TestCssDistance:
         assert css_distance(q, "Z") == 3
 
     def test_zero_k(self):
-        q = css_from_matrices(BinMatrix.identity(3), BinMatrix([], 3))
+        q = CssCode(BinMatrix.identity(3), BinMatrix([], 3))
         assert css_distance(q, "X") == INF
 
     def test_surface_figure_instance(self):

@@ -146,11 +146,9 @@ class TestPredictor:
 
     def test_matches_exact_on_full_grid(self):
         # every product of rep(2)/rep(3)/Hamming factors up to D=3, at every
-        # level, wherever the exact search fits its caps
+        # level, except the n >= 99, d = 9 classes: those exceed the MITM cap
+        # or take seconds each
         from itertools import product
-
-        from qwr.codes import CapExceeded
-        from qwr.f2la import rank
 
         factors = [repetition_code(2), repetition_code(3), hamming_7_4()]
         checked = 0
@@ -164,12 +162,11 @@ class TestPredictor:
                     pred = kunneth_distance_predictor(spec)
                     assert pred.exact
                     for basis, expect in (("X", pred.d_x), ("Z", pred.d_z)):
-                        enum_dim = code.k + (rank(code.h_x) if basis == "X" else rank(code.h_z))
-                        if enum_dim > 24:
+                        if code.n >= 99 and expect == 9:
                             continue
                         assert css_distance(code, basis) == expect, (spec, basis)
                         checked += 1
-        assert checked >= 20
+        assert checked >= 92
 
     def test_infinite_absorbs(self):
         zero = ClassicalCode(BinMatrix.identity(3))

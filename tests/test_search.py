@@ -1,0 +1,140 @@
+"""The exact search kernel against the original meet-in-the-middle search,
+the brute-force oracle, and its own exhaustive route."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qwr.cli import _code_distance_entry
+from qwr.codes import (
+    INF,
+    CapExceeded,
+    classical_distance,
+    css_search,
+    hamming_7_4,
+    logical_signatures,
+    min_logical_search,
+    repetition_code,
+    steane_code,
+    surface_code_2x3,
+)
+from qwr.f2la import mat_vec
+from qwr.faultdist import effective_distance, enumerate_faults, oracle_effective_distance, witness_is_valid
+from qwr.hgp import ProductSpec, higher_dim_hgp
+from qwr.schedule import baseline_schedule
+
+from helpers import corpus, random_classical, random_css, reference_min_logical
+
+FACTORS = {"r2": repetition_code(2), "r3": repetition_code(3), "h7": hamming_7_4()}
+
+
+def grid_code(names: str, level: int):
+    """Product of the named rep(2)/rep(3)/Hamming factors at one level."""
+    spec = ProductSpec(tuple(FACTORS[names[i:i + 2]] for i in range(0, len(names), 2)), level=level)
+    return higher_dim_hgp(spec)[0]
+
+
+def fault_cases(seed: int, count: int, n_max: int):
+    """(code, schedule, basis) triples drawn as the acceptance suite draws them."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        q = random_css(rng, n_max=n_max)
+        if q.k < 1:
+            continue
+        m = baseline_schedule(q, rng.randrange(1, 10 ** 6))
+        out.append((q, m, rng.choice(["X", "Z"])))
+    return out
+
+
+@st.composite
+def signature_lists(draw):
+    """Short signature lists over a few syndrome bits, so that syndromes
+    collide and one syndrome often carries several pairings."""
+    k = draw(st.integers(1, 3))
+    syn_bits = draw(st.integers(1, 4))
+    sigs = draw(st.lists(st.integers(0, (1 << (syn_bits + k)) - 1), min_size=1, max_size=9))
+    return sigs, k
+
+
+class TestKernelEquivalence:
+    @pytest.mark.parametrize("seed, n_max, max_d", [(109, 8, 3), (113, 7, 4)])
+    def test_matches_reference_and_oracle_on_corpus(self, seed, n_max, max_d):
+        for q, m, basis in fault_cases(seed, 25, n_max):
+            for dedup in (True, False):
+                gens = enumerate_faults(q, m, basis, dedup=dedup)
+                sigs, k = logical_signatures(q, basis, [g.residual for g in gens])
+                found = min_logical_search(sigs, k, max_d)
+                assert (found.distance, found.witness) == reference_min_logical(sigs, k, max_d)
+                res = effective_distance(q, m, basis, max_d, generators=gens)
+                slow = oracle_effective_distance(q, m, basis, max_d, generators=gens)
+                assert res.distance == slow.distance
+                assert witness_is_valid(q, basis, res)
+
+    @settings(max_examples=300, deadline=None)
+    @given(signature_lists(), st.integers(1, 5))
+    def test_matches_reference_on_random_signatures(self, case, max_t):
+        sigs, k = case
+        found = min_logical_search(sigs, k, max_t)
+        assert (found.distance, found.witness) == reference_min_logical(sigs, k, max_t)
+        assert min_logical_search(sigs, k, max_t, witness=False).distance == found.distance
+
+    def test_multi_pairing_bucket_decides_the_witness(self):
+        # syndromes 1, 2, 2, 1 with pairings 0, 0, 1, 1: the first probe that
+        # has a partner is index 0, through syndrome 1's second pairing
+        found = min_logical_search([0b10, 0b100, 0b101, 0b11], 1, 2)
+        assert (found.distance, found.witness) == (2, (0, 3))
+
+    def test_cap_is_reported_at_its_level(self):
+        sigs = [(1 << (i + 1)) for i in range(6)]  # independent syndromes: no logical
+        found = min_logical_search(sigs, 1, 6, table_cap=10)
+        assert found.distance is None and found.level == 4  # C(6, 2) = 15 > 10
+        assert min_logical_search(sigs, 1, 3, table_cap=10).distance == INF
+
+
+class TestExhaustiveRoute:
+    def test_agrees_with_mitm_on_corpus(self):
+        for q in corpus(131, 30, n_max=10):
+            for basis in ("X", "Z"):
+                mitm = css_search(q, basis, enum_cap=0)
+                full = css_search(q, basis, table_cap=0)
+                assert mitm.distance == full.distance
+                if q.k:
+                    assert (mitm.route, full.route) == ("mitm", "exhaustive")
+
+    def test_classical_distance_brute_force(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            c = random_classical(rng, 3, 8)
+            words = [v for v in range(1, 1 << c.n) if mat_vec(c.h, v) == 0]
+            assert classical_distance(c) == min((v.bit_count() for v in words), default=INF)
+
+    def test_cap_falls_back_to_exhaustive(self):
+        # n=41, dim 18, d=6: level 4 needs C(41, 2) = 820 > 100 table entries
+        q = grid_code("r2r2h7", 1)
+        found = css_search(q, "X", table_cap=100)
+        assert (found.distance, found.route) == (6, "exhaustive")
+        with pytest.raises(CapExceeded):
+            css_search(q, "X", enum_cap=0, table_cap=100)
+
+
+class TestRouteChoice:
+    @pytest.mark.parametrize(
+        "name, build, basis, distance, route",
+        [
+            ("steane", steane_code, "X", 3, "exhaustive"),
+            ("r3r3r3 level 1 (n=51, dim 19)", lambda: grid_code("r3r3r3", 1), "X", 9, "exhaustive"),
+            ("r2r3h7 level 2 (n=63, dim 22)", lambda: grid_code("r2r3h7", 2), "Z", 6, "mitm"),
+        ],
+    )
+    def test_cheaper_route_is_taken(self, name, build, basis, distance, route):
+        q = build()
+        found = css_search(q, basis)
+        assert (found.distance, found.route) == (distance, route), name
+        assert _code_distance_entry(q, basis) == {"value": distance, "method": route, "bound": None}
+
+    def test_zero_enum_cap_is_always_mitm(self):
+        for q in (steane_code(), surface_code_2x3(), grid_code("r3r3", 1)):
+            for basis in ("X", "Z"):
+                assert css_search(q, basis, enum_cap=0).route == "mitm"
