@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .codes import INF, CapExceeded, CssCode, ClassicalCode, css_search
 from .cone import build_cone_parts, cellulate, cone_code, thicken_cone_detail
-from .f2la import BinMatrix, bit_indices
+from .f2la import BinMatrix, bit_indices, transpose
 from .faultdist import DEFAULT_MAX_D, effective_distance, hook_weight_audit
 from .reduce import (
     balance_x,
@@ -56,13 +56,10 @@ def parse_matrix_file(path: str) -> BinMatrix:
         lines = f.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file")
-    head = lines[0].split()
+    head = _line_ints(path, 1, lines[0])
     if len(head) != 2:
         raise ValueError(f"{path}: line 1: header must be 'rows cols'")
-    try:
-        nrows, ncols = int(head[0]), int(head[1])
-    except ValueError as e:
-        raise ValueError(f"{path}: line 1: {e}") from e
+    nrows, ncols = head
     if nrows < 0 or ncols < 0:
         raise ValueError(f"{path}: line 1: negative dimensions")
     if len(lines) - 1 < nrows:
@@ -70,16 +67,23 @@ def parse_matrix_file(path: str) -> BinMatrix:
     rows = []
     for ln in range(1, nrows + 1):
         v = 0
-        for tok in lines[ln].split():
-            try:
-                j = int(tok)
-            except ValueError as e:
-                raise ValueError(f"{path}: line {ln + 1}: {e}") from e
+        for j in _line_ints(path, ln + 1, lines[ln]):
             if not 1 <= j <= ncols:
                 raise ValueError(f"{path}: line {ln + 1}: column index {j} out of range 1..{ncols}")
             v ^= 1 << (j - 1)
         rows.append(v)
+    for ln in range(nrows + 1, len(lines)):
+        if lines[ln].strip():
+            raise ValueError(f"{path}: line {ln + 1}: more row lines than the {nrows} declared")
     return BinMatrix(rows, ncols)
+
+
+def _line_ints(path: str, no: int, text: str) -> list[int]:
+    """The integers on line `no` of a matrix file."""
+    try:
+        return [int(t) for t in text.split()]
+    except ValueError as e:
+        raise ValueError(f"{path}: line {no}: {e}") from e
 
 
 def write_matrix_file(path: str, m: BinMatrix) -> None:
@@ -97,24 +101,32 @@ def format_matrix(m: BinMatrix) -> str:
 def parse_alist_file(path: str) -> BinMatrix:
     """Read an alist parity check matrix (checks as rows).
 
-    Line-based, so both zero-padded and reduced alist writers parse.
+    Line-based, so both zero-padded and reduced alist writers parse.  The
+    m row lines must list the same ones as the n column lines.
     """
     with open(path, "r", encoding="utf-8") as f:
-        lines = [ln for ln in f.read().splitlines() if ln.strip()]
+        lines = [(no, ln) for no, ln in enumerate(f.read().splitlines(), 1) if ln.strip()]
     if len(lines) < 4:
         raise ValueError(f"{path}: truncated alist file")
-    n, m = (int(t) for t in lines[0].split()[:2])
-    if len(lines) < 4 + n:
-        raise ValueError(f"{path}: expected {n} column lines")
-    rows = [0] * m
-    for j in range(n):
-        for tok in lines[4 + j].split():
-            i = int(tok)
-            if i == 0:
-                continue  # padding
-            if not 1 <= i <= m:
-                raise ValueError(f"{path}: check index {i} out of range 1..{m}")
-            rows[i - 1] |= 1 << j
+    n, m = _line_ints(path, *lines[0])[:2]
+    if len(lines) != 4 + n + m:
+        raise ValueError(f"{path}: expected {n} column lines and {m} row lines, found {len(lines) - 4}")
+
+    def read(block, bound: int) -> list[int]:
+        """One bit-vector per line of 1-based indices; 0 is padding."""
+        out = []
+        for no, ln in block:
+            out.append(0)
+            for i in _line_ints(path, no, ln):
+                if not 0 <= i <= bound:
+                    raise ValueError(f"{path}: line {no}: index {i} out of range 1..{bound}")
+                out[-1] |= (1 << i) >> 1
+        return out
+
+    rows = transpose(BinMatrix(read(lines[4:4 + n], m), m)).rows
+    for (no, _), listed, row in zip(lines[4 + n:], read(lines[4 + n:], n), rows):
+        if listed != row:
+            raise ValueError(f"{path}: line {no}: row line contradicts the column lines")
     return BinMatrix(rows, n)
 
 
@@ -171,7 +183,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     schedule_mode = cfg.schedule
     if schedule_mode:
         if schedule_mode.startswith("seed:"):
-            schedule = baseline_schedule(code, int(schedule_mode.split(":", 1)[1]))
+            schedule = baseline_schedule(code, _spec_int(schedule_mode))
         elif schedule_mode.startswith("file:"):
             with open(schedule_mode.split(":", 1)[1], "r", encoding="utf-8") as f:
                 schedule = parse_schedule(f.read())
@@ -285,11 +297,37 @@ def _apply_transform(name: str, code: CssCode, schedule: Schedule | None, cfg: P
 
 def _resolve_heights(spec: str, q_thick: CssCode, bm) -> list[int]:
     if spec.startswith("greedy:"):
-        result = greedy_heights(q_thick, bm, int(spec.split(":", 1)[1]))
-        return result.heights
+        return greedy_heights(q_thick, bm, _spec_int(spec, minimum=1)).heights
     if spec.startswith("explicit:"):
-        return [int(t) for t in spec.split(":", 1)[1].split(",")]
+        return _spec_ints(spec)
     raise UsageError(f"bad --heights value {spec!r}")
+
+
+def _spec_ints(spec: str) -> list[int]:
+    """The comma-separated integers after the ':' of a 'kind:values' flag."""
+    try:
+        return [int(t) for t in spec.split(":", 1)[1].split(",")]
+    except ValueError:
+        raise UsageError(f"bad value {spec!r}: expected integers after ':'") from None
+
+
+def _spec_int(spec: str, minimum: int | None = None) -> int:
+    values = _spec_ints(spec)
+    if len(values) != 1 or (minimum is not None and values[0] < minimum):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise UsageError(f"bad value {spec!r}: expected one integer{at_least} after ':'")
+    return values[0]
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of the count flags: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
+    return value
 
 
 def _compute_distances(code: CssCode, schedule: Schedule | None, bases, cfg: PipelineConfig) -> dict:
@@ -350,14 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--hx", required=True, help="X check matrix (mtxf2 or .alist)")
         sp.add_argument("--hz", required=True, help="Z check matrix (mtxf2 or .alist)")
         sp.add_argument("--transform", help="comma-separated transform list")
-        sp.add_argument("--ell", type=int, default=2, help="thickening length")
+        sp.add_argument("--ell", type=_positive_int, default=2, help="thickening length")
         sp.add_argument("--heights", help="greedy:<w> or explicit:<csv>")
         sp.add_argument("--classical", help="classical check matrix for balancing")
-        sp.add_argument("--cone-threshold", type=int, default=5)
-        sp.add_argument("--cone-ell", type=int, default=1)
+        sp.add_argument("--cone-threshold", type=_positive_int, default=5)
+        sp.add_argument("--cone-ell", type=_positive_int, default=1)
         sp.add_argument("--schedule", help="seed:<n> | file:<path> | derived")
         sp.add_argument("--basis", choices=["X", "Z", "both"], default="both")
-        sp.add_argument("--max-d", type=int, default=None)
+        sp.add_argument("--max-d", type=_positive_int, default=None)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", help="write the JSON report here instead of stdout")
         sp.add_argument("--out-prefix", help="write transformed matrices/schedule files")
@@ -407,10 +445,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg.max_d = DEFAULT_MAX_D
     try:
         report = run_pipeline(cfg)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (UsageError, OSError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except (ValueError, CapExceeded) as e:

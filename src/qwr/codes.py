@@ -16,11 +16,11 @@ from typing import Callable
 
 from .f2la import (
     BinMatrix,
+    add_pivot,
     echelon,
     kernel_basis,
     mat_mul,
     mat_vec,
-    parity,
     rank,
     reduce_vector,
     transpose,
@@ -89,10 +89,10 @@ class CssCode:
     def __init__(self, h_x: BinMatrix, h_z: BinMatrix):
         if h_x.ncols != h_z.ncols:
             raise ValueError(f"qubit count mismatch: h_x has {h_x.ncols} columns, h_z has {h_z.ncols}")
-        for i, rx in enumerate(h_x.rows):
-            for j, rz in enumerate(h_z.rows):
-                if parity(rx & rz):
-                    raise ValueError(f"stabilizers anticommute: X row {i} vs Z row {j}")
+        # the first nonzero row and its lowest bit: the lex-first anticommuting pair
+        for i, r in enumerate(mat_mul(h_x, transpose(h_z)).rows):
+            if r:
+                raise ValueError(f"stabilizers anticommute: X row {i} vs Z row {(r & -r).bit_length() - 1}")
         self.h_x = h_x
         self.h_z = h_z
 
@@ -232,14 +232,7 @@ def logical_basis(q: CssCode, basis: str) -> BinMatrix:
     opp = q.h("Z" if basis == "X" else "X")
     ker = kernel_basis(opp)
     pivots = list(q.stab_pivots(basis))
-    reps = []
-    for v in ker.rows:
-        red = reduce_vector(v, pivots)
-        if red:
-            pc = (red & -red).bit_length() - 1
-            pivots.append((pc, red))
-            pivots.sort(key=lambda t: t[0])
-            reps.append(v)
+    reps = [v for v in ker.rows if add_pivot(pivots, v)]
     out = []
     for v in reps:
         improved = True

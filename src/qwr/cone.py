@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .codes import CapExceeded, CssCode
-from .f2la import BinMatrix, bit_indices, kernel_basis, solve
+from .f2la import BinMatrix, bit_indices, kernel_basis, solve, transpose
 from .reduce import choose_heights, greedy_heights, thicken
 
 
@@ -58,6 +58,7 @@ class ChainMapF:
 
     def validate(self, h_x: BinMatrix, parts: tuple[ConeComplexPart, ...]) -> None:
         """Check f.d_B == d_A.f on every 1-cell, as a matrix identity."""
+        cols = transpose(h_x).rows
         for part in parts:
             for qubit in part.one_cells:
                 acc = 0
@@ -65,11 +66,7 @@ class ChainMapF:
                     xr = part.zero_cells[t][0]
                     if xr is not None:
                         acc ^= 1 << xr
-                col = 0
-                for r in range(h_x.nrows):
-                    if (h_x.rows[r] >> qubit) & 1:
-                        col ^= 1 << r
-                if acc != col:
+                if acc != cols[qubit]:
                     raise ValueError(
                         f"chain-map condition fails at qubit {qubit} of part for Z row {part.parent_z_row}"
                     )
@@ -378,19 +375,21 @@ def _part_lambda(part: ConeComplexPart, cycle_cap: int) -> Fraction:
     filler = kernel_basis(m1)
     if filler.nrows > cycle_cap:
         raise CapExceeded("filling coset dimension exceeds the enumeration cap")
+    # fillings are linear in u, so one per basis cycle follows u through the
+    # Gray code; each minimum is over that filling plus the span of ker d_1
+    fills = [solve(m1, u) for u in cyc.rows]
+    if None in fills:
+        raise ValueError("0-cycle has no filling; zeroth homology is not trivial")
+    span = [0]
+    for row in filler.rows:
+        span += [w ^ row for w in span]
     best = Fraction(1)
-    u = 0
+    u = v0 = 0
     for g in range(1, 1 << cyc.nrows):
-        u ^= cyc.rows[(g & -g).bit_length() - 1]
-        v0 = solve(m1, u)
-        if v0 is None:
-            raise ValueError("0-cycle has no filling; zeroth homology is not trivial")
-        min_v = v0.bit_count()
-        w = v0
-        for h in range(1, 1 << filler.nrows):
-            w ^= filler.rows[(h & -h).bit_length() - 1]
-            min_v = min(min_v, w.bit_count())
-        lam = Fraction(u.bit_count(), min_v)
+        i = (g & -g).bit_length() - 1
+        u ^= cyc.rows[i]
+        v0 ^= fills[i]
+        lam = Fraction(u.bit_count(), min(map(int.bit_count, map(v0.__xor__, span))))
         if lam < best:
             best = lam
     return best

@@ -7,6 +7,7 @@ arbitrary-width words.  All functions are pure; matrices are immutable.
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Iterable, Iterator, Sequence
 
 
@@ -141,12 +142,17 @@ def echelon(rows: Iterable[int]) -> list[tuple[int, int]]:
     """
     pivots: list[tuple[int, int]] = []
     for v in rows:
-        v = reduce_vector(v, pivots)
-        if v:
-            pc = (v & -v).bit_length() - 1
-            pivots.append((pc, v))
-            pivots.sort(key=lambda t: t[0])
+        add_pivot(pivots, v)
     return pivots
+
+
+def add_pivot(pivots: list[tuple[int, int]], v: int) -> int:
+    """Reduce v against the echelon pivots and insert a nonzero remainder as
+    a new pivot row, keeping pivots sorted; returns the remainder."""
+    v = reduce_vector(v, pivots)
+    if v:
+        insort(pivots, ((v & -v).bit_length() - 1, v))
+    return v
 
 
 def reduce_vector(v: int, pivots: list[tuple[int, int]]) -> int:
@@ -234,27 +240,13 @@ def rowspace_contains(a: BinMatrix, v: int, pivots: list[tuple[int, int]] | None
 
 
 def solve(a: BinMatrix, b: int) -> int | None:
-    """One solution x of a.x = b over GF(2), or None when inconsistent."""
+    """Some solution x of a.x = b over GF(2), or None when inconsistent."""
     if b >> a.nrows:
         raise ValueError("right-hand side has bits beyond the row count")
-    cols = transpose(a).rows
-    pivots: list[tuple[int, int, int]] = []
-    for j, v in enumerate(cols):
-        combo = 1 << j
-        for pc, row, pcombo in pivots:
-            if (v >> pc) & 1:
-                v ^= row
-                combo ^= pcombo
-        if v:
-            pc = (v & -v).bit_length() - 1
-            pivots.append((pc, v, combo))
-            pivots.sort(key=lambda t: t[0])
-    combo = 0
-    for pc, row, pcombo in pivots:
-        if (b >> pc) & 1:
-            b ^= row
-            combo ^= pcombo
-    return combo if b == 0 else None
+    # column j carries tag bit nrows + j, so each pivot's tag lists its columns
+    pivots = echelon(col | (1 << (a.nrows + j)) for j, col in enumerate(transpose(a).rows))
+    r = reduce_vector(b, pivots)
+    return None if r & ((1 << a.nrows) - 1) else r >> a.nrows
 
 
 def quotient_dim(ker_of: BinMatrix, rs_of: BinMatrix) -> int:

@@ -1,8 +1,7 @@
 """Hypergraph products and higher-dimensional products of 1-complexes.
 
 The total complex of a tensor product orders each graded piece by
-descending degree of the left factor; the same convention drives the
-balanced-code layout, so products and thickenings agree bit-exactly.
+descending degree of the left factor; reduce.balance_x is this product too.
 """
 
 from __future__ import annotations
@@ -138,16 +137,11 @@ def kunneth_distance_predictor(spec: ProductSpec) -> DistancePrediction:
 def _one_complex_distances(c: ClassicalCode, dualized: bool):
     """([d_0, d_1], [d^0, d^1]) of the code's 1-complex."""
     m = transpose(c.h) if dualized else c.h
-    d1 = _min_weight_kernel(m)
+    d1 = classical_distance(ClassicalCode(m))
     d0 = _min_weight_off_rowspace(transpose(m))
-    c0 = _min_weight_kernel(transpose(m))
+    c0 = classical_distance(ClassicalCode(transpose(m)))
     c1 = _min_weight_off_rowspace(m)
     return [d0, d1], [c0, c1]
-
-
-def _min_weight_kernel(m: BinMatrix) -> int | float:
-    ker = ClassicalCode(m)
-    return classical_distance(ker)
 
 
 def _min_weight_off_rowspace(m: BinMatrix) -> int | float:

@@ -8,10 +8,11 @@ indices appended in generation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .codes import ClassicalCode, CssCode, repetition_code
-from .f2la import BinMatrix, block_matrix, hstack, kron, rank, transpose
+from .codes import ClassicalCode, CssCode, complex_to_css, css_to_complex, repetition_code
+from .f2la import BinMatrix
+from .hgp import one_complex, tensor_complex
 
 
 @dataclass(frozen=True)
@@ -25,9 +26,6 @@ class CopyMap:
 
     def new_qubit(self, qubit: int, copy: int) -> int:
         return qubit * self.q_x + copy
-
-    def group_of(self, new_qubit: int) -> tuple[int, int]:
-        return divmod(new_qubit, self.q_x)
 
 
 def copy_code(q: CssCode, assignment: dict[tuple[int, int], int] | None = None) -> tuple[CssCode, CopyMap]:
@@ -206,39 +204,27 @@ class BalanceMap:
         return [r for r in range(self.h_x_pre.nrows) if (self.h_x_pre.rows[r] >> qubit) & 1]
 
     def primal(self) -> "BalanceMap":
-        return BalanceMap(
-            self.n, self.n_x, self.n_z, self.n_c, self.k_c,
-            self.h_c, self.h_x_pre, self.h_z_pre, dual=False,
-        )
+        return replace(self, dual=False)
 
 
 def balance_x(q: CssCode, c: ClassicalCode) -> tuple[CssCode, BalanceMap]:
-    """Generalized thickening: tensor the code with a classical code.
+    """Generalized thickening: the code's complex tensored (as in hgp) with
+    the classical code's dualized 1-complex, read at level 1.
 
     Multiplies the X distance by the classical distance and k by k_c.  The
     classical check matrix must have full row rank (the construction needs
     its first cohomology to vanish).
     """
-    if rank(c.h) != c.h.nrows:
+    if not c.full_row_rank:
         raise ValueError("classical check matrix must have full row rank")
-    n_c = c.n
-    n_chk = c.h.nrows
-    hx = hstack(kron(q.h_x, BinMatrix.identity(n_c)), kron(BinMatrix.identity(q.n_x), transpose(c.h)))
-    hz = block_matrix(
-        [
-            [kron(q.h_z, BinMatrix.identity(n_c)), BinMatrix.zeros(q.n_z * n_c, q.n_x * n_chk)],
-            [kron(BinMatrix.identity(q.n), c.h), kron(transpose(q.h_x), BinMatrix.identity(n_chk))],
-        ]
-    )
-    bm = BalanceMap(q.n, q.n_x, q.n_z, n_c, c.k, c.h, q.h_x, q.h_z)
-    return CssCode(hx, hz), bm
+    code = complex_to_css(tensor_complex(css_to_complex(q), one_complex(c, dualized=True)), 1)
+    return code, BalanceMap(q.n, q.n_x, q.n_z, c.n, c.k, c.h, q.h_x, q.h_z)
 
 
 def balance_z(q: CssCode, c: ClassicalCode) -> tuple[CssCode, BalanceMap]:
     """Dual balancing: multiplies the Z distance instead of the X distance."""
     code, bm = balance_x(q.transposed(), c)
-    dual_bm = BalanceMap(bm.n, bm.n_x, bm.n_z, bm.n_c, bm.k_c, bm.h_c, bm.h_x_pre, bm.h_z_pre, dual=True)
-    return code.transposed(), dual_bm
+    return code.transposed(), replace(bm, dual=True)
 
 
 def thicken(q: CssCode, length: int) -> tuple[CssCode, BalanceMap]:

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .codes import CssCode
+from .cone import ConeIndex
 from .reduce import BalanceMap, CopyMap, GaugeMap
 
 
@@ -183,8 +184,6 @@ def cone_schedule(m: Schedule, parts, f) -> Schedule:
     gain their cone qubits at the end; the new X checks from the cone cells
     follow in ascending order.
     """
-    from .cone import ConeIndex
-
     idx = ConeIndex(parts, f)
     part_of = {p.parent_z_row: p for p in parts}
     steps = []

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from qwr.codes import INF, ClassicalCode, CssCode
-from qwr.f2la import BinMatrix, kernel_basis, mat_vec, rank
+from qwr.f2la import BinMatrix, block_matrix, hstack, kernel_basis, kron, mat_vec, rank, transpose
 from qwr.hgp import hgp
 
 
@@ -121,6 +121,25 @@ def assert_thicken_lemma(q, qt, ell):
         assert qt.q_x == max(q.q_x, 2)
     if ell >= 2 and q.n >= 1:
         assert qt.w_z == max(q.w_z, q.q_x + 2)
+
+
+def reference_balance_x(q: CssCode, c: ClassicalCode) -> CssCode:
+    """The balanced code assembled block by block from Kronecker products,
+    kept as the reference that reduce.balance_x must reproduce bit for bit.
+
+    Qubits: region A (n x n_c) then region B (n_x x checks); Z rows: the
+    Z[T] copies then the Z[B] rows.
+    """
+    n_c = c.n
+    n_chk = c.h.nrows
+    hx = hstack(kron(q.h_x, BinMatrix.identity(n_c)), kron(BinMatrix.identity(q.n_x), transpose(c.h)))
+    hz = block_matrix(
+        [
+            [kron(q.h_z, BinMatrix.identity(n_c)), BinMatrix.zeros(q.n_z * n_c, q.n_x * n_chk)],
+            [kron(BinMatrix.identity(q.n), c.h), kron(transpose(q.h_x), BinMatrix.identity(n_chk))],
+        ]
+    )
+    return CssCode(hx, hz)
 
 
 def soundness_lambda_bruteforce(parts) -> Fraction:

@@ -56,6 +56,21 @@ class TestMatrixFormat:
         m = parse_alist_file(str(p))
         assert m == repetition_code(3).h
 
+    def test_rows_past_declared_count_rejected(self, tmp_path):
+        p = tmp_path / "m.mtxf2"
+        p.write_text("1 3\n1 2 3\n1\n\n")
+        with pytest.raises(ValueError, match="line 3"):
+            parse_matrix_file(str(p))
+
+    def test_alist_rows_contradicting_columns_rejected(self, tmp_path):
+        # the column lines of test_alist, with the second row line changed
+        p = tmp_path / "rep.alist"
+        p.write_text(
+            "3 2\n2 2\n1 2 1\n2 2\n1 0\n1 2\n2 0\n1 2\n1 3\n"
+        )
+        with pytest.raises(ValueError, match="line 9"):
+            parse_alist_file(str(p))
+
 
 class TestPipeline:
     def test_info_report(self, steane_files):
@@ -154,6 +169,29 @@ class TestMainEntry:
 
     def test_missing_file_exit_one(self, capsys):
         assert main(["info", "--hx", "/nonexistent", "--hz", "/nonexistent"]) == 1
+
+    def test_directory_as_matrix_exit_one(self, steane_files, tmp_path, capsys):
+        _, hz = steane_files
+        assert main(["info", "--hx", str(tmp_path), "--hz", hz]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--ell", "0"],
+            ["--ell", "two"],
+            ["--cone-ell", "0"],
+            ["--cone-threshold", "0"],
+            ["--max-d", "0"],
+            ["--schedule", "seed:abc"],
+            ["--heights", "greedy:0"],
+            ["--heights", "greedy:w"],
+            ["--heights", "explicit:1,a,2"],
+        ],
+    )
+    def test_bad_flag_value_exit_one(self, steane_files, flags, capsys):
+        hx, hz = steane_files
+        assert main(["transform", "thicken", "--hx", hx, "--hz", hz, "--basis", "X"] + flags) == 1
 
     def test_audit_failure_exit_two(self, tmp_path, capsys):
         hx = tmp_path / "hx.mtxf2"

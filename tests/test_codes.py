@@ -77,6 +77,18 @@ class TestCssConstruction:
         with pytest.raises(ValueError, match="X row 0 vs Z row 0"):
             CssCode(hx, hz)
 
+    def test_first_anticommuting_pair_named(self):
+        # anticommuting (X row, Z row) pairs: (1, 1), (1, 2), (2, 1)
+        hx = BinMatrix.from_rows([[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 1]])
+        hz = BinMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
+        flip = lambda m: BinMatrix(list(reversed(m.rows)), m.ncols)
+        with pytest.raises(ValueError, match="X row 1 vs Z row 1$"):
+            CssCode(hx, hz)
+        with pytest.raises(ValueError, match="X row 1 vs Z row 0$"):  # (1, 0), (1, 1), (2, 1)
+            CssCode(hx, flip(hz))
+        with pytest.raises(ValueError, match="X row 0 vs Z row 1$"):  # (0, 1), (1, 0), (1, 1)
+            CssCode(flip(hx), flip(hz))
+
     def test_even_overlap_accepted(self):
         h = BinMatrix.from_rows([[1, 1]])
         assert CssCode(h, h).k == 0

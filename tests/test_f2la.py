@@ -162,6 +162,21 @@ class TestSolve:
         assert solve(a, 0b010) is None
 
 
+@settings(max_examples=80, deadline=None)
+@given(bin_matrices(), st.integers(0, 127), st.integers(0, 127))
+def test_solve_consistent_and_inconsistent(a, x, b):
+    x &= (1 << a.ncols) - 1
+    sol = solve(a, mat_vec(a, x))
+    assert sol is not None and sol >> a.ncols == 0
+    assert mat_vec(a, sol) == mat_vec(a, x)
+    b &= (1 << a.nrows) - 1
+    in_span = rank(BinMatrix(transpose(a).rows + (b,), a.nrows)) == rank(a)
+    sol = solve(a, b)
+    assert (sol is not None) == in_span
+    if sol is not None:
+        assert mat_vec(a, sol) == b
+
+
 @settings(max_examples=60, deadline=None)
 @given(bin_matrices())
 def test_rank_transpose_invariant(a):

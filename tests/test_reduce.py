@@ -22,7 +22,15 @@ from qwr.reduce import (
     thicken,
 )
 
-from helpers import assert_copy_lemma, assert_gauge_lemma, assert_thicken_lemma, corpus, random_css
+from helpers import (
+    assert_copy_lemma,
+    assert_gauge_lemma,
+    assert_thicken_lemma,
+    corpus,
+    random_classical,
+    random_css,
+    reference_balance_x,
+)
 
 
 class TestCopy:
@@ -173,6 +181,22 @@ class TestBalance:
         assert qb.k == q.k
         alt, _ = balance_x(q.transposed(), repetition_code(2))
         assert qb.h_x == alt.h_z and qb.h_z == alt.h_x
+
+    def test_matches_block_reference_on_corpus(self):
+        rng = random.Random(31)
+        for q in corpus(37, 30):
+            for c in (random_classical(rng), repetition_code(rng.randrange(1, 4))):
+                want = reference_balance_x(q, c)
+                got, bm = balance_x(q, c)
+                assert (got.h_x, got.h_z) == (want.h_x, want.h_z)
+                assert bm.n_a + bm.n_b == got.n and bm.n_zt + bm.n_zb == got.n_z
+                dual = reference_balance_x(q.transposed(), c)
+                got, _ = balance_z(q, c)
+                assert (got.h_x, got.h_z) == (dual.h_z, dual.h_x)
+            for ell in (1, 2, 3):
+                want = reference_balance_x(q, repetition_code(ell))
+                got, _ = thicken(q, ell)
+                assert (got.h_x, got.h_z) == (want.h_x, want.h_z)
 
     def test_rank_deficient_classical_rejected(self):
         from qwr.codes import ClassicalCode
