@@ -9,6 +9,7 @@ line is a zero row).  An alist importer is provided as a thin adapter.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -46,8 +47,8 @@ from .schedule import (
 REPORT_SCHEMA = 1
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """Bad flags or a malformed input file: exit code 1."""
 
 
 def parse_matrix_file(path: str) -> BinMatrix:
@@ -55,26 +56,19 @@ def parse_matrix_file(path: str) -> BinMatrix:
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
     if not lines:
-        raise ValueError(f"{path}: empty file")
+        raise UsageError(f"{path}: empty file")
     head = _line_ints(path, 1, lines[0])
     if len(head) != 2:
-        raise ValueError(f"{path}: line 1: header must be 'rows cols'")
+        raise UsageError(f"{path}: line 1: header must be 'rows cols'")
     nrows, ncols = head
     if nrows < 0 or ncols < 0:
-        raise ValueError(f"{path}: line 1: negative dimensions")
+        raise UsageError(f"{path}: line 1: negative dimensions")
     if len(lines) - 1 < nrows:
-        raise ValueError(f"{path}: expected {nrows} row lines, found {len(lines) - 1}")
-    rows = []
-    for ln in range(1, nrows + 1):
-        v = 0
-        for j in _line_ints(path, ln + 1, lines[ln]):
-            if not 1 <= j <= ncols:
-                raise ValueError(f"{path}: line {ln + 1}: column index {j} out of range 1..{ncols}")
-            v ^= 1 << (j - 1)
-        rows.append(v)
+        raise UsageError(f"{path}: expected {nrows} row lines, found {len(lines) - 1}")
+    rows = [_line_bits(path, no, lines[no - 1], ncols) for no in range(2, nrows + 2)]
     for ln in range(nrows + 1, len(lines)):
         if lines[ln].strip():
-            raise ValueError(f"{path}: line {ln + 1}: more row lines than the {nrows} declared")
+            raise UsageError(f"{path}: line {ln + 1}: more row lines than the {nrows} declared")
     return BinMatrix(rows, ncols)
 
 
@@ -83,7 +77,22 @@ def _line_ints(path: str, no: int, text: str) -> list[int]:
     try:
         return [int(t) for t in text.split()]
     except ValueError as e:
-        raise ValueError(f"{path}: line {no}: {e}") from e
+        raise UsageError(f"{path}: line {no}: {e}") from e
+
+
+def _line_bits(path: str, no: int, text: str, bound: int, padding: bool = False) -> int:
+    """The bit-vector of the distinct 1-based indices on line `no`; with
+    `padding`, the index 0 stands for nothing."""
+    v = 0
+    for j in _line_ints(path, no, text):
+        if padding and j == 0:
+            continue
+        if not 1 <= j <= bound:
+            raise UsageError(f"{path}: line {no}: index {j} out of range 1..{bound}")
+        if v >> (j - 1) & 1:
+            raise UsageError(f"{path}: line {no}: index {j} repeated")
+        v |= 1 << (j - 1)
+    return v
 
 
 def write_matrix_file(path: str, m: BinMatrix) -> None:
@@ -107,26 +116,18 @@ def parse_alist_file(path: str) -> BinMatrix:
     with open(path, "r", encoding="utf-8") as f:
         lines = [(no, ln) for no, ln in enumerate(f.read().splitlines(), 1) if ln.strip()]
     if len(lines) < 4:
-        raise ValueError(f"{path}: truncated alist file")
-    n, m = _line_ints(path, *lines[0])[:2]
+        raise UsageError(f"{path}: truncated alist file")
+    head = _line_ints(path, *lines[0])
+    if len(head) < 2 or min(head[:2]) < 0:
+        raise UsageError(f"{path}: line {lines[0][0]}: header must be 'n m'")
+    n, m = head[:2]
     if len(lines) != 4 + n + m:
-        raise ValueError(f"{path}: expected {n} column lines and {m} row lines, found {len(lines) - 4}")
-
-    def read(block, bound: int) -> list[int]:
-        """One bit-vector per line of 1-based indices; 0 is padding."""
-        out = []
-        for no, ln in block:
-            out.append(0)
-            for i in _line_ints(path, no, ln):
-                if not 0 <= i <= bound:
-                    raise ValueError(f"{path}: line {no}: index {i} out of range 1..{bound}")
-                out[-1] |= (1 << i) >> 1
-        return out
-
-    rows = transpose(BinMatrix(read(lines[4:4 + n], m), m)).rows
-    for (no, _), listed, row in zip(lines[4 + n:], read(lines[4 + n:], n), rows):
-        if listed != row:
-            raise ValueError(f"{path}: line {no}: row line contradicts the column lines")
+        raise UsageError(f"{path}: expected {n} column lines and {m} row lines, found {len(lines) - 4}")
+    cols = [_line_bits(path, no, ln, m, padding=True) for no, ln in lines[4:4 + n]]
+    rows = transpose(BinMatrix(cols, m)).rows
+    for (no, ln), row in zip(lines[4 + n:], rows):
+        if _line_bits(path, no, ln, n, padding=True) != row:
+            raise UsageError(f"{path}: line {no}: row line contradicts the column lines")
     return BinMatrix(rows, n)
 
 
@@ -185,8 +186,12 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         if schedule_mode.startswith("seed:"):
             schedule = baseline_schedule(code, _spec_int(schedule_mode))
         elif schedule_mode.startswith("file:"):
-            with open(schedule_mode.split(":", 1)[1], "r", encoding="utf-8") as f:
-                schedule = parse_schedule(f.read())
+            path = schedule_mode.split(":", 1)[1]
+            with open(path, "r", encoding="utf-8") as f:
+                try:
+                    schedule = parse_schedule(f.read())
+                except ValueError as e:
+                    raise UsageError(f"{path}: {e}") from e
         elif schedule_mode == "derived":
             schedule = baseline_schedule(code, cfg.seed)
         else:
@@ -206,7 +211,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
     bases = ["X", "Z"] if cfg.basis == "both" else [cfg.basis]
     t2 = time.monotonic()
-    distances = _compute_distances(code, schedule, bases, cfg)
+    distances = _compute_distances(code, schedule, bases, cfg.max_d)
     timing["distance"] = time.monotonic() - t2
     timing["total"] = time.monotonic() - t0
 
@@ -330,13 +335,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _compute_distances(code: CssCode, schedule: Schedule | None, bases, cfg: PipelineConfig) -> dict:
-    tasks = {}
-    for b in bases:
-        tasks[f"code_{b}"] = (_code_distance_entry, code, b)
-        if schedule is not None and cfg.max_d is not None:
-            tasks[f"effective_{b}"] = (_effective_entry, code, schedule, b, cfg.max_d)
-    return {key: fn(*args) for key, (fn, *args) in sorted(tasks.items())}
+def _compute_distances(code: CssCode, schedule: Schedule | None, bases, max_d: int | None) -> dict:
+    """Entries in sorted key order; with a schedule but no max_d the
+    effective distances are labelled skipped."""
+    entries = {f"code_{b}": _code_distance_entry(code, b) for b in bases}
+    if schedule is not None:
+        for b in bases:
+            entries[f"effective_{b}"] = (
+                {"value": None, "method": "skipped", "bound": "no --max-d given"}
+                if max_d is None
+                else _effective_entry(code, schedule, b, max_d)
+            )
+    return entries
 
 
 def _code_distance_entry(code: CssCode, basis: str) -> dict:
@@ -380,72 +390,60 @@ def _emit(report: dict, out: str | None) -> None:
         print(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qwr parser, built on first use and shared by every `main` call.
+    Each option's dest is the PipelineConfig field it sets."""
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--hx", dest="hx_path", metavar="HX", required=True,
+                        help="X check matrix (mtxf2 or .alist)")
+    shared.add_argument("--hz", dest="hz_path", metavar="HZ", required=True,
+                        help="Z check matrix (mtxf2 or .alist)")
+    shared.add_argument("--transform", dest="transforms", metavar="TRANSFORM", default=[],
+                        type=lambda text: [t for t in text.split(",") if t],
+                        help="comma-separated transform list")
+    shared.add_argument("--ell", type=_positive_int, default=2, help="thickening length")
+    shared.add_argument("--heights", help="greedy:<w> or explicit:<csv>")
+    shared.add_argument("--classical", dest="classical_path", metavar="CLASSICAL",
+                        help="classical check matrix for balancing")
+    shared.add_argument("--cone-threshold", type=_positive_int, default=5)
+    shared.add_argument("--cone-ell", type=_positive_int, default=1)
+    shared.add_argument("--schedule", help="seed:<n> | file:<path> | derived")
+    shared.add_argument("--basis", choices=["X", "Z", "both"], default="both")
+    shared.add_argument("--max-d", type=_positive_int, default=None)
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--out", help="write the JSON report here instead of stdout")
+    shared.add_argument("--out-prefix", help="write transformed matrices/schedule files")
+
     p = argparse.ArgumentParser(prog="qwr", description=__doc__, exit_on_error=False)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--hx", required=True, help="X check matrix (mtxf2 or .alist)")
-        sp.add_argument("--hz", required=True, help="Z check matrix (mtxf2 or .alist)")
-        sp.add_argument("--transform", help="comma-separated transform list")
-        sp.add_argument("--ell", type=_positive_int, default=2, help="thickening length")
-        sp.add_argument("--heights", help="greedy:<w> or explicit:<csv>")
-        sp.add_argument("--classical", help="classical check matrix for balancing")
-        sp.add_argument("--cone-threshold", type=_positive_int, default=5)
-        sp.add_argument("--cone-ell", type=_positive_int, default=1)
-        sp.add_argument("--schedule", help="seed:<n> | file:<path> | derived")
-        sp.add_argument("--basis", choices=["X", "Z", "both"], default="both")
-        sp.add_argument("--max-d", type=_positive_int, default=None)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out", help="write the JSON report here instead of stdout")
-        sp.add_argument("--out-prefix", help="write transformed matrices/schedule files")
-
-    info = sub.add_parser("info", help="code parameters and exact distances")
-    common(info)
-    tr = sub.add_parser("transform", help="apply a transform pipeline")
-    tr.add_argument("names", nargs="+", help="copy gauge thicken balance_x balance_z cone")
-    common(tr)
-    fd = sub.add_parser("faultdist", help="effective distance under a schedule")
-    common(fd)
+    sub.add_parser("info", parents=[shared], help="code parameters and exact distances")
+    names = argparse.ArgumentParser(add_help=False)  # so usage errors list `names` first
+    names.add_argument("names", nargs="+", help="copy gauge thicken balance_x balance_z cone")
+    sub.add_parser("transform", parents=[names, shared], help="apply a transform pipeline")
+    sub.add_parser("faultdist", parents=[shared], help="effective distance under a schedule")
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        opts = vars(build_parser().parse_args(argv))
     except argparse.ArgumentError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
-    transforms = list(getattr(args, "names", []))
-    if args.transform:
-        transforms += [t for t in args.transform.split(",") if t]
-    cfg = PipelineConfig(
-        hx_path=args.hx,
-        hz_path=args.hz,
-        transforms=transforms,
-        ell=args.ell,
-        heights=args.heights,
-        classical_path=args.classical,
-        cone_threshold=args.cone_threshold,
-        cone_ell=args.cone_ell,
-        schedule=args.schedule,
-        basis=args.basis,
-        max_d=args.max_d,
-        seed=args.seed,
-        out=args.out,
-        out_prefix=args.out_prefix,
-    )
-    if args.command == "faultdist":
+    command = opts.pop("command")
+    opts["transforms"] = opts.pop("names", []) + opts["transforms"]
+    cfg = PipelineConfig(**opts)
+    if command == "faultdist":
         if cfg.schedule is None:
             cfg.schedule = f"seed:{cfg.seed}"
         if cfg.max_d is None:
             cfg.max_d = DEFAULT_MAX_D
     try:
         report = run_pipeline(cfg)
-    except (UsageError, OSError) as e:
+    except (UsageError, OSError, UnicodeDecodeError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except (ValueError, CapExceeded) as e:

@@ -1,17 +1,34 @@
+import argparse
+import contextlib
+import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qwr
+from qwr import cli
 from qwr.cli import (
     PipelineConfig,
+    UsageError,
     format_matrix,
+    load_matrix,
     main,
     parse_alist_file,
     parse_matrix_file,
     run_pipeline,
 )
-from qwr.codes import repetition_code, steane_code
+from qwr.codes import CssCode, repetition_code, steane_code
 from qwr.f2la import BinMatrix
+from qwr.schedule import Schedule, Step, format_schedule, parse_schedule
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+REP3_ALIST = "3 2\n2 2\n1 2 1\n2 2\n1 0\n1 2\n2 0\n1 2\n2 3\n"
 
 
 @pytest.fixture
@@ -50,9 +67,7 @@ class TestMatrixFormat:
     def test_alist(self, tmp_path):
         # [3,1] repetition code in alist form
         p = tmp_path / "rep.alist"
-        p.write_text(
-            "3 2\n2 2\n1 2 1\n2 2\n1 0\n1 2\n2 0\n1 2\n2 3\n"
-        )
+        p.write_text(REP3_ALIST)
         m = parse_alist_file(str(p))
         assert m == repetition_code(3).h
 
@@ -70,6 +85,60 @@ class TestMatrixFormat:
         )
         with pytest.raises(ValueError, match="line 9"):
             parse_alist_file(str(p))
+
+    @pytest.mark.parametrize(
+        "name, text, line",
+        [
+            ("m.mtxf2", "1 3\n1 1\n", "line 2"),
+            ("m.mtxf2", "2 3\n1\n2 3 2\n", "line 3"),
+            ("rep.alist", REP3_ALIST.replace("1 2\n2 0\n1 2", "1 1\n2 0\n1 2"), "line 6"),
+        ],
+    )
+    def test_repeated_index_rejected(self, tmp_path, name, text, line):
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(UsageError, match=f"{line}: index . repeated"):
+            load_matrix(str(p))
+
+
+@st.composite
+def matrices(draw):
+    """Any shape up to 6 x 9, including zero rows and no columns."""
+    r, c = draw(st.integers(0, 6)), draw(st.integers(0, 9))
+    return BinMatrix(draw(st.lists(st.integers(0, (1 << c) - 1), min_size=r, max_size=r)), c)
+
+
+steps = st.builds(
+    Step,
+    st.sampled_from("XZ"),
+    st.integers(0, 30),
+    st.lists(st.integers(0, 40), max_size=6).map(tuple),
+)
+
+
+# Lines of small tokens reach the parsers' line accounting far more often
+# than free text.  Integers stay small (and free text short): a well-formed
+# header may declare any column count, and a row costs memory in proportion
+# to it.
+matrix_like_text = st.lists(
+    st.lists(st.integers(-1, 12).map(str) | st.sampled_from(["x", ""]), max_size=4).map(" ".join),
+    max_size=12,
+).map("\n".join)
+
+
+class TestFormatRoundTrips:
+    @settings(max_examples=150, deadline=None)
+    @given(matrices())
+    def test_matrix(self, m):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "m.mtxf2")
+            cli.write_matrix_file(path, m)
+            assert parse_matrix_file(path) == m
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(steps, max_size=8).map(lambda s: Schedule(tuple(s))))
+    def test_schedule(self, m):
+        assert parse_schedule(format_schedule(m)) == m
 
 
 class TestPipeline:
@@ -193,9 +262,126 @@ class TestMainEntry:
         hx, hz = steane_files
         assert main(["transform", "thicken", "--hx", hx, "--hz", hz, "--basis", "X"] + flags) == 1
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("hx.mtxf2", "1 7\n1 x\n"),
+            ("hx.mtxf2", "1 7\n1 2\n3\n"),
+            ("hx.mtxf2", "1 7\n2 2\n"),
+            ("hx.mtxf2", "1 7 2\n1\n"),
+            ("hx.mtxf2", b"1 7\n\xff\n"),
+            ("hx.alist", REP3_ALIST[:-4] + "1 3\n"),
+            ("hx.alist", "x 2\n2 2\n1 2 1\n2 2\n"),
+            ("hx.alist", "-1 1\n0\n0\n0\n"),
+        ],
+    )
+    def test_malformed_matrix_file_exit_one(self, steane_files, tmp_path, capsys, name, text):
+        _, hz = steane_files
+        hx = tmp_path / name
+        hx.write_bytes(text if isinstance(text, bytes) else text.encode())
+        assert main(["info", "--hx", str(hx), "--hz", hz]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_schedule_syntax_error_exit_one(self, steane_files, tmp_path, capsys):
+        hx, hz = steane_files
+        sched = tmp_path / "m.schedule"
+        sched.write_text("X 1 : 1 2 3 4\nY 2 : 2 3\n")
+        assert main(["faultdist", "--hx", hx, "--hz", hz, "--schedule", f"file:{sched}"]) == 1
+        assert "line 2" in capsys.readouterr().err
+
+    def test_schedule_not_covering_code_exit_two(self, steane_files, tmp_path, capsys):
+        hx, hz = steane_files
+        sched = tmp_path / "m.schedule"
+        sched.write_text("X 1 : 1 3 5 7\n")
+        assert main(["faultdist", "--hx", hx, "--hz", hz, "--schedule", f"file:{sched}"]) == 2
+
+    def test_schedule_without_max_d_labelled_skipped(self, steane_files, tmp_path, capsys):
+        hx, hz = steane_files
+        prefix = str(tmp_path / "out")
+        argv = ["transform", "copy", "--hx", hx, "--hz", hz, "--schedule", "derived", "--out-prefix", prefix]
+        assert main(argv) == 0
+        dist = json.loads(capsys.readouterr().out)["distances"]
+        skipped = {"value": None, "method": "skipped", "bound": "no --max-d given"}
+        assert dist["effective_X"] == dist["effective_Z"] == skipped
+        assert dist["code_X"]["value"] == 3
+        with open(prefix + ".schedule", encoding="utf-8") as f:
+            carried = parse_schedule(f.read())
+        code = CssCode(load_matrix(prefix + ".hx.mtxf2"), load_matrix(prefix + ".hz.mtxf2"))
+        carried.validate(code)
+
+    def test_main_builds_no_parser_per_call(self, steane_files, monkeypatch, capsys):
+        hx, hz = steane_files
+        flags = ["--hx", hx, "--hz", hz, "--basis", "X"]
+        assert main(["info"] + flags) == 0
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["info"] + flags) == 0
+        assert main(["transform", "copy"] + flags) == 0
+        assert built == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=20) | matrix_like_text, st.sampled_from([".mtxf2", ".alist"]))
+    def test_random_matrix_text_never_raises(self, text, suffix):
+        """Exit 1 exactly when the file does not parse, and the parsers raise
+        nothing but UsageError; a file that parses may be a valid code (0)
+        or fail validation (2)."""
+        q = steane_code()
+        with tempfile.TemporaryDirectory() as d:
+            hx, hz = os.path.join(d, "hx" + suffix), os.path.join(d, "hz.mtxf2")
+            with open(hx, "w", encoding="utf-8") as f:
+                f.write(text)
+            cli.write_matrix_file(hz, q.h_z)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["info", "--hx", hx, "--hz", hz])
+            try:
+                load_matrix(hx)
+            except UsageError:
+                assert rc == 1
+            else:
+                assert rc in (0, 2)
+
     def test_audit_failure_exit_two(self, tmp_path, capsys):
         hx = tmp_path / "hx.mtxf2"
         hz = tmp_path / "hz.mtxf2"
         hx.write_text("1 2\n1 2\n")
         hz.write_text("1 2\n1\n")  # anticommutes with the X row
         assert main(["info", "--hx", str(hx), "--hz", str(hz)]) == 2
+
+
+class TestTooling:
+    """The entry points as separate processes."""
+
+    def run(self, *args):
+        env = dict(os.environ)
+        src = str(pathlib.Path(qwr.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120, cwd=REPO
+        )
+
+    def test_module_exit_codes(self, steane_files, tmp_path):
+        hx, hz = steane_files
+        ok = self.run("-m", "qwr.cli", "info", "--hx", hx, "--hz", hz)
+        assert ok.returncode == 0 and json.loads(ok.stdout)["code"]["n"] == 7
+        assert self.run("-m", "qwr.cli", "info", "--hx", hx, "--hz", hz, "--ell", "0").returncode == 1
+        bad = tmp_path / "bad.mtxf2"
+        bad.write_text("1 7\n1\n")  # anticommutes with a Steane Z row
+        failed = self.run("-m", "qwr.cli", "info", "--hx", str(bad), "--hz", hz)
+        assert failed.returncode == 2
+        assert failed.stderr.startswith("audit failure") and "Traceback" not in failed.stderr
+
+    def test_weight_reduce_pipeline_script(self):
+        res = self.run("scripts/weight_reduce_pipeline.py")
+        assert res.returncode == 0, res.stderr
+        assert "heights chosen     n=86" in res.stdout
+
+    def test_hgp_hook_survey_script(self):
+        res = self.run("scripts/hgp_hook_survey.py", "2")
+        assert res.returncode == 0, res.stderr
+        assert "hgp(rep3,rep3)         d=(3,3)  worst effective over 2 schedules: (3,3)" in res.stdout
