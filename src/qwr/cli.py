@@ -304,7 +304,12 @@ def _resolve_heights(spec: str, q_thick: CssCode, bm) -> list[int]:
     if spec.startswith("greedy:"):
         return greedy_heights(q_thick, bm, _spec_int(spec, minimum=1)).heights
     if spec.startswith("explicit:"):
-        return _spec_ints(spec)
+        heights = _spec_ints(spec)
+        try:
+            kept_z_rows(bm, heights)
+        except ValueError as e:
+            raise UsageError(f"bad --heights value {spec!r}: {e}") from None
+        return heights
     raise UsageError(f"bad --heights value {spec!r}")
 
 

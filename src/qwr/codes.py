@@ -2,8 +2,11 @@
 
 Distances are exact at desk scale: one meet-in-the-middle kernel serves the
 code and effective distances, handing over to Gray-code enumeration of the
-logical space when that is less work; caps raise CapExceeded.  Infinite
-distance is the float ``inf`` sentinel so that ``min()`` treats it as absorbing.
+logical space when that is less work; caps raise CapExceeded.  The kernel
+searches one item per distinct nonzero signature and, on wide levels,
+probes only subsets connected through shared syndrome bits against a table
+of every subset of the other half.  Infinite distance is the float ``inf``
+sentinel so that ``min()`` treats it as absorbing.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .f2la import (
     BinMatrix,
@@ -296,14 +299,20 @@ MULTI = -1  # table value once two different pairings share one syndrome
 LOW_STAB_ROWS = 10  # stabilizer rows in the exhaustive route's XOR table
 
 
-@dataclass(frozen=True)
-class Search:
-    """distance is None when a cap stopped the search at level `level`;
-    witness holds the sorted signature indices of one minimum set."""
+class Search(NamedTuple):
+    """distance is None when a cap stopped the search at level `level`, and
+    cap_count is the subset count that exceeded the cap; witness holds the
+    sorted signature indices of one minimum set.  probes counts the subsets
+    looked up in a table, table_entries the subsets put into one.  (A
+    NamedTuple: small searches build one per call, and it builds faster
+    than a frozen dataclass.)"""
     distance: int | float | None
     witness: tuple[int, ...] | None
     route: str  # "mitm" | "exhaustive"
     level: int = 0
+    cap_count: int = 0
+    probes: int = 0
+    table_entries: int = 0
 
 
 def min_logical_search(
@@ -312,19 +321,33 @@ def min_logical_search(
 ) -> Search:
     """Fewest signatures (see logical_signatures) whose XOR is a logical.
 
-    Level t = 1..max_t meets a table of the floor(t/2)-subsets with the
-    ceil(t/2)-subsets, walked in lex order with running prefix XORs.  The
-    table maps each syndrome to its pairing, or to MULTI once two pairings
-    share it; the size-s table serves t = 2s and 2s+1, whose probes fill the
-    size-(s+1) table.  The witness is the lex-first hitting probe plus its
-    lex-first partner.  A level is capped when its table side exceeds
-    table_cap or its probe side probe_cap.  With exhaustive = (dim, finish),
-    finish(t) answers instead (no logical weighs less than t) once the
-    subsets walked so far plus level t's exceed 2^dim, or t is capped.
+    Only the first occurrence of each distinct nonzero signature is searched:
+    a minimum set holds no zero signature (drop it) and no equal pair (the
+    two cancel), and swapping a later duplicate for its first occurrence
+    keeps a set hitting while making it lex-smaller.  Level t = 1..max_t
+    meets a table of all floor(t/2)-subsets with ceil(t/2)-subsets, walked
+    with running prefix XORs.  The table maps each syndrome to its pairing,
+    or to MULTI once two pairings share it; the size-s table serves t = 2s
+    and 2s+1.  Where all ceil(t/2)-subsets outnumber n^2 pairs, only the
+    connected ones are probed: calling two signatures adjacent when their
+    syndromes share a bit, a minimum set is connected (parts with disjoint
+    syndrome bits would each have zero syndrome, so one is a smaller
+    logical), hence holds a connected ceil(t/2)-subset whose complement is
+    in the table.  Otherwise the lex walk probes every subset and fills the
+    size-(s+1) table on the way; after a connected level that table is
+    built on its own.  On the level that hits, the lex walk picks the
+    witness: the lex-first hitting probe plus its lex-first partner.  A
+    level is capped when its table side exceeds table_cap or its probe side
+    probe_cap, counting distinct signatures only.  With exhaustive = (dim,
+    finish), finish(t) answers instead (no logical weighs less than t) once
+    the subsets walked so far plus level t's exceed 2^dim, or t is capped.
     """
-    n = len(sigs)
-    syn = [s >> k for s in sigs]
-    pair = [s & ((1 << k) - 1) for s in sigs]
+    distinct = dict.fromkeys(sigs)  # in order of first occurrence
+    distinct.pop(0, None)
+    uniq = list(distinct)
+    n = len(uniq)
+    syn = [s >> k for s in uniq]
+    pair = [s & ((1 << k) - 1) for s in uniq]
 
     def plan(t: int, spent: int) -> str:
         capped = comb(n, t // 2) > table_cap or (probe_cap is not None and comb(n, t - t // 2) > probe_cap)
@@ -333,52 +356,130 @@ def min_logical_search(
         return "capped" if capped else "mitm"
 
     table = {0: 0}  # the empty set
-    spent = 0
+    nbr = None  # neighbour masks, built at the first connected level
+    spent = probes = entries = 0
     for t in range(1, max_t + 1):
         route = plan(t, spent)
         if route == "exhaustive":
-            return Search(exhaustive[1](t), None, route, t)
-        if route == "capped":
-            return Search(None, None, "mitm", t)
+            return Search(exhaustive[1](t), None, route, t, probes=probes, table_entries=entries)
         small, big = t // 2, t - t // 2
+        if route == "capped":
+            over = comb(n, small) if comb(n, small) > table_cap else comb(n, big)
+            return Search(None, None, "mitm", t, cap_count=over, probes=probes, table_entries=entries)
         spent += comb(n, big)
         grow = big > small and t < max_t and plan(t + 1, spent) == "mitm"
-        hit, grown = _probe(syn, pair, big, table, grow)
+        if _connected_pays(n, big):
+            if nbr is None:
+                nbr = _neighbours(syn)
+            hit, count, _ = _probe(syn, pair, table, _connected_walk(syn, pair, nbr, big), False)
+            probes += count
+            if hit is not None and witness:
+                hit, count, _ = _probe(syn, pair, table, _lex_walk(syn, pair, big), False)
+                probes += count
+            elif hit is None and grow:
+                grown = _probe(syn, pair, {}, _lex_walk(syn, pair, big), True)[2]
+        else:
+            hit, count, grown = _probe(syn, pair, table, _lex_walk(syn, pair, big), grow)
+            probes += count
         if hit is not None:
-            found = tuple(sorted(hit + _first_partner(syn, pair, small, hit))) if witness else None
-            return Search(t, found, "mitm", t)
+            found = None
+            if witness:
+                found = tuple(sorted(sigs.index(uniq[i]) for i in hit + _first_partner(syn, pair, small, hit)))
+            return Search(t, found, "mitm", t, probes=probes, table_entries=entries)
         if grow:
             table = grown
-    return Search(INF, None, "mitm", max_t)
+            entries += comb(n, big)
+    return Search(INF, None, "mitm", max_t, probes=probes, table_entries=entries)
 
 
-def _prefixes(syn, pair, m, stop, lo=0, chosen=(), s=0, p=0):
-    """The m-subsets of range(stop) in lex order as (subset, lo, syn XOR,
-    pair XOR), lo being one past the subset's last index."""
-    if m == 0:
-        yield chosen, lo, s, p
+def _connected_pays(n: int, r: int) -> bool:
+    """Probe only connected r-subsets of n signatures: worth building the
+    neighbour masks once all r-subsets outnumber the n^2 pairs."""
+    return comb(n, r) > n * n
+
+
+def _lex_walk(syn, pair, r, lo=0, chosen=(), s=0, p=0):
+    """The r-subsets of range(len(syn)) in lex order, grouped by their first
+    r - 1 indices: (prefix, candidate last indices, prefix syn XOR, prefix
+    pair XOR)."""
+    if r == 1:
+        yield chosen, range(lo, len(syn)), s, p
         return
-    for i in range(lo, stop - m + 1):
-        yield from _prefixes(syn, pair, m - 1, stop, i + 1, chosen + (i,), s ^ syn[i], p ^ pair[i])
+    for i in range(lo, len(syn) - r + 1):
+        yield from _lex_walk(syn, pair, r - 1, i + 1, chosen + (i,), s ^ syn[i], p ^ pair[i])
 
 
-def _probe(syn, pair, r, table, grow):
-    """First r-subset whose syndrome is in table with another pairing, or
-    None; with grow, the r-subsets also fill the next table."""
+def _connected_walk(syn, pair, nbr, r):
+    """The connected r-subsets, each once, grouped as in _lex_walk.
+
+    ESU enumeration (Wernicke 2006): a subset grows from its least index v
+    through neighbours above v; each added index w extends the candidates by
+    its neighbours not yet in or next to the subset.
+    """
+    if r == 1:
+        yield (), range(len(syn)), 0, 0
+        return
+    for v in range(len(syn)):
+        above = -2 << v
+        yield from _esu(syn, pair, nbr, r - 1, (v,), _bits(nbr[v] & above), nbr[v] | 1 << v, above, syn[v], pair[v])
+
+
+def _esu(syn, pair, nbr, m, chosen, ext, closed, above, s, p):
+    """Extend chosen by m more indices: the next comes from the candidate
+    list ext, and the candidates after it stay candidates."""
+    if m == 1:
+        yield chosen, ext, s, p
+        return
+    for j, w in enumerate(ext):
+        yield from _esu(syn, pair, nbr, m - 1, chosen + (w,), ext[j + 1:] + _bits(nbr[w] & ~closed & above),
+                        closed | nbr[w], above, s ^ syn[w], p ^ pair[w])
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _neighbours(syn):
+    """Per signature, the mask of the other signatures whose syndromes share a bit with it."""
+    holders: dict[int, int] = {}
+    for i, s in enumerate(syn):
+        for b in _bits(s):
+            holders[b] = holders.get(b, 0) | 1 << i
+    out = []
+    for i, s in enumerate(syn):
+        m = 0
+        for b in _bits(s):
+            m |= holders[b]
+        out.append(m & ~(1 << i))
+    return out
+
+
+def _probe(syn, pair, table, walk, grow):
+    """The first walked subset whose syndrome is in table with another
+    pairing, or None; the number of subsets probed; with grow, the walked
+    subsets fill the next table."""
     get = table.get
     grown: dict[int, int] = {}
     put = grown.setdefault
-    for prefix, lo, ps, pp in _prefixes(syn, pair, r - 1, len(syn) - 1):
-        for i in range(lo, len(syn)):
+    count = 0
+    for prefix, cands, ps, pp in walk:
+        count += len(cands)
+        for i in cands:
             x = ps ^ syn[i]
             e = get(x)
             if e is not None and e != pp ^ pair[i]:
-                return prefix + (i,), None
+                return prefix + (i,), count - len(cands) + cands.index(i) + 1, None
             if grow:
                 p = pp ^ pair[i]
                 if put(x, p) != p:
                     grown[x] = MULTI
-    return None, grown
+    return None, count, grown
 
 
 def _first_partner(syn, pair, s, hit):
@@ -388,8 +489,8 @@ def _first_partner(syn, pair, s, hit):
         target_syn, target_pair = target_syn ^ syn[i], target_pair ^ pair[i]
     if s == 0:
         return ()
-    for prefix, lo, ps, pp in _prefixes(syn, pair, s - 1, len(syn) - 1):
-        for i in range(lo, len(syn)):
+    for prefix, cands, ps, pp in _lex_walk(syn, pair, s):
+        for i in cands:
             if ps ^ syn[i] == target_syn and pp ^ pair[i] != target_pair:
                 return prefix + (i,)
     raise AssertionError("a table hit has a partner")

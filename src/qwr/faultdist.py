@@ -114,7 +114,7 @@ def effective_distance(
     t = found.level
     if found.distance is None:
         raise CapExceeded(
-            f"meet-in-the-middle table for t={t} needs {comb(len(gens), t // 2)} entries; "
+            f"meet-in-the-middle table for t={t} needs {found.cap_count} entries; "
             f"lower max_d or raise table_cap"
         )
     witness = None if found.witness is None else tuple(gens[i] for i in found.witness)

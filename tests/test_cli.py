@@ -263,6 +263,20 @@ class TestMainEntry:
         assert main(["transform", "thicken", "--hx", hx, "--hz", hz, "--basis", "X"] + flags) == 1
 
     @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            (["--ell", "3", "--heights", "explicit:0,1,2"], "height 0 out of range 1..3"),
+            (["--heights", "explicit:1,2,3"], "height 3 out of range 1..2"),
+            (["--heights", "explicit:1,2"], "need one height per original Z row (3), got 2"),
+        ],
+    )
+    def test_explicit_heights_not_fitting_exit_one(self, steane_files, flags, reason, capsys):
+        hx, hz = steane_files
+        assert main(["transform", "thicken", "--hx", hx, "--hz", hz, "--basis", "X"] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and reason in err
+
+    @pytest.mark.parametrize(
         "name, text",
         [
             ("hx.mtxf2", "1 7\n1 x\n"),

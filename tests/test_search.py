@@ -2,10 +2,13 @@
 the brute-force oracle, and its own exhaustive route."""
 
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qwr import codes
 from qwr.cli import _code_distance_entry
 from qwr.codes import (
     INF,
@@ -22,7 +25,8 @@ from qwr.codes import (
 from qwr.f2la import mat_vec
 from qwr.faultdist import effective_distance, enumerate_faults, oracle_effective_distance, witness_is_valid
 from qwr.hgp import ProductSpec, higher_dim_hgp
-from qwr.schedule import baseline_schedule
+from qwr.reduce import copy_code, gauge_code, thicken
+from qwr.schedule import balanced_schedule, baseline_schedule, copied_schedule, gauged_schedule
 
 from helpers import corpus, random_classical, random_css, reference_min_logical
 
@@ -46,6 +50,16 @@ def fault_cases(seed: int, count: int, n_max: int):
         m = baseline_schedule(q, rng.randrange(1, 10 ** 6))
         out.append((q, m, rng.choice(["X", "Z"])))
     return out
+
+
+def carried_thickening(q):
+    """copy -> gauge -> thicken(2) with the seed-0 schedule carried along,
+    as `qwr transform copy gauge thicken --schedule derived` builds it."""
+    m = baseline_schedule(q, 0)
+    qc, cm = copy_code(q)
+    qg, gm = gauge_code(qc)
+    qt, bm = thicken(qg, 2)
+    return qt, balanced_schedule(gauged_schedule(copied_schedule(m, cm), gm, cm), bm)
 
 
 @st.composite
@@ -138,3 +152,109 @@ class TestRouteChoice:
         for q in (steane_code(), surface_code_2x3(), grid_code("r3r3", 1)):
             for basis in ("X", "Z"):
                 assert css_search(q, basis, enum_cap=0).route == "mitm"
+
+
+def connected_only(mp):
+    """Force the connected walk at every level (the plain lex walk still
+    picks the witness on the level that hits)."""
+    mp.setattr(codes, "_connected_pays", lambda n, r: True)
+
+
+class TestConnectedRoute:
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_walk_is_each_connected_subset_once(self, seed):
+        rng = random.Random(seed)
+        syn = [rng.randrange(1, 1 << 7) & rng.randrange(1, 1 << 7) or 1 for _ in range(11)]
+        pair = [rng.randrange(4) for _ in syn]
+        nbr = codes._neighbours(syn)
+
+        def connected(sub):
+            reached, todo = {sub[0]}, [sub[0]]
+            while todo:
+                i = todo.pop()
+                for j in sub:
+                    if j not in reached and syn[i] & syn[j]:
+                        reached.add(j)
+                        todo.append(j)
+            return len(reached) == len(sub)
+
+        for r in range(1, 5):
+            walked = []
+            for prefix, cands, ps, pp in codes._connected_walk(syn, pair, nbr, r):
+                xs = xp = 0
+                for i in prefix:
+                    xs, xp = xs ^ syn[i], xp ^ pair[i]
+                assert (ps, pp) == (xs, xp)
+                walked += [tuple(sorted(prefix + (i,))) for i in cands]
+            assert len(walked) == len(set(walked))
+            assert sorted(walked) == [c for c in combinations(range(len(syn)), r) if connected(c)]
+
+    @pytest.mark.parametrize("seed, n_max, max_d", [(109, 8, 3), (113, 7, 4)])
+    def test_forced_route_matches_reference_and_oracle_on_corpus(self, seed, n_max, max_d):
+        with pytest.MonkeyPatch.context() as mp:
+            connected_only(mp)
+            TestKernelEquivalence().test_matches_reference_and_oracle_on_corpus(seed, n_max, max_d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(signature_lists(), st.integers(1, 5))
+    def test_forced_route_matches_reference_on_random_signatures(self, case, max_t):
+        sigs, k = case
+        with pytest.MonkeyPatch.context() as mp:
+            connected_only(mp)
+            found = min_logical_search(sigs, k, max_t)
+            assert (found.distance, found.witness) == reference_min_logical(sigs, k, max_t)
+            assert min_logical_search(sigs, k, max_t, witness=False).distance == found.distance
+
+    def test_witness_comes_from_the_lex_walk(self):
+        # syndromes 1, 4, 3, 5, 2 with pairings 0, 1, 0, 0, 1: the lex-first
+        # hitting pair (0, 1) is not connected, so the connected walk hits
+        # first at (0, 2)
+        sigs = [0b10, 0b1001, 0b110, 0b1010, 0b101]
+        with pytest.MonkeyPatch.context() as mp:
+            connected_only(mp)
+            found = min_logical_search(sigs, 1, 3)
+        assert (found.distance, found.witness) == reference_min_logical(sigs, 1, 3) == (3, (0, 1, 3))
+
+    def test_thickened_steane_probes_a_fifth_of_the_subsets(self):
+        # Z at max_d 5 ends inf, so every level is walked to the end
+        q, m = carried_thickening(steane_code())
+        gens = enumerate_faults(q, m, "Z")
+        sigs, k = logical_signatures(q, "Z", [g.residual for g in gens])
+        assert (len(gens), len(set(sigs) - {0})) == (234, 198)
+        first = min_logical_search(sigs, k, 5)
+        again = min_logical_search(sigs, k, 5)
+        assert first.distance == INF
+        assert first.probes < comb(198, 3) // 5
+        assert (again.probes, again.table_entries) == (first.probes, first.table_entries)
+
+    def test_thickened_surface_z_witness_is_unchanged(self):
+        q, m = carried_thickening(surface_code_2x3())
+        res = effective_distance(q, m, "Z", 6)
+        assert res.distance == 6
+        assert [(g.kind, g.qubit) for g in res.witness] == [("data", qb) for qb in (8, 10, 12, 14, 16, 18)]
+
+
+class TestDeduplication:
+    def test_zero_and_repeated_signatures_are_skipped(self):
+        # pairing bit 0, syndrome above it; the lex-first minimum set of the
+        # full list uses first occurrences only
+        a, b, c = 0b0110, 0b1100, 0b1011
+        sigs = [0, a, a, 0, b, a, b, c, 0, c]
+        for max_t in range(1, 5):
+            found = min_logical_search(sigs, 1, max_t)
+            assert (found.distance, found.witness) == reference_min_logical(sigs, 1, max_t)
+        assert min_logical_search(sigs, 1, 3).witness == (1, 4, 7)
+        assert min_logical_search([0, 0, 0b01], 1, 1).witness == (2,)
+        assert min_logical_search([0, 0b10, 0b10], 1, 4).distance == INF
+
+    def test_cap_counts_distinct_signatures(self):
+        q = steane_code()
+        gens = enumerate_faults(q, baseline_schedule(q, 0), "X")
+        doubled = gens + gens
+        sigs, k = logical_signatures(q, "X", [g.residual for g in doubled])
+        distinct = len(set(sigs) - {0})
+        assert distinct <= len(gens)
+        found = min_logical_search(sigs, k, 4, table_cap=distinct - 1)
+        assert (found.distance, found.level, found.cap_count) == (None, 2, distinct)
+        with pytest.raises(CapExceeded, match=f"t=2 needs {distinct} entries"):
+            effective_distance(q, baseline_schedule(q, 0), "X", 4, generators=doubled, table_cap=distinct - 1)
