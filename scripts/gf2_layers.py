@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Time the GF(2) layers on each stage of a weight-reduction chain.
+
+The chain starts from the hypergraph product of two seeded 5 x 8 classical
+codes with row weight 4 (n = 89) and runs copy -> gauge -> thicken(2) on one
+branch and cone -> thicken_cone(2) on the other.  For every stage it prints
+the best-of-N perf_counter time, in milliseconds, of rank, kernel_basis and
+solve on both check matrices, of logical_signatures over the unit vectors in
+both bases, and (on the thickened stage, which carries a schedule) of
+component_weight_audit over its hook faults.
+
+    PYTHONPATH=src python scripts/gf2_layers.py [--seed S] [--repeat N]
+"""
+
+import argparse
+import random
+import time
+
+from qwr.codes import ClassicalCode, CssCode, logical_signatures
+from qwr.cone import build_cone_parts, cellulate, cone_code, thicken_cone
+from qwr.f2la import BinMatrix, kernel_basis, mat_vec, rank, solve
+from qwr.faultdist import component_weight_audit, enumerate_faults
+from qwr.hgp import hgp
+from qwr.reduce import copy_code, gauge_code, thicken
+from qwr.schedule import balanced_schedule, baseline_schedule, copied_schedule, gauged_schedule
+
+LAYERS = ("rank", "kernel_basis", "solve", "logical_signatures", "component_weight_audit")
+
+
+def regular_classical(rng: random.Random, n: int, r: int, row_weight: int) -> ClassicalCode:
+    """Random full-rank r x n checks of equal row weight and near-equal column weights."""
+    stubs_total = r * row_weight
+    degrees = [stubs_total // n + (j < stubs_total % n) for j in range(n)]
+    while True:
+        stubs = [j for j, d in enumerate(degrees) for _ in range(d)]
+        rng.shuffle(stubs)
+        rows = [set(stubs[i * row_weight:(i + 1) * row_weight]) for i in range(r)]
+        if all(len(s) == row_weight for s in rows):
+            h = BinMatrix.from_support(rows, n)
+            if rank(h) == r:
+                return ClassicalCode(h)
+
+
+def build_chain(seed: int) -> list[tuple[str, CssCode, list | None]]:
+    """(stage, code, audit arguments or None) for each stage of the chain."""
+    rng = random.Random(seed)
+    q = hgp(regular_classical(rng, 8, 5, 4), regular_classical(rng, 8, 5, 4))
+    m = baseline_schedule(q, seed)
+    qc, cm = copy_code(q)
+    qg, gm = gauge_code(qc)
+    qt, bm = thicken(qg, 2)
+    mt = balanced_schedule(gauged_schedule(copied_schedule(m, cm), gm, cm), bm)
+    faults = enumerate_faults(qt, mt, "X") + enumerate_faults(qt, mt, "Z")
+    parts, fmap, _ = build_cone_parts(q, 5)
+    qk = cone_code(q, cellulate(parts), fmap)
+    return [
+        ("input", q, None), ("copy", qc, None), ("gauge", qg, None), ("thicken", qt, [bm, faults]),
+        ("cone", qk, None), ("thicken_cone", thicken_cone(qk, 2), None),
+    ]
+
+
+def best_of(repeat: int, fn, make=lambda: None) -> float:
+    """Least wall time of fn(make()) over `repeat` calls, in milliseconds;
+    make() runs outside the timing."""
+    best = float("inf")
+    for _ in range(repeat):
+        arg = make()
+        t0 = time.perf_counter()
+        fn(arg)
+        best = min(best, time.perf_counter() - t0)
+    return 1e3 * best
+
+
+def layer_times(q: CssCode, audit, repeat: int, rng: random.Random) -> list[float | None]:
+    mats = (q.h_x, q.h_z)
+    rhs = [mat_vec(h, rng.getrandbits(q.n)) for h in mats]
+    units = [1 << j for j in range(q.n)]
+    return [
+        best_of(repeat, lambda _: [rank(h) for h in mats]),
+        best_of(repeat, lambda _: [kernel_basis(h) for h in mats]),
+        best_of(repeat, lambda _: [solve(h, b) for h, b in zip(mats, rhs)]),
+        # a fresh CssCode per call, so no cached pivots carry over
+        best_of(repeat, lambda c: [logical_signatures(c, b, units) for b in "XZ"], lambda: CssCode(*mats)),
+        None if audit is None else best_of(repeat, lambda _: component_weight_audit(q, *audit)),
+    ]
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=0, help="seed of the classical codes and schedule")
+    ap.add_argument("--repeat", type=int, default=5, help="calls per timing; the least is printed")
+    args = ap.parse_args(argv)
+    rng = random.Random(args.seed)
+    print(f"ms, best of {args.repeat} calls")
+    print(f"{'stage':<13}{'n':>6}" + "".join(f"  {name}" for name in LAYERS))
+    for stage, q, audit in build_chain(args.seed):
+        cells = ["-" if t is None else f"{t:.2f}" for t in layer_times(q, audit, args.repeat, rng)]
+        print(f"{stage:<13}{q.n:>6}" + "".join(f"  {c:>{len(name)}}" for c, name in zip(cells, LAYERS)))
+
+
+if __name__ == "__main__":
+    main()

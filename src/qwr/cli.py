@@ -363,8 +363,11 @@ def _code_distance_entry(code: CssCode, basis: str) -> dict:
 
 
 def _effective_entry(code: CssCode, schedule: Schedule, basis: str, max_d: int) -> dict:
-    res = effective_distance(code, schedule, basis, max_d)
     audit = hook_weight_audit(code, schedule)
+    try:
+        res = effective_distance(code, schedule, basis, max_d)
+    except CapExceeded as e:
+        return {"value": None, "method": "skipped", "bound": str(e), "hook_audit_ok": audit.ok}
     entry = {
         "value": _dist_value(res.distance),
         "method": "mitm",

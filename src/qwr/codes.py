@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple
 
 from .f2la import (
     BinMatrix,
+    Pivots,
     add_pivot,
     echelon,
     kernel_basis,
@@ -27,6 +28,7 @@ from .f2la import (
     rank,
     reduce_vector,
     transpose,
+    vstack,
 )
 
 INF = math.inf
@@ -148,14 +150,14 @@ class CssCode:
         raise ValueError(f"basis must be 'X' or 'Z', got {basis!r}")
 
     @cached_property
-    def x_pivots(self) -> list[tuple[int, int]]:
+    def x_pivots(self) -> Pivots:
         return echelon(self.h_x.rows)
 
     @cached_property
-    def z_pivots(self) -> list[tuple[int, int]]:
+    def z_pivots(self) -> Pivots:
         return echelon(self.h_z.rows)
 
-    def stab_pivots(self, basis: str) -> list[tuple[int, int]]:
+    def stab_pivots(self, basis: str) -> Pivots:
         return self.x_pivots if basis == "X" else self.z_pivots
 
     def is_logical(self, v: int, basis: str) -> bool:
@@ -234,7 +236,7 @@ def logical_basis(q: CssCode, basis: str) -> BinMatrix:
     same = q.h(basis)
     opp = q.h("Z" if basis == "X" else "X")
     ker = kernel_basis(opp)
-    pivots = list(q.stab_pivots(basis))
+    pivots = q.stab_pivots(basis).copy()
     reps = [v for v in ker.rows if add_pivot(pivots, v)]
     out = []
     for v in reps:
@@ -252,12 +254,12 @@ def logical_basis(q: CssCode, basis: str) -> BinMatrix:
 def logical_signatures(q: CssCode, basis: str, vectors) -> tuple[list[int], int]:
     """Per-vector signatures (syndrome << k | pairing) against the opposite
     check matrix and logical basis: an XOR of vectors is a nontrivial logical
-    iff its syndrome is zero and its pairing is not."""
+    iff its syndrome is zero and its pairing is not.  A signature is the
+    XOR of the packed signature columns over the vector's bits."""
     opp_basis = "Z" if basis == "X" else "X"
-    opp = q.h(opp_basis)
     pair_rows = logical_basis(q, opp_basis)
-    k = pair_rows.nrows
-    return [(mat_vec(opp, v) << k) | mat_vec(pair_rows, v) for v in vectors], k
+    cols = transpose(vstack(pair_rows, q.h(opp_basis)))
+    return list(mat_mul(BinMatrix(vectors, q.n), cols).rows), pair_rows.nrows
 
 
 def css_distance(
@@ -282,7 +284,7 @@ def css_search(
     dim = q.k + (q.rank_x if basis == "X" else q.rank_z)
     exhaustive = None
     if dim <= enum_cap:
-        stabs = [row for _, row in q.stab_pivots(basis)]
+        stabs = [row for _, row in q.stab_pivots(basis).items()]
         exhaustive = (dim, lambda floor: exhaustive_min_weight(logical_basis(q, basis).rows, stabs, floor))
     found = min_logical_search(sigs, k, q.n, table_cap, 100 * table_cap, exhaustive, witness=False)
     if found.distance is None:

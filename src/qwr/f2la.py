@@ -2,12 +2,13 @@
 
 Rows are Python ints used as bitsets (bit j of ``rows[i]`` is the entry at
 row i, column j), so row operations are single machine-level XORs of
-arbitrary-width words.  All functions are pure; matrices are immutable.
+arbitrary-width words.  Elimination keys its pivot rows by pivot bit under
+one mask of all pivot columns, so reducing a vector costs one step per pivot
+it hits, not a test per pivot.  All functions are pure; matrices are immutable.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import Iterable, Iterator, Sequence
 
 
@@ -134,38 +135,61 @@ def parity(v: int) -> int:
 # -- elimination core ------------------------------------------------
 
 
-def echelon(rows: Iterable[int]) -> list[tuple[int, int]]:
-    """Forward-eliminate rows; return (pivot_col, row) pairs sorted by pivot.
+class Pivots:
+    """Echelon rows keyed by their pivot bit (each row's lowest set bit),
+    plus one mask holding every pivot bit."""
 
-    Pivot is the first (lowest-index) nonzero column of each surviving row,
-    so the result is deterministic for a fixed input order.
-    """
-    pivots: list[tuple[int, int]] = []
+    __slots__ = ("rows", "mask")
+
+    def __init__(self, rows: dict[int, int] | None = None, mask: int = 0):
+        self.rows = {} if rows is None else rows
+        self.mask = mask
+
+    def copy(self) -> "Pivots":
+        return Pivots(dict(self.rows), self.mask)
+
+    def items(self) -> list[tuple[int, int]]:
+        """(pivot_col, row) pairs sorted by pivot column."""
+        return [(low.bit_length() - 1, self.rows[low]) for low in sorted(self.rows)]
+
+
+def echelon(rows: Iterable[int]) -> Pivots:
+    """Forward-eliminate rows into echelon pivots; each surviving row's pivot
+    is its lowest nonzero column, so the result is fixed by the input order."""
+    pivots = Pivots()
     for v in rows:
         add_pivot(pivots, v)
     return pivots
 
 
-def add_pivot(pivots: list[tuple[int, int]], v: int) -> int:
-    """Reduce v against the echelon pivots and insert a nonzero remainder as
-    a new pivot row, keeping pivots sorted; returns the remainder."""
+def add_pivot(pivots: Pivots, v: int) -> int:
+    """Reduce v against the pivots and add a nonzero remainder as a new
+    pivot row; returns the remainder."""
     v = reduce_vector(v, pivots)
     if v:
-        insort(pivots, ((v & -v).bit_length() - 1, v))
+        low = v & -v
+        pivots.rows[low] = v
+        pivots.mask |= low
     return v
 
 
-def reduce_vector(v: int, pivots: list[tuple[int, int]]) -> int:
-    """Reduce v against echelon pivot rows; zero iff v is in their span."""
-    for pc, row in pivots:
-        if (v >> pc) & 1:
-            v ^= row
+def reduce_vector(v: int, pivots: Pivots) -> int:
+    """Reduce v against echelon pivot rows; zero iff v is in their span.
+
+    Only the pivots whose bit is set in the running v are applied, lowest
+    first: a pivot row has no bit below its pivot, so none is skipped."""
+    rows, mask = pivots.rows, pivots.mask
+    m = v & mask
+    while m:
+        low = m & -m
+        v ^= rows[low]
+        m = v & mask & -(low << 1)
     return v
 
 
 def rank(a: BinMatrix) -> int:
     """Rank over GF(2); the input is not modified."""
-    return len(echelon(a.rows))
+    return len(echelon(a.rows).rows)
 
 
 def mat_mul(a: BinMatrix, b: BinMatrix) -> BinMatrix:
@@ -199,38 +223,32 @@ def transpose(a: BinMatrix) -> BinMatrix:
 
 
 def rref(a: BinMatrix) -> list[tuple[int, int]]:
-    """Fully reduced echelon pivots of a: each pivot column has a single 1."""
+    """Fully reduced echelon pivots of a, by ascending pivot column; from the
+    highest pivot down, each row is reduced by the rows already done."""
     pivots = echelon(a.rows)
-    cols = [pc for pc, _ in pivots]
-    rows = [row for _, row in pivots]
-    for i in range(len(rows) - 1, -1, -1):
-        for j in range(i):
-            if (rows[j] >> cols[i]) & 1:
-                rows[j] ^= rows[i]
-    return list(zip(cols, rows))
+    done = Pivots()
+    for low in sorted(pivots.rows, reverse=True):
+        add_pivot(done, pivots.rows[low])
+    return done.items()
 
 
 def kernel_basis(a: BinMatrix) -> BinMatrix:
     """Basis of the right kernel {v : a.v = 0}, one vector per matrix row.
 
     Row count is always ncols - rank(a); rows are ordered by their free
-    column, which makes the basis reproducible.
+    column, which makes the basis reproducible.  Each reduced row sets its
+    pivot bit in the vector of every free column it holds.
     """
-    reduced = rref(a)
-    pivot_cols = {pc for pc, _ in reduced}
-    out = []
-    for free in range(a.ncols):
-        if free in pivot_cols:
-            continue
-        v = 1 << free
-        for pc, row in reduced:
-            if (row >> free) & 1:
-                v |= 1 << pc
-        out.append(v)
-    return BinMatrix(out, a.ncols)
+    vecs = [1 << j for j in range(a.ncols)]
+    pivot_mask = 0
+    for pc, row in rref(a):
+        pivot_mask |= 1 << pc
+        for free in bit_indices(row ^ (1 << pc)):
+            vecs[free] |= 1 << pc
+    return BinMatrix([v for j, v in enumerate(vecs) if not (pivot_mask >> j) & 1], a.ncols)
 
 
-def rowspace_contains(a: BinMatrix, v: int, pivots: list[tuple[int, int]] | None = None) -> bool:
+def rowspace_contains(a: BinMatrix, v: int, pivots: Pivots | None = None) -> bool:
     """True iff bit-vector v lies in the row span of a."""
     if v >> a.ncols:
         raise ValueError(f"vector has bits beyond column {a.ncols}")

@@ -16,7 +16,6 @@ from itertools import combinations
 from math import comb
 
 from .codes import INF, MITM_TABLE_CAP, CapExceeded, CssCode, logical_signatures, min_logical_search
-from .f2la import mat_vec, reduce_vector
 from .reduce import BalanceMap
 from .schedule import Schedule
 
@@ -137,14 +136,12 @@ def oracle_effective_distance(
     total = sum(comb(n, t) for t in range(1, max_d + 1))
     if total > ORACLE_COMBO_CAP:
         raise CapExceeded(f"{total} combinations exceed the oracle cap")
-    opp = q.h("Z" if basis == "X" else "X")
-    pivots = q.stab_pivots(basis)
     for t in range(1, max_d + 1):
         for subset in combinations(range(n), t):
             v = 0
             for i in subset:
                 v ^= gens[i].residual
-            if mat_vec(opp, v) == 0 and reduce_vector(v, pivots) != 0:
+            if q.is_logical(v, basis):
                 return FaultSearchResult(t, tuple(gens[i] for i in subset), basis, max_d)
     return FaultSearchResult(INF, None, basis, max_d)
 
@@ -210,32 +207,28 @@ def component_weight_audit(
 
     X hooks and Z[T] hooks must touch at most one column of the A grid;
     Z[B] hooks at most one row.  Data faults hold trivially and are skipped.
+    Region A index = row * n_c + col; with (r0, c0) the lowest bit of the
+    residual in A, no bit may lie outside column c0, or past row r0.
     """
     if bm.dual:
         raise ValueError("component audit expects a balance_x/thicken map")
+    n_c = bm.n_c
+    a_mask = (1 << bm.n_a) - 1
+    col0 = a_mask // ((1 << n_c) - 1) if n_c else 0  # bit 0 of every grid row
     checked = 0
     violations = []
     for g in faults:
         if g.kind != "hook":
             continue
         checked += 1
-        rows = set()
-        cols = set()
-        v = g.residual
-        while v:
-            low = v & -v
-            idx = low.bit_length() - 1
-            coords = bm.a_coords(idx)
-            if coords is not None:
-                rows.add(coords[0])
-                cols.add(coords[1])
-            v ^= low
-        if g.step_basis == "X":
-            bad = len(cols) > 1
-        elif g.row is not None and g.row < bm.n_zt:
-            bad = len(cols) > 1
+        v = g.residual & a_mask
+        if not v:
+            continue
+        r0, c0 = divmod((v & -v).bit_length() - 1, n_c)
+        if g.step_basis == "X" or (g.row is not None and g.row < bm.n_zt):
+            bad = v & ~(col0 << c0)
         else:
-            bad = len(rows) > 1
+            bad = v >> ((r0 + 1) * n_c)
         if bad:
             violations.append(g)
     return ComponentAuditReport(checked, tuple(violations))

@@ -188,12 +188,6 @@ class BalanceMap:
     def zb_row(self, qubit: int, check: int) -> int:
         return self.n_zt + qubit * self.n_checks + check
 
-    def a_coords(self, index: int) -> tuple[int, int] | None:
-        """(qubit, col) when index lies in region A, else None."""
-        if index < self.n_a:
-            return divmod(index, self.n_c)
-        return None
-
     def hc_col_support(self, col: int) -> list[int]:
         return [c for c in range(self.h_c.nrows) if (self.h_c.rows[c] >> col) & 1]
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from bisect import insort
 from fractions import Fraction
 from itertools import combinations
 
@@ -202,3 +203,111 @@ def reference_min_logical(sigs: list[int], k: int, max_t: int):
         if hit is not None:
             return t, tuple(sorted(hit))
     return INF, None
+
+
+# The elimination loops f2la had before its masked kernels, kept verbatim
+# (renamed, calling each other) as the reference that the kernels must
+# reproduce output for output.  Pivots are (pivot_col, row) lists.
+def reference_echelon(rows):
+    """Forward-eliminate rows; return (pivot_col, row) pairs sorted by pivot."""
+    pivots = []
+    for v in rows:
+        reference_add_pivot(pivots, v)
+    return pivots
+
+
+def reference_add_pivot(pivots, v):
+    v = reference_reduce_vector(v, pivots)
+    if v:
+        insort(pivots, ((v & -v).bit_length() - 1, v))
+    return v
+
+
+def reference_reduce_vector(v, pivots):
+    for pc, row in pivots:
+        if (v >> pc) & 1:
+            v ^= row
+    return v
+
+
+def reference_rref(a):
+    pivots = reference_echelon(a.rows)
+    cols = [pc for pc, _ in pivots]
+    rows = [row for _, row in pivots]
+    for i in range(len(rows) - 1, -1, -1):
+        for j in range(i):
+            if (rows[j] >> cols[i]) & 1:
+                rows[j] ^= rows[i]
+    return list(zip(cols, rows))
+
+
+def reference_kernel_basis(a):
+    reduced = reference_rref(a)
+    pivot_cols = {pc for pc, _ in reduced}
+    out = []
+    for free in range(a.ncols):
+        if free in pivot_cols:
+            continue
+        v = 1 << free
+        for pc, row in reduced:
+            if (row >> free) & 1:
+                v |= 1 << pc
+        out.append(v)
+    return BinMatrix(out, a.ncols)
+
+
+def reference_solve(a, b):
+    pivots = reference_echelon(col | (1 << (a.nrows + j)) for j, col in enumerate(transpose(a).rows))
+    r = reference_reduce_vector(b, pivots)
+    return None if r & ((1 << a.nrows) - 1) else r >> a.nrows
+
+
+def reference_logical_basis(q, basis):
+    same = q.h(basis)
+    ker = reference_kernel_basis(q.h("Z" if basis == "X" else "X"))
+    pivots = reference_echelon(same.rows)
+    reps = [v for v in ker.rows if reference_add_pivot(pivots, v)]
+    out = []
+    for v in reps:
+        improved = True
+        while improved:
+            improved = False
+            for s in same.rows:
+                if (v ^ s).bit_count() < v.bit_count():
+                    v ^= s
+                    improved = True
+        out.append(v)
+    return BinMatrix(out, q.n)
+
+
+def reference_logical_signatures(q, basis, vectors):
+    """Two matrix-vector products per vector, as codes did before packing columns."""
+    opp_basis = "Z" if basis == "X" else "X"
+    opp = q.h(opp_basis)
+    pair_rows = reference_logical_basis(q, opp_basis)
+    k = pair_rows.nrows
+    return [(mat_vec(opp, v) << k) | mat_vec(pair_rows, v) for v in vectors], k
+
+
+def reference_component_audit(bm, faults):
+    """(checked, violations) of faultdist.component_weight_audit, one
+    (row, col) lookup per set bit of each hook residual."""
+    checked = 0
+    violations = []
+    for g in faults:
+        if g.kind != "hook":
+            continue
+        checked += 1
+        rows = set()
+        cols = set()
+        for idx in range(g.residual.bit_length()):
+            if (g.residual >> idx) & 1 and idx < bm.n_a:
+                rows.add(idx // bm.n_c)
+                cols.add(idx % bm.n_c)
+        if g.step_basis == "X" or (g.row is not None and g.row < bm.n_zt):
+            bad = len(cols) > 1
+        else:
+            bad = len(rows) > 1
+        if bad:
+            violations.append(g)
+    return checked, tuple(violations)

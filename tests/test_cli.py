@@ -23,7 +23,7 @@ from qwr.cli import (
     parse_matrix_file,
     run_pipeline,
 )
-from qwr.codes import CssCode, repetition_code, steane_code
+from qwr.codes import CapExceeded, CssCode, repetition_code, steane_code
 from qwr.f2la import BinMatrix
 from qwr.schedule import Schedule, Step, format_schedule, parse_schedule
 
@@ -323,6 +323,25 @@ class TestMainEntry:
         code = CssCode(load_matrix(prefix + ".hx.mtxf2"), load_matrix(prefix + ".hz.mtxf2"))
         carried.validate(code)
 
+    def test_capped_effective_search_labelled_skipped(self, steane_files, monkeypatch, capsys):
+        hx, hz = steane_files
+        msg = "meet-in-the-middle table for t=8 needs 62117055 entries; lower max_d or raise table_cap"
+        real = cli.effective_distance
+
+        def capped_in_z(code, schedule, basis, max_d):
+            if basis == "Z":
+                raise CapExceeded(msg)
+            return real(code, schedule, basis, max_d)
+
+        monkeypatch.setattr(cli, "effective_distance", capped_in_z)
+        argv = ["transform", "copy", "--hx", hx, "--hz", hz, "--schedule", "derived", "--max-d", "3"]
+        assert main(argv) == 0
+        dist = json.loads(capsys.readouterr().out)["distances"]
+        assert dist["effective_X"]["method"] == "mitm" and dist["effective_X"]["value"] == 2
+        audit_ok = dist["effective_X"]["hook_audit_ok"]
+        assert dist["effective_Z"] == {"value": None, "method": "skipped", "bound": msg, "hook_audit_ok": audit_ok}
+        assert (dist["code_X"]["value"], dist["code_Z"]["value"]) == (3, 9)
+
     def test_main_builds_no_parser_per_call(self, steane_files, monkeypatch, capsys):
         hx, hz = steane_files
         flags = ["--hx", hx, "--hz", hz, "--basis", "X"]
@@ -394,6 +413,15 @@ class TestTooling:
         res = self.run("scripts/weight_reduce_pipeline.py")
         assert res.returncode == 0, res.stderr
         assert "heights chosen     n=86" in res.stdout
+
+    def test_gf2_layers_script(self):
+        res = self.run("scripts/gf2_layers.py", "--repeat", "1")
+        assert res.returncode == 0, res.stderr
+        rows = {line.split()[0]: line.split()[1:] for line in res.stdout.splitlines()[2:]}
+        assert list(rows) == ["input", "copy", "gauge", "thicken", "cone", "thicken_cone"]
+        assert rows["input"][0] == "89" and rows["thicken"][0] == "1679"
+        assert all(len(cells) == 6 for cells in rows.values())
+        assert rows["thicken"][-1] != "-" and rows["copy"][-1] == "-"
 
     def test_hgp_hook_survey_script(self):
         res = self.run("scripts/hgp_hook_survey.py", "2")

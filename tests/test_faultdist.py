@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from qwr.codes import INF, CssCode, css_distance, repetition_code, steane_code, surface_code_2x3
 from qwr.f2la import BinMatrix
 from qwr.faultdist import (
+    FaultGenerator,
     component_weight_audit,
     effective_distance,
     enumerate_faults,
@@ -16,7 +18,7 @@ from qwr.hgp import hgp
 from qwr.reduce import thicken
 from qwr.schedule import Schedule, Step, balanced_schedule, baseline_schedule, enumerate_random_schedules
 
-from helpers import corpus, random_css
+from helpers import corpus, random_css, reference_component_audit
 
 
 class TestEnumerateFaults:
@@ -170,6 +172,50 @@ class TestComponentAudit:
         faults = enumerate_faults(st, m, "X", dedup=False) + enumerate_faults(st, m, "Z", dedup=False)
         rep = component_weight_audit(st, bm, faults)
         assert rep.ok and rep.checked > 0
+
+    def test_hand_built_violations(self):
+        st, bm = thicken(steane_code(), 3)
+        a, b0 = bm.a_qubit, 1 << bm.n_a  # a(row, col) indexes a region-A bit; b0 is the first region-B bit
+
+        def hook(residual, step_basis, row):
+            return FaultGenerator("hook", step_basis, residual, step=0, row=row, step_basis=step_basis, cut=1)
+
+        zb = bm.zb_row(0, 0)
+        two_cols = (1 << a(0, 0)) | (1 << a(0, 2))
+        two_rows = (1 << a(1, 1)) | (1 << a(4, 1))
+        faults = [
+            hook(two_cols, "X", 0),  # bad: X hook over two columns
+            hook(two_rows | b0, "X", 1),  # one column, plus region B
+            hook(two_cols, "Z", 0),  # bad: Z[T] hook over two columns
+            hook(two_rows, "Z", bm.n_zt - 1),  # one Z[T] column
+            hook(two_rows, "Z", zb),  # bad: Z[B] hook over two rows
+            hook(two_cols | (1 << a(0, 1)), "Z", zb),  # one Z[B] row
+            hook(b0 | (b0 << 3), "Z", zb),  # region B only
+            hook(1 << a(6, 2), "X", 2),
+            FaultGenerator("data", "X", two_rows | two_cols, qubit=0),  # not a hook: skipped
+            hook((1 << a(6, 0)) | (1 << a(6, 2)), "Z", zb + 1),  # one Z[B] row, last row
+            hook((1 << a(5, 2)) | (1 << a(6, 2)), "Z", zb + 1),  # bad: two rows ending at the last
+        ]
+        rep = component_weight_audit(st, bm, faults)
+        assert rep.checked == 10
+        assert rep.violations == (faults[0], faults[2], faults[4], faults[10])
+        assert (rep.checked, rep.violations) == reference_component_audit(bm, faults)
+
+    @pytest.mark.parametrize("dedup", [False, True])
+    def test_matches_per_bit_reference(self, dedup):
+        cases = [(surface_code_2x3(), 3), (steane_code(), 2), (hgp(repetition_code(3), repetition_code(3)), 2)]
+        for q, ell in cases:
+            qt, bm = thicken(q, ell)
+            for m in [balanced_schedule(baseline_schedule(q, 5), bm)] + enumerate_random_schedules(qt, 2, seed=4):
+                faults = enumerate_faults(qt, m, "X", dedup=dedup) + enumerate_faults(qt, m, "Z", dedup=dedup)
+                rep = component_weight_audit(qt, bm, faults)
+                # a hook residual lies inside one check of the thickened code, so every schedule passes
+                assert rep.ok and (rep.checked, rep.violations) == reference_component_audit(bm, faults)
+                # residuals of two hooks from different steps may span rows and columns
+                hooks = [g for g in faults if g.kind == "hook"]
+                mixed = faults + [replace(g, residual=g.residual ^ h.residual) for g, h in zip(hooks, hooks[5:])]
+                rep = component_weight_audit(qt, bm, mixed)
+                assert not rep.ok and (rep.checked, rep.violations) == reference_component_audit(bm, mixed)
 
     def test_rejects_dual_map(self):
         from qwr.reduce import balance_z
