@@ -17,12 +17,10 @@ import random
 import time
 
 from qwr.codes import ClassicalCode, CssCode, logical_signatures
-from qwr.cone import build_cone_parts, cellulate, cone_code, thicken_cone
 from qwr.f2la import BinMatrix, kernel_basis, mat_vec, rank, solve
 from qwr.faultdist import component_weight_audit, enumerate_faults
 from qwr.hgp import hgp
-from qwr.reduce import copy_code, gauge_code, thicken
-from qwr.schedule import balanced_schedule, baseline_schedule, copied_schedule, gauged_schedule
+from qwr.schedule import baseline_schedule, carry
 
 LAYERS = ("rank", "kernel_basis", "solve", "logical_signatures", "component_weight_audit")
 
@@ -45,17 +43,15 @@ def build_chain(seed: int) -> list[tuple[str, CssCode, list | None]]:
     """(stage, code, audit arguments or None) for each stage of the chain."""
     rng = random.Random(seed)
     q = hgp(regular_classical(rng, 8, 5, 4), regular_classical(rng, 8, 5, 4))
-    m = baseline_schedule(q, seed)
-    qc, cm = copy_code(q)
-    qg, gm = gauge_code(qc)
-    qt, bm = thicken(qg, 2)
-    mt = balanced_schedule(gauged_schedule(copied_schedule(m, cm), gm, cm), bm)
+    qc, mc, cm, _ = carry("copy", q, baseline_schedule(q, seed))
+    qg, mg, gm, _ = carry("gauge", qc, mc, cm)
+    qt, mt, bm, _ = carry("thicken", qg, mg, gm, ell=2)
     faults = enumerate_faults(qt, mt, "X") + enumerate_faults(qt, mt, "Z")
-    parts, fmap, _ = build_cone_parts(q, 5)
-    qk = cone_code(q, cellulate(parts), fmap)
+    qk, _, _, _ = carry("cone", q, None)
+    qkt, _, _, _ = carry("cone", q, None, cone_ell=2)
     return [
         ("input", q, None), ("copy", qc, None), ("gauge", qg, None), ("thicken", qt, [bm, faults]),
-        ("cone", qk, None), ("thicken_cone", thicken_cone(qk, 2), None),
+        ("cone", qk, None), ("thicken_cone", qkt, None),
     ]
 
 

@@ -6,14 +6,8 @@ import sys
 
 from qwr.codes import css_distance, steane_code
 from qwr.faultdist import effective_distance
-from qwr.reduce import choose_heights, copy_code, gauge_code, greedy_heights, kept_z_rows, thicken
-from qwr.schedule import (
-    balanced_schedule,
-    baseline_schedule,
-    copied_schedule,
-    gauged_schedule,
-    prune_z_steps,
-)
+from qwr.reduce import greedy_heights
+from qwr.schedule import baseline_schedule, carry
 
 SEED = int(sys.argv[1]) if len(sys.argv) > 1 else 0
 MAX_D = 4
@@ -34,22 +28,18 @@ def main():
     print(f"code distances: d_X={css_distance(q, 'X')} d_Z={css_distance(q, 'Z')}")
     show("steane", q, m)
 
-    qc, cm = copy_code(q)
-    mc = copied_schedule(m, cm)
+    qc, mc, cm, _ = carry("copy", q, m)
     show("copied", qc, mc)
 
-    qg, gm = gauge_code(qc)
-    mg = gauged_schedule(mc, gm, cm)
+    qg, mg, gm, _ = carry("gauge", qc, mc, cm)
     show("copied+gauged", qg, mg)
 
     ell = 2
-    qt, bm = thicken(qg, ell)
-    mt = balanced_schedule(mg, bm)
+    qt, mt, bm, _ = carry("thicken", qg, mg, gm, ell=ell)
     show(f"thickened ell={ell}", qt, mt)
 
     hr = greedy_heights(qt, bm, max(1, qg.q_z))
-    qh = choose_heights(qt, bm, hr.heights)
-    mh = prune_z_steps(mt, set(kept_z_rows(bm, hr.heights)))
+    qh, mh, _, _ = carry("thicken", qg, mg, gm, ell=ell, heights=lambda *_: hr.heights)
     show("heights chosen", qh, mh)
     print(f"greedy heights: {hr.heights} (max per-qubit Z[T] load {hr.achieved_max})")
 

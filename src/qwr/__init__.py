@@ -25,6 +25,7 @@ from .schedule import (
     Schedule,
     balanced_schedule,
     baseline_schedule,
+    carry,
     cone_schedule,
     copied_schedule,
     enumerate_random_schedules,

@@ -18,31 +18,10 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .codes import INF, CapExceeded, CssCode, ClassicalCode, css_search
-from .cone import build_cone_parts, cellulate, cone_code, thicken_cone_detail
 from .f2la import BinMatrix, bit_indices, transpose
 from .faultdist import DEFAULT_MAX_D, effective_distance, hook_weight_audit
-from .reduce import (
-    balance_x,
-    balance_z,
-    choose_heights,
-    copy_code,
-    gauge_code,
-    greedy_heights,
-    kept_z_rows,
-    thicken,
-)
-from .schedule import (
-    Schedule,
-    balanced_schedule,
-    baseline_schedule,
-    cone_schedule,
-    copied_schedule,
-    dual_schedule,
-    format_schedule,
-    gauged_schedule,
-    parse_schedule,
-    prune_z_steps,
-)
+from .reduce import greedy_heights, kept_z_rows
+from .schedule import BALANCES, TRANSFORMS, Schedule, baseline_schedule, carry, format_schedule, parse_schedule
 
 REPORT_SCHEMA = 1
 
@@ -200,13 +179,19 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
     t1 = time.monotonic()
     provenance = []
-    ctx: dict = {}
+    prev = None
+    heights = functools.partial(_resolve_heights, cfg.heights) if cfg.heights else None
     for name in cfg.transforms:
-        code, schedule, note = _apply_transform(name, code, schedule, cfg, ctx)
-        if schedule is not None:
-            schedule.validate(code)
-        note["params"] = _code_params(code)
-        provenance.append(note)
+        if name not in TRANSFORMS:
+            raise UsageError(f"unknown transform {name!r}")
+        if name in BALANCES and not cfg.classical_path:
+            raise UsageError(f"{name} needs --classical <file>")
+        classical = ClassicalCode(load_matrix(cfg.classical_path)) if name in BALANCES else None
+        code, schedule, prev, note = carry(
+            name, code, schedule, prev, ell=cfg.ell, heights=heights, classical=classical,
+            cone_threshold=cfg.cone_threshold, cone_ell=cfg.cone_ell,
+        )
+        provenance.append({"transform": name, **note, "params": _code_params(code)})
     timing["transform"] = time.monotonic() - t1
 
     bases = ["X", "Z"] if cfg.basis == "both" else [cfg.basis]
@@ -241,63 +226,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             "hz": cfg.out_prefix + ".hz.mtxf2",
         }
     return report
-
-
-def _apply_transform(name: str, code: CssCode, schedule: Schedule | None, cfg: PipelineConfig, ctx: dict):
-    note: dict = {"transform": name}
-    if name == "copy":
-        new, cm = copy_code(code)
-        if schedule is not None:
-            schedule = copied_schedule(schedule, cm)
-        note["glue_rows"] = len(cm.glue_rows)
-        ctx["copy_map"] = cm
-        return new, schedule, note
-    if name == "gauge":
-        new, gm = gauge_code(code)
-        if schedule is not None:
-            schedule = gauged_schedule(schedule, gm, ctx.get("copy_map"))
-        note["split_rows"] = sum(1 for rows in gm.split_rows.values() if len(rows) > 1)
-        return new, schedule, note
-    if name == "thicken":
-        new, bm = thicken(code, cfg.ell)
-        if schedule is not None:
-            schedule = balanced_schedule(schedule, bm)
-        note["ell"] = cfg.ell
-        if cfg.heights:
-            heights = _resolve_heights(cfg.heights, new, bm)
-            new = choose_heights(new, bm, heights)
-            if schedule is not None:
-                schedule = prune_z_steps(schedule, set(kept_z_rows(bm, heights)))
-            note["heights"] = heights
-        return new, schedule, note
-    if name in ("balance_x", "balance_z"):
-        if not cfg.classical_path:
-            raise UsageError(f"{name} needs --classical <file>")
-        c = ClassicalCode(load_matrix(cfg.classical_path))
-        new, bm = (balance_x if name == "balance_x" else balance_z)(code, c)
-        if schedule is not None:
-            schedule = balanced_schedule(schedule, bm)
-        note["classical"] = {"n": c.n, "k": c.k}
-        return new, schedule, note
-    if name == "cone":
-        parts, fmap, retained = build_cone_parts(code, cfg.cone_threshold)
-        parts = cellulate(parts)
-        new = cone_code(code, parts, fmap)
-        if schedule is not None:
-            schedule = cone_schedule(schedule, parts, fmap)
-        note["coned_rows"] = len(parts)
-        note["kept_direct"] = list(fmap.skipped_rows)
-        note["cycle_basis"] = fmap.cycle_basis
-        if cfg.cone_ell > 1:
-            thickened, bm, hr = thicken_cone_detail(new, cfg.cone_ell)
-            if schedule is not None:
-                inner = balanced_schedule(dual_schedule(schedule), bm)
-                inner = prune_z_steps(inner, set(kept_z_rows(bm, hr.heights)))
-                schedule = dual_schedule(inner)
-            new = thickened
-            note["cone_ell"] = cfg.cone_ell
-        return new, schedule, note
-    raise UsageError(f"unknown transform {name!r}")
 
 
 def _resolve_heights(spec: str, q_thick: CssCode, bm) -> list[int]:
@@ -427,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("info", parents=[shared], help="code parameters and exact distances")
     names = argparse.ArgumentParser(add_help=False)  # so usage errors list `names` first
-    names.add_argument("names", nargs="+", help="copy gauge thicken balance_x balance_z cone")
+    names.add_argument("names", nargs="+", help=" ".join(TRANSFORMS))
     sub.add_parser("transform", parents=[names, shared], help="apply a transform pipeline")
     sub.add_parser("faultdist", parents=[shared], help="effective distance under a schedule")
     return p

@@ -113,13 +113,13 @@ class CssCode:
     def n_z(self) -> int:
         return self.h_z.nrows
 
-    @cached_property
+    @property
     def rank_x(self) -> int:
-        return rank(self.h_x)
+        return len(self.x_pivots.rows)
 
-    @cached_property
+    @property
     def rank_z(self) -> int:
-        return rank(self.h_z)
+        return len(self.z_pivots.rows)
 
     @property
     def k(self) -> int:

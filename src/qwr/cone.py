@@ -133,16 +133,15 @@ def build_cone_parts(
     weight_threshold: int = 5,
     on_disconnected: str = "keep",
     pairing=consecutive_pairing,
-    cycle_basis=_fundamental_cycles,
 ) -> tuple[tuple[ConeComplexPart, ...], ChainMapF, list[int]]:
     """Build one auxiliary complex per Z row heavier than the threshold.
 
     `pairing` turns each X row's (even-sized, ascending) incident qubit list
-    into tuples; `cycle_basis` maps (vertex count, edge list) to a spanning
-    set of cycles plus the component count.  Both choices change the part's
-    geometry and soundness, so they are explicit strategies.  Rows whose
-    incidence graph is disconnected cannot be coned without changing k; they
-    stay direct ('keep', recorded on the chain map) or raise ('error').
+    into tuples; it changes the part's geometry and soundness, so it is an
+    explicit strategy.  The -1-cells are the spanning-tree fundamental
+    cycles that ChainMapF.cycle_basis names.  Rows whose incidence graph is
+    disconnected cannot be coned without changing k; they stay direct
+    ('keep', recorded on the chain map) or raise ('error').
     """
     if weight_threshold < 1:
         raise ValueError("weight threshold must be >= 1")
@@ -166,7 +165,7 @@ def build_cone_parts(
                     raise ValueError(f"pairing rule produced a bad tuple for X row {xr}")
                 zero_cells.append((xr, qa, qb))
         edges = [(pos[qa], pos[qb]) for _, qa, qb in zero_cells]
-        cycles, components = cycle_basis(len(sup), edges)
+        cycles, components = _fundamental_cycles(len(sup), edges)
         if components > 1:
             if on_disconnected == "error":
                 raise ValueError(f"coned Z row {zr} has a disconnected incidence graph")
@@ -177,13 +176,7 @@ def build_cone_parts(
         parts.append(
             ConeComplexPart(zr, tuple(sup), tuple(zero_cells), tuple(cycles), b1, b0)
         )
-    basis_name = (
-        "spanning-tree fundamental cycles"
-        if cycle_basis is _fundamental_cycles
-        else getattr(cycle_basis, "__name__", "custom")
-    )
-    f = ChainMapF(q.n, q.n_x, q.n_z, tuple(skipped), basis_name)
-    return tuple(parts), f, retained
+    return tuple(parts), ChainMapF(q.n, q.n_x, q.n_z, tuple(skipped)), retained
 
 
 def cellulate(parts: tuple[ConeComplexPart, ...]) -> tuple[ConeComplexPart, ...]:

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .codes import CssCode
-from .cone import ConeIndex
-from .reduce import BalanceMap, CopyMap, GaugeMap
+from .cone import ConeIndex, build_cone_parts, cellulate, cone_code
+from .reduce import BalanceMap, CopyMap, GaugeMap, balance_x, balance_z, choose_heights, copy_code, gauge_code
+from .reduce import greedy_heights, kept_z_rows, thicken
 
 
 @dataclass(frozen=True)
@@ -203,6 +205,69 @@ def cone_schedule(m: Schedule, parts, f) -> Schedule:
             row = idx.minus_cell_row(part, ci)
             steps.append(Step("X", row, tuple(idx.minus_cell_support(part, ci))))
     return Schedule(tuple(steps))
+
+
+# -- the transforms with their schedule carriers -----------------------
+# step(code, **carry's options) -> (code, carrier of old schedules, map, note)
+
+
+def _copy(code, **_):
+    new, cm = copy_code(code)
+    return new, lambda m: copied_schedule(m, cm), cm, {"glue_rows": len(cm.glue_rows)}
+
+
+def _gauge(code, *, prev, **_):
+    new, gm = gauge_code(code)
+    cm = prev if isinstance(prev, CopyMap) else None
+    split = sum(1 for rows in gm.split_rows.values() if len(rows) > 1)
+    return new, lambda m: gauged_schedule(m, gm, cm), gm, {"split_rows": split}
+
+
+def _thicken(code, *, ell, heights, **_):
+    new, bm = thicken(code, ell)
+    if heights is None:
+        return new, lambda m: balanced_schedule(m, bm), bm, {"ell": ell}
+    chosen = heights(new, bm)
+    carrier = lambda m: prune_z_steps(balanced_schedule(m, bm), set(kept_z_rows(bm, chosen)))
+    return choose_heights(new, bm, chosen), carrier, bm, {"ell": ell, "heights": chosen}
+
+
+def _balance(transform, code, *, classical, **_):
+    new, bm = transform(code, classical)
+    return new, lambda m: balanced_schedule(m, bm), bm, {"classical": {"n": classical.n, "k": classical.k}}
+
+
+def _cone(code, *, cone_threshold, cone_ell, **_):
+    parts, fmap, _ = build_cone_parts(code, cone_threshold)
+    parts = cellulate(parts)
+    new, coned = cone_code(code, parts, fmap), lambda m: cone_schedule(m, parts, fmap)
+    note = {"coned_rows": len(parts), "kept_direct": list(fmap.skipped_rows), "cycle_basis": fmap.cycle_basis}
+    if cone_ell == 1:
+        return new, coned, fmap, note
+    greedy = lambda q, bm: greedy_heights(q, bm, 1).heights  # as cone.thicken_cone picks them
+    dual, thickened, bm, _ = _thicken(new.transposed(), ell=cone_ell, heights=greedy)
+    carrier = lambda m: dual_schedule(thickened(dual_schedule(coned(m))))
+    return dual.transposed(), carrier, bm, {**note, "cone_ell": cone_ell}
+
+
+#: the steps that balance against carry's `classical` code
+BALANCES = {"balance_x": partial(_balance, balance_x), "balance_z": partial(_balance, balance_z)}
+TRANSFORMS = {"copy": _copy, "gauge": _gauge, "thicken": _thicken, **BALANCES, "cone": _cone}
+
+
+def carry(name, code, schedule, prev=None, *, ell=2, heights=None, classical=None, cone_threshold=5, cone_ell=1):
+    """Apply transform `name` to code and carry schedule (or None) onto the
+    result; prev is the map the previous carry returned.  heights(thickened
+    code, BalanceMap) picks thicken's heights (None keeps every Z[T] row);
+    cone_ell > 1 thickens the cone code in the dual basis.  Returns (code,
+    validated schedule, map of the last construction, report note keys).
+    """
+    opts = dict(ell=ell, heights=heights, classical=classical, cone_threshold=cone_threshold, cone_ell=cone_ell)
+    new, carrier, cmap, note = TRANSFORMS[name](code, prev=prev, **opts)
+    if schedule is not None:
+        schedule = carrier(schedule)
+        schedule.validate(new)
+    return new, schedule, cmap, note
 
 
 # -- text format ------------------------------------------------------

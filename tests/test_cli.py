@@ -25,6 +25,7 @@ from qwr.cli import (
 )
 from qwr.codes import CapExceeded, CssCode, repetition_code, steane_code
 from qwr.f2la import BinMatrix
+from qwr.hgp import hgp
 from qwr.schedule import Schedule, Step, format_schedule, parse_schedule
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -197,6 +198,25 @@ class TestPipeline:
         )
         again = parse_matrix_file(prefix + ".hx.mtxf2")
         assert again.ncols == rep["code"]["n"]
+
+    @pytest.mark.parametrize("code", ["steane", "hgp33"])
+    @pytest.mark.parametrize(  # in the basis whose code distance is quick to find
+        "names, basis",
+        [("copy thicken gauge", "X"), ("copy gauge gauge", "X"), ("copy cone gauge", "Z"), ("copy balance_x gauge", "X")],
+    )
+    def test_gauge_after_other_steps_carries_schedule(self, code, names, basis, tmp_path, monkeypatch, capsys):
+        """gauge lays Z orders out by copy groups only right after copy."""
+        q = steane_code() if code == "steane" else hgp(repetition_code(3), repetition_code(3))
+        (tmp_path / "hx.mtxf2").write_text(format_matrix(q.h_x))
+        (tmp_path / "hz.mtxf2").write_text(format_matrix(q.h_z))
+        (tmp_path / "rep3.alist").write_text(REP3_ALIST)
+        monkeypatch.chdir(tmp_path)
+        argv = ["transform", *names.split(), "--hx", "hx.mtxf2", "--hz", "hz.mtxf2", "--basis", basis,
+                "--classical", "rep3.alist", "--schedule", "derived", "--out-prefix", "out"]
+        assert main(argv) == 0, capsys.readouterr().err
+        with open("out.schedule", encoding="utf-8") as f:
+            carried = parse_schedule(f.read())
+        carried.validate(CssCode(load_matrix("out.hx.mtxf2"), load_matrix("out.hz.mtxf2")))
 
 
 class TestDeterminism:
@@ -412,7 +432,15 @@ class TestTooling:
     def test_weight_reduce_pipeline_script(self):
         res = self.run("scripts/weight_reduce_pipeline.py")
         assert res.returncode == 0, res.stderr
-        assert "heights chosen     n=86" in res.stdout
+        assert res.stdout == (
+            "code distances: d_X=3 d_Z=3\n"
+            "steane             n=7    k=1 w_X=4 q_X=3 w_Z=4   q_Z=3  eff d_X=2 eff d_Z=2 (max_d=4)\n"
+            "copied             n=21   k=1 w_X=4 q_X=3 w_Z=12  q_Z=3  eff d_X=2 eff d_Z=inf (max_d=4)\n"
+            "copied+gauged      n=30   k=1 w_X=3 q_X=3 w_Z=18  q_Z=3  eff d_X=2 eff d_Z=inf (max_d=4)\n"
+            "thickened ell=2    n=86   k=1 w_X=4 q_X=3 w_Z=18  q_Z=4  eff d_X=4 eff d_Z=inf (max_d=4)\n"
+            "heights chosen     n=86   k=1 w_X=4 q_X=3 w_Z=18  q_Z=3  eff d_X=4 eff d_Z=inf (max_d=4)\n"
+            "greedy heights: [1, 2, 1] (max per-qubit Z[T] load 2)\n"
+        )
 
     def test_gf2_layers_script(self):
         res = self.run("scripts/gf2_layers.py", "--repeat", "1")

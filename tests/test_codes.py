@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qwr import codes, f2la
 from qwr.codes import (
     INF,
     CapExceeded,
@@ -12,6 +13,7 @@ from qwr.codes import (
     classical_distance,
     complex_to_css,
     css_distance,
+    css_search,
     css_to_complex,
     hamming_7_4,
     logical_basis,
@@ -162,6 +164,20 @@ class TestCssDistance:
         s = surface_code_2x3()
         assert css_distance(s, "X") == 2
         assert css_distance(s, "Z") == 3
+
+    def test_each_check_matrix_eliminated_once(self, monkeypatch):
+        """k reads the ranks off the cached pivots instead of eliminating again."""
+        calls = []
+        real = f2la.echelon
+
+        def counted(rows):
+            calls.append(1)
+            return real(rows)
+
+        monkeypatch.setattr(f2la, "echelon", counted)
+        monkeypatch.setattr(codes, "echelon", counted)
+        css_search(steane_code(), "X")
+        assert len(calls) <= 4
 
     def test_mitm_route_agrees(self):
         q = hgp(repetition_code(3), repetition_code(3))
