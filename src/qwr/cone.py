@@ -34,12 +34,6 @@ class ConeComplexPart:
     boundary_1: BinMatrix
     boundary_0: BinMatrix
 
-    def one_cell_pos(self, qubit: int) -> int:
-        return self.one_cells.index(qubit)
-
-    def zero_cells_at(self, qubit: int) -> list[int]:
-        return [t for t, (_, qa, qb) in enumerate(self.zero_cells) if qubit in (qa, qb)]
-
 
 @dataclass(frozen=True)
 class ChainMapF:
@@ -60,13 +54,13 @@ class ChainMapF:
         """Check f.d_B == d_A.f on every 1-cell, as a matrix identity."""
         cols = transpose(h_x).rows
         for part in parts:
-            for qubit in part.one_cells:
-                acc = 0
-                for t in part.zero_cells_at(qubit):
-                    xr = part.zero_cells[t][0]
-                    if xr is not None:
-                        acc ^= 1 << xr
-                if acc != cols[qubit]:
+            acc = dict.fromkeys(part.one_cells, 0)
+            for xr, qa, qb in part.zero_cells:
+                if xr is not None:
+                    acc[qa] ^= 1 << xr
+                    acc[qb] ^= 1 << xr
+            for qubit, v in acc.items():
+                if v != cols[qubit]:
                     raise ValueError(
                         f"chain-map condition fails at qubit {qubit} of part for Z row {part.parent_z_row}"
                     )
@@ -248,89 +242,58 @@ def _walk_cycle(part: ConeComplexPart, cyc: tuple[int, ...]) -> tuple[list[int],
 
 
 class ConeIndex:
-    """Row/column numbering of the cone code: originals first, cells appended."""
+    """Numbering of the cone code, built in one pass over the parts: original
+    rows and columns first, then each part's cells appended in part order
+    (0-cells as qubits, -1-cells as X rows, 1-cells as Z rows)."""
 
     def __init__(self, parts: tuple[ConeComplexPart, ...], f: ChainMapF):
-        self.parts = parts
-        self.f = f
         coned = {p.parent_z_row for p in parts}
         self.retained = [zr for zr in range(f.n_z) if zr not in coned]
         self.retained_pos = {zr: i for i, zr in enumerate(self.retained)}
-        self._qubit_base = {}
-        self._xrow_base = {}
-        self._zrow_base = {}
-        q_off, x_off, z_off = f.n, f.n_x, len(self.retained)
+        #: original X row -> the cone qubits it gains, ascending (chords go nowhere)
+        self.x_extra: dict[int, list[int]] = {}
+        #: coned Z row -> {qubit: (Z row, support)} of its 1-cells, in one_cells order
+        self.z_cells: dict[int, dict[int, tuple[int, tuple[int, ...]]]] = {}
+        #: (X row, support) of every -1-cell, in part order
+        self.x_cells: list[tuple[int, tuple[int, ...]]] = []
+        n_qubits, z_row = f.n, len(self.retained)
         for part in parts:
-            self._qubit_base[part.parent_z_row] = q_off
-            self._xrow_base[part.parent_z_row] = x_off
-            self._zrow_base[part.parent_z_row] = z_off
-            q_off += len(part.zero_cells)
-            x_off += len(part.minus_one_cells)
-            z_off += len(part.one_cells)
-        self.n_qubits = q_off
-        self.n_x_rows = x_off
-        self.n_z_rows = z_off
-
-    def zero_cell_qubit(self, part: ConeComplexPart, t: int) -> int:
-        return self._qubit_base[part.parent_z_row] + t
-
-    def one_cell_row(self, part: ConeComplexPart, qubit: int) -> int:
-        return self._zrow_base[part.parent_z_row] + part.one_cell_pos(qubit)
-
-    def one_cell_support(self, part: ConeComplexPart, qubit: int) -> list[int]:
-        sup = [qubit] + [self.zero_cell_qubit(part, t) for t in part.zero_cells_at(qubit)]
-        return sorted(sup)
-
-    def minus_cell_row(self, part: ConeComplexPart, ci: int) -> int:
-        return self._xrow_base[part.parent_z_row] + ci
-
-    def minus_cell_support(self, part: ConeComplexPart, ci: int) -> list[int]:
-        return sorted(self.zero_cell_qubit(part, t) for t in part.minus_one_cells[ci])
-
-    def x_row_cone_qubits(self, x_row: int) -> list[int]:
-        out = []
-        for part in self.parts:
-            for t, (xr, _, _) in enumerate(part.zero_cells):
-                if xr == x_row:
-                    out.append(self.zero_cell_qubit(part, t))
-        return sorted(out)
+            support = {qubit: [qubit] for qubit in part.one_cells}
+            for t, (xr, qa, qb) in enumerate(part.zero_cells, start=n_qubits):
+                if xr is not None:
+                    self.x_extra.setdefault(xr, []).append(t)
+                support[qa].append(t)
+                support[qb].append(t)
+            self.z_cells[part.parent_z_row] = {
+                qubit: (z_row + p, tuple(support[qubit])) for p, qubit in enumerate(part.one_cells)
+            }
+            z_row += len(part.one_cells)
+            for cyc in part.minus_one_cells:
+                self.x_cells.append((f.n_x + len(self.x_cells), tuple(sorted(n_qubits + t for t in cyc))))
+            n_qubits += len(part.zero_cells)
+        self.n_qubits = n_qubits
 
 
 def cone_code(q: CssCode, parts: tuple[ConeComplexPart, ...], f: ChainMapF) -> CssCode:
     """Mapping cone of f: coned Z rows replaced by their parts' cell rows."""
     f.validate(q.h_x, parts)
     idx = ConeIndex(parts, f)
-    ncols = idx.n_qubits
-    x_rows = []
-    for r in range(q.n_x):
-        v = q.h_x.rows[r]
-        for qb in idx.x_row_cone_qubits(r):
-            v |= 1 << qb
-        x_rows.append(v)
-    for part in parts:
-        for ci in range(len(part.minus_one_cells)):
-            v = 0
-            for qb in idx.minus_cell_support(part, ci):
-                v |= 1 << qb
-            x_rows.append(v)
+    bits = lambda support: sum(1 << qb for qb in support)
+    x_rows = [v | bits(idx.x_extra.get(r, ())) for r, v in enumerate(q.h_x.rows)]
+    x_rows += [bits(support) for _, support in idx.x_cells]
     z_rows = [q.h_z.rows[zr] for zr in idx.retained]
-    for part in parts:
-        for qubit in part.one_cells:
-            v = 0
-            for qb in idx.one_cell_support(part, qubit):
-                v |= 1 << qb
-            z_rows.append(v)
-    return CssCode(BinMatrix(x_rows, ncols), BinMatrix(z_rows, ncols))
+    z_rows += [bits(support) for cells in idx.z_cells.values() for _, support in cells.values()]
+    return CssCode(BinMatrix(x_rows, idx.n_qubits), BinMatrix(z_rows, idx.n_qubits))
 
 
-def thicken_cone(q_cone: CssCode, length: int, target_w: int = 1) -> CssCode:
+def thicken_cone(q_cone: CssCode, length: int) -> CssCode:
     """Thicken the cone code in the dual basis (reducing q_X), then choose
-    heights there greedily."""
-    code, _, _ = thicken_cone_detail(q_cone, length, target_w)
+    heights there greedily at load 1."""
+    code, _, _ = thicken_cone_detail(q_cone, length)
     return code
 
 
-def thicken_cone_detail(q_cone: CssCode, length: int, target_w: int = 1):
+def thicken_cone_detail(q_cone: CssCode, length: int):
     """thicken_cone plus the dual BalanceMap and chosen heights (for schedules)."""
     if length < 1:
         raise ValueError("thickening length must be >= 1")
@@ -338,7 +301,7 @@ def thicken_cone_detail(q_cone: CssCode, length: int, target_w: int = 1):
         return q_cone, None, None
     dual = q_cone.transposed()
     thick, bm = thicken(dual, length)
-    hr = greedy_heights(thick, bm, target_w)
+    hr = greedy_heights(thick, bm, 1)
     chosen = choose_heights(thick, bm, hr.heights)
     return chosen.transposed(), bm, hr
 

@@ -114,11 +114,11 @@ def gauge_code(q: CssCode) -> tuple[CssCode, GaugeMap]:
         split_rows[r] = tuple(range(first, len(x_rows)))
     z_rows: list[int] = []
     z_patch: dict[int, tuple[int, ...]] = {}
+    split = [(q.h_x.row_support(r), cols) for r, cols in new_qubits.items()]
     for zr in range(q.n_z):
         zv = q.h_z.rows[zr]
         patch = []
-        for r, cols in new_qubits.items():
-            sup = q.h_x.row_support(r)
+        for sup, cols in split:
             running = 0
             for i in range(1, len(sup)):
                 running ^= (zv >> sup[i - 1]) & 1
@@ -187,15 +187,6 @@ class BalanceMap:
 
     def zb_row(self, qubit: int, check: int) -> int:
         return self.n_zt + qubit * self.n_checks + check
-
-    def hc_col_support(self, col: int) -> list[int]:
-        return [c for c in range(self.h_c.nrows) if (self.h_c.rows[c] >> col) & 1]
-
-    def hc_row_support(self, check: int) -> list[int]:
-        return self.h_c.row_support(check)
-
-    def hx_col_support(self, qubit: int) -> list[int]:
-        return [r for r in range(self.h_x_pre.nrows) if (self.h_x_pre.rows[r] >> qubit) & 1]
 
     def primal(self) -> "BalanceMap":
         return replace(self, dual=False)

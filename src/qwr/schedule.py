@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from functools import partial
 
 from .codes import CssCode
-from .cone import ConeIndex, build_cone_parts, cellulate, cone_code
+from .cone import ConeIndex, build_cone_parts, cellulate, cone_code, thicken_cone_detail
+from .f2la import transpose
 from .reduce import BalanceMap, CopyMap, GaugeMap, balance_x, balance_z, choose_heights, copy_code, gauge_code
-from .reduce import greedy_heights, kept_z_rows, thicken
+from .reduce import kept_z_rows, thicken
 
 
 @dataclass(frozen=True)
@@ -142,19 +143,22 @@ def balanced_schedule(m: Schedule, bm: BalanceMap) -> Schedule:
     if bm.dual:
         inner = balanced_schedule(dual_schedule(m), bm.primal())
         return dual_schedule(inner)
+    hc_cols = transpose(bm.h_c)
+    hx_cols = transpose(bm.h_x_pre)
     steps = []
     for s in m.steps:
         for col in range(bm.n_c):
             a_part = tuple(bm.a_qubit(i, col) for i in s.order)
             if s.basis == "X":
-                b_part = tuple(bm.b_qubit(s.row, c) for c in bm.hc_col_support(col))
+                b_part = tuple(bm.b_qubit(s.row, c) for c in hc_cols.row_support(col))
                 steps.append(Step("X", bm.x_row(s.row, col), a_part + b_part))
             else:
                 steps.append(Step("Z", bm.zt_row(s.row, col), a_part))
     for qb in range(bm.n):
+        x_rows = hx_cols.row_support(qb)
         for c in range(bm.n_c - bm.k_c):
-            sup = [bm.a_qubit(qb, j) for j in bm.hc_row_support(c)]
-            sup += [bm.b_qubit(x, c) for x in bm.hx_col_support(qb)]
+            sup = [bm.a_qubit(qb, j) for j in bm.h_c.row_support(c)]
+            sup += [bm.b_qubit(x, c) for x in x_rows]
             steps.append(Step("Z", bm.zb_row(qb, c), tuple(sorted(sup))))
     return Schedule(tuple(steps))
 
@@ -187,23 +191,16 @@ def cone_schedule(m: Schedule, parts, f) -> Schedule:
     follow in ascending order.
     """
     idx = ConeIndex(parts, f)
-    part_of = {p.parent_z_row: p for p in parts}
     steps = []
     for s in m.steps:
         if s.basis == "X":
-            extra = idx.x_row_cone_qubits(s.row)
-            steps.append(Step("X", s.row, s.order + tuple(extra)))
+            steps.append(Step("X", s.row, s.order + tuple(idx.x_extra.get(s.row, ()))))
         elif s.row in idx.retained_pos:
             steps.append(Step("Z", idx.retained_pos[s.row], s.order))
         else:
-            part = part_of[s.row]
-            for qb in s.order:
-                row = idx.one_cell_row(part, qb)
-                steps.append(Step("Z", row, tuple(idx.one_cell_support(part, qb))))
-    for part in parts:
-        for ci in range(len(part.minus_one_cells)):
-            row = idx.minus_cell_row(part, ci)
-            steps.append(Step("X", row, tuple(idx.minus_cell_support(part, ci))))
+            cells = idx.z_cells[s.row]
+            steps += [Step("Z", *cells[qb]) for qb in s.order]
+    steps += [Step("X", row, support) for row, support in idx.x_cells]
     return Schedule(tuple(steps))
 
 
@@ -244,10 +241,10 @@ def _cone(code, *, cone_threshold, cone_ell, **_):
     note = {"coned_rows": len(parts), "kept_direct": list(fmap.skipped_rows), "cycle_basis": fmap.cycle_basis}
     if cone_ell == 1:
         return new, coned, fmap, note
-    greedy = lambda q, bm: greedy_heights(q, bm, 1).heights  # as cone.thicken_cone picks them
-    dual, thickened, bm, _ = _thicken(new.transposed(), ell=cone_ell, heights=greedy)
-    carrier = lambda m: dual_schedule(thickened(dual_schedule(coned(m))))
-    return dual.transposed(), carrier, bm, {**note, "cone_ell": cone_ell}
+    thick, bm, hr = thicken_cone_detail(new, cone_ell)
+    keep = set(kept_z_rows(bm, hr.heights))
+    carrier = lambda m: dual_schedule(prune_z_steps(balanced_schedule(dual_schedule(coned(m)), bm), keep))
+    return thick, carrier, bm, {**note, "cone_ell": cone_ell}
 
 
 #: the steps that balance against carry's `classical` code

@@ -10,6 +10,7 @@ from itertools import combinations
 from qwr.codes import INF, ClassicalCode, CssCode
 from qwr.f2la import BinMatrix, block_matrix, hstack, kernel_basis, kron, mat_vec, rank, transpose
 from qwr.hgp import hgp
+from qwr.schedule import Schedule, Step, dual_schedule
 
 
 def random_classical(rng: random.Random, n_min=3, n_max=6) -> ClassicalCode:
@@ -311,3 +312,174 @@ def reference_component_audit(bm, faults):
         if bad:
             violations.append(g)
     return checked, tuple(violations)
+
+
+# The cone and balanced layouts as they were before cone.ConeIndex became a
+# table built in one pass, kept verbatim (the part and BalanceMap lookups
+# they scanned with written out as functions) as the references that
+# cone_code, cone_schedule and balanced_schedule must reproduce row for row
+# and gate for gate.
+def _one_cell_pos(part, qubit):
+    return part.one_cells.index(qubit)
+
+
+def _zero_cells_at(part, qubit):
+    return [t for t, (_, qa, qb) in enumerate(part.zero_cells) if qubit in (qa, qb)]
+
+
+def reference_validate(h_x, parts):
+    cols = transpose(h_x).rows
+    for part in parts:
+        for qubit in part.one_cells:
+            acc = 0
+            for t in _zero_cells_at(part, qubit):
+                xr = part.zero_cells[t][0]
+                if xr is not None:
+                    acc ^= 1 << xr
+            if acc != cols[qubit]:
+                raise ValueError(
+                    f"chain-map condition fails at qubit {qubit} of part for Z row {part.parent_z_row}"
+                )
+
+
+class ReferenceConeIndex:
+    """Row/column numbering of the cone code: originals first, cells appended."""
+
+    def __init__(self, parts, f):
+        self.parts = parts
+        self.f = f
+        coned = {p.parent_z_row for p in parts}
+        self.retained = [zr for zr in range(f.n_z) if zr not in coned]
+        self.retained_pos = {zr: i for i, zr in enumerate(self.retained)}
+        self._qubit_base = {}
+        self._xrow_base = {}
+        self._zrow_base = {}
+        q_off, x_off, z_off = f.n, f.n_x, len(self.retained)
+        for part in parts:
+            self._qubit_base[part.parent_z_row] = q_off
+            self._xrow_base[part.parent_z_row] = x_off
+            self._zrow_base[part.parent_z_row] = z_off
+            q_off += len(part.zero_cells)
+            x_off += len(part.minus_one_cells)
+            z_off += len(part.one_cells)
+        self.n_qubits = q_off
+        self.n_x_rows = x_off
+        self.n_z_rows = z_off
+
+    def zero_cell_qubit(self, part, t):
+        return self._qubit_base[part.parent_z_row] + t
+
+    def one_cell_row(self, part, qubit):
+        return self._zrow_base[part.parent_z_row] + _one_cell_pos(part, qubit)
+
+    def one_cell_support(self, part, qubit):
+        sup = [qubit] + [self.zero_cell_qubit(part, t) for t in _zero_cells_at(part, qubit)]
+        return sorted(sup)
+
+    def minus_cell_row(self, part, ci):
+        return self._xrow_base[part.parent_z_row] + ci
+
+    def minus_cell_support(self, part, ci):
+        return sorted(self.zero_cell_qubit(part, t) for t in part.minus_one_cells[ci])
+
+    def x_row_cone_qubits(self, x_row):
+        out = []
+        for part in self.parts:
+            for t, (xr, _, _) in enumerate(part.zero_cells):
+                if xr == x_row:
+                    out.append(self.zero_cell_qubit(part, t))
+        return sorted(out)
+
+
+def reference_cone_code(q, parts, f):
+    reference_validate(q.h_x, parts)
+    idx = ReferenceConeIndex(parts, f)
+    ncols = idx.n_qubits
+    x_rows = []
+    for r in range(q.n_x):
+        v = q.h_x.rows[r]
+        for qb in idx.x_row_cone_qubits(r):
+            v |= 1 << qb
+        x_rows.append(v)
+    for part in parts:
+        for ci in range(len(part.minus_one_cells)):
+            v = 0
+            for qb in idx.minus_cell_support(part, ci):
+                v |= 1 << qb
+            x_rows.append(v)
+    z_rows = [q.h_z.rows[zr] for zr in idx.retained]
+    for part in parts:
+        for qubit in part.one_cells:
+            v = 0
+            for qb in idx.one_cell_support(part, qubit):
+                v |= 1 << qb
+            z_rows.append(v)
+    return CssCode(BinMatrix(x_rows, ncols), BinMatrix(z_rows, ncols))
+
+
+def reference_cone_schedule(m, parts, f):
+    idx = ReferenceConeIndex(parts, f)
+    part_of = {p.parent_z_row: p for p in parts}
+    steps = []
+    for s in m.steps:
+        if s.basis == "X":
+            extra = idx.x_row_cone_qubits(s.row)
+            steps.append(Step("X", s.row, s.order + tuple(extra)))
+        elif s.row in idx.retained_pos:
+            steps.append(Step("Z", idx.retained_pos[s.row], s.order))
+        else:
+            part = part_of[s.row]
+            for qb in s.order:
+                row = idx.one_cell_row(part, qb)
+                steps.append(Step("Z", row, tuple(idx.one_cell_support(part, qb))))
+    for part in parts:
+        for ci in range(len(part.minus_one_cells)):
+            row = idx.minus_cell_row(part, ci)
+            steps.append(Step("X", row, tuple(idx.minus_cell_support(part, ci))))
+    return Schedule(tuple(steps))
+
+
+def reference_balanced_schedule(m, bm):
+    if bm.dual:
+        inner = reference_balanced_schedule(dual_schedule(m), bm.primal())
+        return dual_schedule(inner)
+    hc_col_support = lambda col: [c for c in range(bm.h_c.nrows) if (bm.h_c.rows[c] >> col) & 1]
+    hx_col_support = lambda qubit: [r for r in range(bm.h_x_pre.nrows) if (bm.h_x_pre.rows[r] >> qubit) & 1]
+    steps = []
+    for s in m.steps:
+        for col in range(bm.n_c):
+            a_part = tuple(bm.a_qubit(i, col) for i in s.order)
+            if s.basis == "X":
+                b_part = tuple(bm.b_qubit(s.row, c) for c in hc_col_support(col))
+                steps.append(Step("X", bm.x_row(s.row, col), a_part + b_part))
+            else:
+                steps.append(Step("Z", bm.zt_row(s.row, col), a_part))
+    for qb in range(bm.n):
+        for c in range(bm.n_c - bm.k_c):
+            sup = [bm.a_qubit(qb, j) for j in bm.h_c.row_support(c)]
+            sup += [bm.b_qubit(x, c) for x in hx_col_support(qb)]
+            steps.append(Step("Z", bm.zb_row(qb, c), tuple(sorted(sup))))
+    return Schedule(tuple(steps))
+
+
+def reference_gauge_patches(q, new_qubits):
+    """(Z rows, z_patch) of gauge_code's Z-row repair, re-reading each split
+    row's support per Z row as gauge_code once did."""
+    z_rows = []
+    z_patch = {}
+    for zr in range(q.n_z):
+        zv = q.h_z.rows[zr]
+        patch = []
+        for r, cols in new_qubits.items():
+            sup = q.h_x.row_support(r)
+            running = 0
+            for i in range(1, len(sup)):
+                running ^= (zv >> sup[i - 1]) & 1
+                if running:
+                    patch.append(cols[i - 1])
+        for c in patch:
+            zv |= 1 << c
+        z_rows.append(zv)
+        if patch:
+            z_patch[zr] = tuple(sorted(patch))
+    return z_rows, z_patch

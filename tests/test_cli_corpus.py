@@ -1,7 +1,8 @@
 """Golden CLI corpus: every transform name alone and in chains, with and
-without a schedule, on four small codes; each exit code, stderr line and
-report (minus `timing_s`) must equal the recorded one in
-tests/data/cli_corpus.json.
+without a schedule, on four small codes; each exit code, stderr line,
+report (minus `timing_s`) and written `--out-prefix` file (the `.schedule`
+gate orders and the `.hx.mtxf2`/`.hz.mtxf2` matrices) must equal the
+recorded one in tests/data/cli_corpus.json.
 
 Record the corpus again (only when a report change is intended) with
 
@@ -12,6 +13,7 @@ import contextlib
 import io
 import json
 import pathlib
+import re
 import sys
 
 import pytest
@@ -75,16 +77,23 @@ def key(code: str, args: str) -> str:
 
 
 def run(code: str, args: str) -> dict:
-    """Exit code, stderr and report (minus timing_s) of one command, run in
-    the directory that holds the inputs."""
+    """Exit code, stderr, report (minus timing_s) and written files of one
+    command, run in the directory that holds the inputs.  Each command
+    writes under its own --out-prefix, so no file outlives its command."""
     out, err = io.StringIO(), io.StringIO()
-    argv = args.split() + ["--hx", f"{code}.hx.mtxf2", "--hz", f"{code}.hz.mtxf2"]
+    prefix = "out_" + re.sub(r"\W+", "_", key(code, args))
+    argv = args.split() + ["--hx", f"{code}.hx.mtxf2", "--hz", f"{code}.hz.mtxf2", "--out-prefix", prefix]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     report = json.loads(out.getvalue()) if rc == 0 else None
     if report is not None:
         report.pop("timing_s")
-    return {"exit": rc, "stderr": err.getvalue(), "report": report}
+    files = {}
+    for suffix in (".schedule", ".hx.mtxf2", ".hz.mtxf2"):
+        path = pathlib.Path(prefix + suffix)
+        if path.exists():
+            files[suffix] = path.read_text()
+    return {"exit": rc, "stderr": err.getvalue(), "report": report, "files": files}
 
 
 @pytest.fixture(scope="module")
