@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Time the exact code-distance search on the rep/Hamming product grid.
+
+The grid is every product of two or three rep(2), rep(3) and Hamming [7,4]
+factors, at every level, in both bases, with n <= 140.  One product stands
+for each (n, dim, d) class, dim being the dimension of the logical space
+and d the Kunneth prediction.  For each class it prints the route and level
+that answered codes.css_search, the kernel's work counts (probes: table
+lookups; table_entries: subsets put into tables) and the best-of-N
+perf_counter time of css_search in milliseconds.  A class that exceeds a
+cap prints route "capped" with the level the cap stopped at.
+
+    PYTHONPATH=src python scripts/search_costs.py [--repeat N]
+"""
+
+import argparse
+import time
+from itertools import product
+
+from qwr.codes import (
+    MITM_TABLE_CAP,
+    CapExceeded,
+    css_search,
+    hamming_7_4,
+    logical_signatures,
+    min_logical_search,
+    repetition_code,
+)
+from qwr.hgp import ProductSpec, higher_dim_hgp, kunneth_distance_predictor
+
+FACTORS = {"r2": repetition_code(2), "r3": repetition_code(3), "h7": hamming_7_4()}
+MAX_N = 140
+
+
+def grid_classes():
+    """(name, level, basis, code, dim, d) for the first product of each class."""
+    seen = set()
+    for count in (2, 3):
+        for names in product(FACTORS, repeat=count):
+            for level in range(1, count):
+                spec = ProductSpec(tuple(FACTORS[f] for f in names), level=level)
+                q, _ = higher_dim_hgp(spec)
+                if q.n > MAX_N:
+                    continue
+                pred = kunneth_distance_predictor(spec)
+                for basis, d in (("X", pred.d_x), ("Z", pred.d_z)):
+                    dim = q.k + (q.rank_x if basis == "X" else q.rank_z)
+                    if (q.n, dim, d) not in seen:
+                        seen.add((q.n, dim, d))
+                        yield "".join(names), level, basis, q, dim, d
+
+
+def capped_search(q, basis):
+    """The kernel run of a css_search that no route fits (dim > its
+    enumeration cap), for the level its cap stopped at and its counts."""
+    sigs, k = logical_signatures(q, basis, [1 << j for j in range(q.n)])
+    return min_logical_search(sigs, k, q.n, MITM_TABLE_CAP, 100 * MITM_TABLE_CAP, witness=False)
+
+
+def timed_search(q, basis, repeat: int):
+    """(Search or None when capped, best wall time in ms over `repeat` calls)."""
+    best, found = float("inf"), None
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        try:
+            found = css_search(q, basis)
+        except CapExceeded:
+            found = None
+        best = min(best, time.perf_counter() - t0)
+    return found, 1e3 * best
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--repeat", type=int, default=5, help="calls per timing; the least is printed")
+    args = ap.parse_args(argv)
+    print(f"ms, best of {args.repeat} calls")
+    print(f"{'product':<8}{'L':>2} {'b':>1}{'n':>5}{'dim':>5}{'d':>3}  {'route':<10}{'level':>5}"
+          f"{'probes':>10}{'table_entries':>15}{'ms':>10}")
+    for name, level, basis, q, dim, d in grid_classes():
+        found, ms = timed_search(q, basis, args.repeat)
+        route = found.route if found is not None else "capped"
+        if found is None:
+            found = capped_search(q, basis)
+        print(f"{name:<8}{level:>2} {basis:>1}{q.n:>5}{dim:>5}{d:>3}  {route:<10}{found.level:>5}"
+              f"{found.probes:>10}{found.table_entries:>15}{ms:>10.2f}")
+
+
+if __name__ == "__main__":
+    main()

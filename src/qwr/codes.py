@@ -4,9 +4,12 @@ Distances are exact at desk scale: one meet-in-the-middle kernel serves the
 code and effective distances, handing over to Gray-code enumeration of the
 logical space when that is less work; caps raise CapExceeded.  The kernel
 searches one item per distinct nonzero signature and, on wide levels,
-probes only subsets connected through shared syndrome bits against a table
-of every subset of the other half.  Infinite distance is the float ``inf``
-sentinel so that ``min()`` treats it as absorbing.
+probes only subsets connected through shared syndrome bits.  Such a level
+builds no table for the next ones: they meet a table one size short through
+an anchor, the lowest syndrome bit of the probe, whose holders supply the
+missing item, and fill the full table only once the anchor's extra lookups
+have cost as much.  Infinite distance is the float ``inf`` sentinel so that
+``min()`` treats it as absorbing.
 """
 
 from __future__ import annotations
@@ -304,10 +307,11 @@ LOW_STAB_ROWS = 10  # stabilizer rows in the exhaustive route's XOR table
 class Search(NamedTuple):
     """distance is None when a cap stopped the search at level `level`, and
     cap_count is the subset count that exceeded the cap; witness holds the
-    sorted signature indices of one minimum set.  probes counts the subsets
-    looked up in a table, table_entries the subsets put into one.  (A
-    NamedTuple: small searches build one per call, and it builds faster
-    than a frozen dataclass.)"""
+    sorted signature indices of one minimum set.  probes counts table
+    lookups: one per subset probed against a full table, one per holder of
+    the anchor bit against a table one size short.  table_entries counts
+    the subsets put into tables.  (A NamedTuple: small searches build one
+    per call, and it builds faster than a frozen dataclass.)"""
     distance: int | float | None
     witness: tuple[int, ...] | None
     route: str  # "mitm" | "exhaustive"
@@ -327,22 +331,38 @@ def min_logical_search(
     a minimum set holds no zero signature (drop it) and no equal pair (the
     two cancel), and swapping a later duplicate for its first occurrence
     keeps a set hitting while making it lex-smaller.  Level t = 1..max_t
-    meets a table of all floor(t/2)-subsets with ceil(t/2)-subsets, walked
-    with running prefix XORs.  The table maps each syndrome to its pairing,
-    or to MULTI once two pairings share it; the size-s table serves t = 2s
-    and 2s+1.  Where all ceil(t/2)-subsets outnumber n^2 pairs, only the
-    connected ones are probed: calling two signatures adjacent when their
-    syndromes share a bit, a minimum set is connected (parts with disjoint
-    syndrome bits would each have zero syndrome, so one is a smaller
-    logical), hence holds a connected ceil(t/2)-subset whose complement is
-    in the table.  Otherwise the lex walk probes every subset and fills the
-    size-(s+1) table on the way; after a connected level that table is
-    built on its own.  On the level that hits, the lex walk picks the
-    witness: the lex-first hitting probe plus its lex-first partner.  A
-    level is capped when its table side exceeds table_cap or its probe side
-    probe_cap, counting distinct signatures only.  With exhaustive = (dim,
-    finish), finish(t) answers instead (no logical weighs less than t) once
-    the subsets walked so far plus level t's exceed 2^dim, or t is capped.
+    walks ceil(t/2)-subsets with running prefix XORs and looks each one up
+    in a table of floor(t/2)-subsets, which maps each syndrome to its
+    pairing, or to MULTI once two pairings share it; a subset hits when the
+    table holds its syndrome with another pairing.  The size-s table serves
+    t = 2s and 2s+1.  Where all ceil(t/2)-subsets outnumber n^2 pairs, only
+    the connected ones are probed: calling two signatures adjacent when
+    their syndromes share a bit, a minimum set is connected (parts with
+    disjoint syndrome bits would each have zero syndrome, so one is a
+    smaller logical), hence holds a connected ceil(t/2)-subset whose
+    complement is in the table.  Otherwise the lex walk probes every subset
+    and fills the size-(s+1) table on the way.
+
+    A connected level fills no table, so a later level can find the table
+    one size short.  It then probes each walked subset A through an anchor:
+    for each signature b holding sigma, the lowest set bit of syn(A), it
+    looks up syn(A) ^ syn(b) with pairing pair(A) ^ pair(b).  The same
+    subsets hit as against the full table, because every level below t was
+    searched with no hit: a hitting A has syn(A) != 0, any floor(t/2)-set
+    matching it holds a holder of sigma, and an anchored match that
+    overlaps A or repeats b XORs to a logical shorter than t.  Once the
+    anchor's lookups beyond one per subset exceed comb(n, floor(t/2)), what
+    the full table costs, the table is filled and the walk goes on against
+    it.  A table two sizes short for level t + 1 is never used: level t
+    fills the size-floor(t/2) table at its end when plan(t + 1) is MITM.
+
+    On the level that hits, the lex walk picks the witness against the full
+    table (filled then if it is short): the lex-first hitting probe plus its
+    lex-first partner.  A level is capped when its table side exceeds
+    table_cap or its probe side probe_cap, counting distinct signatures
+    only.  With exhaustive = (dim, finish), finish(t) answers instead (no
+    logical weighs less than t) once the subsets walked so far plus level
+    t's exceed 2^dim, or t is capped.
     """
     distinct = dict.fromkeys(sigs)  # in order of first occurrence
     distinct.pop(0, None)
@@ -357,8 +377,8 @@ def min_logical_search(
             return "exhaustive"
         return "capped" if capped else "mitm"
 
-    table = {0: 0}  # the empty set
-    nbr = None  # neighbour masks, built at the first connected level
+    table, size, rent = {0: 0}, 0, 0  # every size-subset; extra lookups anchored on it so far
+    holders = nbr = anchors = None  # built at the first connected and the first anchored level
     spent = probes = entries = 0
     for t in range(1, max_t + 1):
         route = plan(t, spent)
@@ -369,19 +389,31 @@ def min_logical_search(
             over = comb(n, small) if comb(n, small) > table_cap else comb(n, big)
             return Search(None, None, "mitm", t, cap_count=over, probes=probes, table_entries=entries)
         spent += comb(n, big)
-        grow = big > small and t < max_t and plan(t + 1, spent) == "mitm"
-        if _connected_pays(n, big):
-            if nbr is None:
-                nbr = _neighbours(syn)
-            hit, count, _ = _probe(syn, pair, table, _connected_walk(syn, pair, nbr, big), False)
+        nxt = big > small and t < max_t and plan(t + 1, spent) == "mitm"  # level t + 1 needs size big
+        connected = _connected_pays(n, big)
+        if connected and nbr is None:
+            holders = _holders(syn)
+            nbr = _neighbours(syn, holders)
+        walk = _connected_walk(syn, pair, nbr, big) if connected else _lex_walk(syn, pair, big)
+        grow = nxt and not connected and size == small
+        hit = None
+        if size < small:
+            if anchors is None:
+                anchors = {1 << b: [(syn[i], pair[i]) for i in held] for b, held in holders.items()}
+            hit, count, extra, walk = _anchored_probe(syn, pair, table, anchors, walk, comb(n, small) - rent)
             probes += count
-            if hit is not None and witness:
-                hit, count, _ = _probe(syn, pair, table, _lex_walk(syn, pair, big), False)
-                probes += count
-            elif hit is None and grow:
-                grown = _probe(syn, pair, {}, _lex_walk(syn, pair, big), True)[2]
-        else:
-            hit, count, grown = _probe(syn, pair, table, _lex_walk(syn, pair, big), grow)
+            rent += extra
+            if walk is not None:  # the extra lookups cost what the full table does: build it, go on direct
+                table, size, rent = _fill(syn, pair, small), small, 0
+                entries += comb(n, small)
+        if walk is not None:
+            hit, count, grown = _probe(syn, pair, table, walk, grow)
+            probes += count
+        if hit is not None and witness and connected:
+            if size < small:
+                table, size = _fill(syn, pair, small), small
+                entries += comb(n, small)
+            hit, count, _ = _probe(syn, pair, table, _lex_walk(syn, pair, big), False)
             probes += count
         if hit is not None:
             found = None
@@ -389,8 +421,11 @@ def min_logical_search(
                 found = tuple(sorted(sigs.index(uniq[i]) for i in hit + _first_partner(syn, pair, small, hit)))
             return Search(t, found, "mitm", t, probes=probes, table_entries=entries)
         if grow:
-            table = grown
+            table, size, rent = grown, big, 0
             entries += comb(n, big)
+        elif nxt and size < small:
+            table, size, rent = _fill(syn, pair, small), small, 0
+            entries += comb(n, small)
     return Search(INF, None, "mitm", max_t, probes=probes, table_entries=entries)
 
 
@@ -447,25 +482,31 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _neighbours(syn):
-    """Per signature, the mask of the other signatures whose syndromes share a bit with it."""
-    holders: dict[int, int] = {}
+def _holders(syn):
+    """Per syndrome bit, the ascending indices of the signatures whose syndromes hold it."""
+    out: dict[int, list[int]] = {}
     for i, s in enumerate(syn):
         for b in _bits(s):
-            holders[b] = holders.get(b, 0) | 1 << i
+            out.setdefault(b, []).append(i)
+    return out
+
+
+def _neighbours(syn, holders):
+    """Per signature, the mask of the other signatures whose syndromes share a bit with it."""
+    masks = {b: sum(1 << i for i in held) for b, held in holders.items()}
     out = []
     for i, s in enumerate(syn):
         m = 0
         for b in _bits(s):
-            m |= holders[b]
+            m |= masks[b]
         out.append(m & ~(1 << i))
     return out
 
 
 def _probe(syn, pair, table, walk, grow):
     """The first walked subset whose syndrome is in table with another
-    pairing, or None; the number of subsets probed; with grow, the walked
-    subsets fill the next table."""
+    pairing, or None; the number of table lookups, one per subset; with
+    grow, the walked subsets fill the next table."""
     get = table.get
     grown: dict[int, int] = {}
     put = grown.setdefault
@@ -482,6 +523,48 @@ def _probe(syn, pair, table, walk, grow):
                 if put(x, p) != p:
                     grown[x] = MULTI
     return None, count, grown
+
+
+def _anchored_probe(syn, pair, table, anchors, walk, budget):
+    """_probe against a table one size short: a walked subset with syndrome
+    x != 0 and pairing p looks up x ^ s with pairing p ^ q for each (s, q)
+    in anchors[x & -x], the signatures holding x's lowest bit.  Returns the
+    first hitting subset or None; the number of lookups; the extra lookups,
+    beyond the one per walked subset that the full table would take; and,
+    once the extra lookups exceed budget (checked after each group of the
+    walk), the rest of the walk, else None."""
+    get = table.get
+    count = walked = 0
+    for prefix, cands, ps, pp in walk:
+        walked += len(cands)
+        for i in cands:
+            x = ps ^ syn[i]
+            if not x:
+                continue
+            p = pp ^ pair[i]
+            held = anchors[x & -x]
+            count += len(held)
+            for s, q in held:
+                e = get(x ^ s)
+                if e is not None and e != p ^ q:
+                    count += held.index((s, q)) + 1 - len(held)
+                    return prefix + (i,), count, count - walked, None
+        if count - walked > budget:
+            return None, count, count - walked, walk
+    return None, count, count - walked, None
+
+
+def _fill(syn, pair, r):
+    """The table of every r-subset (r >= 1): syndrome -> pairing, or MULTI
+    once two pairings share the syndrome."""
+    table: dict[int, int] = {}
+    put = table.setdefault
+    for _, cands, ps, pp in _lex_walk(syn, pair, r):
+        for i in cands:
+            p = pp ^ pair[i]
+            if put(ps ^ syn[i], p) != p:
+                table[ps ^ syn[i]] = MULTI
+    return table
 
 
 def _first_partner(syn, pair, s, hit):

@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -450,6 +451,17 @@ class TestTooling:
         assert rows["input"][0] == "89" and rows["thicken"][0] == "1679"
         assert all(len(cells) == 6 for cells in rows.values())
         assert rows["thicken"][-1] != "-" and rows["copy"][-1] == "-"
+
+    def test_search_costs_script(self):
+        res = self.run("scripts/search_costs.py", "--repeat", "1")
+        assert res.returncode == 0, res.stderr
+        rows = [line.split() for line in res.stdout.splitlines()[2:]]
+        assert len(rows) == len({(r[3], r[4], r[5]) for r in rows}) == 39  # one row per (n, dim, d) class
+        assert all(len(r) == 11 and int(r[3]) <= 140 for r in rows)
+        by_case = {tuple(r[:3]): r[6:10] for r in rows}
+        route, level, _, entries = by_case["r2h7h7", "2", "Z"]
+        assert (route, level, entries) == ("mitm", "6", str(137 + comb(137, 2)))
+        assert by_case["r3r3h7", "1", "X"][:2] == ["capped", "8"]
 
     def test_hgp_hook_survey_script(self):
         res = self.run("scripts/hgp_hook_survey.py", "2")

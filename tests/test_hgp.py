@@ -145,9 +145,10 @@ class TestPredictor:
         assert p1.d_z == p0.d_z
 
     def test_matches_exact_on_full_grid(self):
-        # every product of rep(2)/rep(3)/Hamming factors up to D=3, at every
-        # level, except the n >= 99, d = 9 classes: those exceed the MITM cap
-        # or take seconds each
+        # every product of rep(2)/rep(3)/Hamming factors up to D=3 with
+        # n <= 120, at every level, except the n = 109, d = 9 classes: their
+        # logical space (dim 46) is too big to enumerate and MITM level 8
+        # exceeds the table cap
         from itertools import product
 
         factors = [repetition_code(2), repetition_code(3), hamming_7_4()]
@@ -162,11 +163,11 @@ class TestPredictor:
                     pred = kunneth_distance_predictor(spec)
                     assert pred.exact
                     for basis, expect in (("X", pred.d_x), ("Z", pred.d_z)):
-                        if code.n >= 99 and expect == 9:
+                        if code.n >= 109 and expect == 9:
                             continue
                         assert css_distance(code, basis) == expect, (spec, basis)
                         checked += 1
-        assert checked >= 92
+        assert checked >= 94
 
     def test_infinite_absorbs(self):
         zero = ClassicalCode(BinMatrix.identity(3))

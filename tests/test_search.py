@@ -2,6 +2,7 @@
 the brute-force oracle, and its own exhaustive route."""
 
 import random
+import re
 from itertools import combinations
 from math import comb
 
@@ -166,7 +167,7 @@ class TestConnectedRoute:
         rng = random.Random(seed)
         syn = [rng.randrange(1, 1 << 7) & rng.randrange(1, 1 << 7) or 1 for _ in range(11)]
         pair = [rng.randrange(4) for _ in syn]
-        nbr = codes._neighbours(syn)
+        nbr = codes._neighbours(syn, codes._holders(syn))
 
         def connected(sub):
             reached, todo = {sub[0]}, [sub[0]]
@@ -258,3 +259,144 @@ class TestDeduplication:
         assert (found.distance, found.level, found.cap_count) == (None, 2, distinct)
         with pytest.raises(CapExceeded, match=f"t=2 needs {distinct} entries"):
             effective_distance(q, baseline_schedule(q, 0), "X", 4, generators=doubled, table_cap=distinct - 1)
+
+
+def lex_only(mp):
+    """Force the lex walk at every level: no level is connected, so no table
+    is ever short and nothing is anchored."""
+    mp.setattr(codes, "_connected_pays", lambda n, r: False)
+
+
+def odd_connected(mp):
+    """Force the connected walk on odd subset sizes only, so that lex levels
+    also meet tables one size short."""
+    mp.setattr(codes, "_connected_pays", lambda n, r: r % 2 == 1)
+
+
+def count_anchored(mp):
+    """Count the anchored probes, and those that ran over their budget and
+    finished the level against the full table."""
+    seen = {"calls": 0, "switched": 0}
+    real = codes._anchored_probe
+
+    def spy(*args):
+        out = real(*args)
+        seen["calls"] += 1
+        seen["switched"] += out[3] is not None
+        return out
+
+    mp.setattr(codes, "_anchored_probe", spy)
+    return seen
+
+
+def seeded_signatures(rng):
+    """8-14 signatures over 5-9 syndrome bits, a fifth of them pairing with
+    the logicals and a tenth repeating a pooled syndrome, so that minimum
+    sets of 4-7 are common."""
+    k = rng.randint(1, 2)
+    width = rng.randint(5, 9)
+    pool = [rng.randrange(1 << width) << k for _ in range(3)]
+    sigs = []
+    for _ in range(rng.randint(8, 14)):
+        s = rng.choice(pool) if rng.random() < 0.1 else rng.randrange(1 << width) << k
+        if rng.random() < 0.2:
+            s |= rng.randrange(1, 1 << k)
+        sigs.append(s)
+    return sigs, k
+
+
+@st.composite
+def wide_signature_lists(draw):
+    """Up to 14 signatures over up to 8 syndrome bits, drawn from a small pool
+    as often as not, so that zero and repeated signatures and syndromes with
+    several pairings (MULTI buckets) are common."""
+    k = draw(st.integers(1, 3))
+    width = draw(st.integers(2, 8)) + k
+    pool = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=6))
+    item = st.one_of(st.sampled_from(pool), st.integers(0, (1 << width) - 1))
+    return draw(st.lists(item, min_size=1, max_size=14)), k
+
+
+class TestAnchoredRoute:
+    @pytest.mark.parametrize("force", [connected_only, odd_connected, lex_only])
+    def test_matches_reference_on_seeded_signatures(self, force):
+        rng = random.Random(41)
+        with pytest.MonkeyPatch.context() as mp:
+            force(mp)
+            seen = count_anchored(mp)
+            for _ in range(300):
+                sigs, k = seeded_signatures(rng)
+                found = min_logical_search(sigs, k, 9)
+                assert (found.distance, found.witness) == reference_min_logical(sigs, k, 9), sigs
+                assert min_logical_search(sigs, k, 9, witness=False).distance == found.distance
+        if force is not lex_only:
+            # both ends of the budget: levels finished by the anchor alone, and
+            # levels that filled the full table part way through the walk
+            assert seen["calls"] > seen["switched"] > 0
+        else:
+            assert seen["calls"] == 0
+
+    @pytest.mark.parametrize("force", [connected_only, odd_connected, lex_only])
+    @settings(max_examples=200, deadline=None)
+    @given(case=wide_signature_lists(), max_t=st.integers(1, 7))
+    def test_matches_reference_on_random_signatures(self, force, case, max_t):
+        sigs, k = case
+        with pytest.MonkeyPatch.context() as mp:
+            force(mp)
+            found = min_logical_search(sigs, k, max_t)
+            assert (found.distance, found.witness) == reference_min_logical(sigs, k, max_t)
+            assert min_logical_search(sigs, k, max_t, witness=False).distance == found.distance
+
+    def test_anchor_hits_the_same_subsets_as_the_full_table(self):
+        # on every level up to the first that hits, each subset hits through
+        # the anchor against the table one size short iff it hits the full table
+        rng = random.Random(43)
+        levels = 0
+        for _ in range(60):
+            sigs, k = seeded_signatures(rng)
+            distance = reference_min_logical(sigs, k, 7)[0]
+            uniq = list(dict.fromkeys(s for s in sigs if s))
+            syn, pair = [s >> k for s in uniq], [s & ((1 << k) - 1) for s in uniq]
+            anchors = {1 << b: [(syn[i], pair[i]) for i in held] for b, held in codes._holders(syn).items()}
+            for t in range(2, min(distance, 7) + 1):
+                small, big = t // 2, t - t // 2
+                full = codes._fill(syn, pair, small)
+                short = codes._fill(syn, pair, small - 1) if small > 1 else {0: 0}
+                for prefix, cands, ps, pp in codes._lex_walk(syn, pair, big):
+                    for i in cands:
+                        one = [(prefix, [i], ps, pp)]
+                        direct = codes._probe(syn, pair, full, iter(one), False)[0]
+                        assert codes._anchored_probe(syn, pair, short, anchors, iter(one), INF)[0] == direct
+                levels += 1
+        assert levels > 100
+
+    def test_connected_level_builds_no_table(self):
+        # hgp(rep2, H7, H7) level 2, Z: n = 137, d = 6.  Level 5 is connected,
+        # so level 6 meets the size-2 table through the anchor instead of a
+        # table of all C(137, 3) = 419,220 3-subsets
+        found = css_search(grid_code("r2h7h7", 2), "Z")
+        assert (found.distance, found.route, found.level) == (6, "mitm", 6)
+        assert found.table_entries == comb(137, 1) + comb(137, 2) < comb(137, 3)
+
+    def test_witness_pass_fills_the_table_a_plain_walk_would(self):
+        # thickened surface Z hits at level 6 after the connected level 5: the
+        # lex walk that picks the witness meets the full size-3 table, filled
+        # once, as when level 5 filled it
+        q, m = carried_thickening(surface_code_2x3())
+        sigs, k = logical_signatures(q, "Z", [g.residual for g in enumerate_faults(q, m, "Z")])
+        n = len(set(sigs) - {0})
+        found = min_logical_search(sigs, k, 6)
+        assert (found.distance, found.witness) == (6, (8, 10, 12, 14, 16, 18))
+        assert found.table_entries == comb(n, 1) + comb(n, 2) + comb(n, 3)
+
+    def test_capped_question_stops_where_it_did(self):
+        # hgp(rep3, rep3, H7) level 1, X with a 100k-entry table: n = 109,
+        # dim 46, so no enumeration; level 6 needs C(109, 3) = 209,934 entries
+        q = grid_code("r3r3h7", 1)
+        message = ("code too large for exhaustive css_distance; use the fault-search bound "
+                   "(effective_distance with an explicit max_d) instead")
+        with pytest.raises(CapExceeded, match=f"^{re.escape(message)}$"):
+            css_search(q, "X", table_cap=100_000)
+        sigs, k = logical_signatures(q, "X", [1 << j for j in range(q.n)])
+        found = min_logical_search(sigs, k, q.n, 100_000, 10_000_000, witness=False)
+        assert (found.distance, found.route, found.level, found.cap_count) == (None, "mitm", 6, comb(109, 3))
