@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Time the GF(2) layers on each stage of a weight-reduction chain.
+"""Time the GF(2) and construction layers on each stage of a weight-reduction chain.
 
 The chain starts from the hypergraph product of two seeded 5 x 8 classical
 codes with row weight 4 (n = 89) and runs copy -> gauge -> thicken(2) on one
-branch and cone -> thicken_cone(2) on the other.  For every stage it prints
-the best-of-N perf_counter time, in milliseconds, of rank, kernel_basis and
-solve on both check matrices, of logical_signatures over the unit vectors in
-both bases, and (on the thickened stage, which carries a schedule) of
-component_weight_audit over its hook faults.
+branch and cone -> thicken_cone(2) on the other, carrying a seeded baseline
+schedule through every stage.  For every stage it prints the best-of-N
+perf_counter time, in milliseconds, of rank, kernel_basis and solve on both
+check matrices, of logical_signatures over the unit vectors in both bases,
+of component_weight_audit over the hook faults (thickened stage only), of
+enumerate_faults in both bases, of Schedule.validate, and of the product
+construction that builds the stage (input: hgp; thicken and thicken_cone:
+reduce.thicken; "-" elsewhere).
 
     PYTHONPATH=src python scripts/gf2_layers.py [--seed S] [--repeat N]
 """
@@ -20,9 +23,13 @@ from qwr.codes import ClassicalCode, CssCode, logical_signatures
 from qwr.f2la import BinMatrix, kernel_basis, mat_vec, rank, solve
 from qwr.faultdist import component_weight_audit, enumerate_faults
 from qwr.hgp import hgp
+from qwr.reduce import thicken
 from qwr.schedule import baseline_schedule, carry
 
-LAYERS = ("rank", "kernel_basis", "solve", "logical_signatures", "component_weight_audit")
+LAYERS = (
+    "rank", "kernel_basis", "solve", "logical_signatures", "component_weight_audit",
+    "enumerate_faults", "validate", "product",
+)
 
 
 def regular_classical(rng: random.Random, n: int, r: int, row_weight: int) -> ClassicalCode:
@@ -39,19 +46,26 @@ def regular_classical(rng: random.Random, n: int, r: int, row_weight: int) -> Cl
                 return ClassicalCode(h)
 
 
-def build_chain(seed: int) -> list[tuple[str, CssCode, list | None]]:
-    """(stage, code, audit arguments or None) for each stage of the chain."""
+def build_chain(seed: int) -> list[tuple]:
+    """(stage, code, schedule, audit arguments or None, product build or None)
+    for each stage of the chain."""
     rng = random.Random(seed)
-    q = hgp(regular_classical(rng, 8, 5, 4), regular_classical(rng, 8, 5, 4))
-    qc, mc, cm, _ = carry("copy", q, baseline_schedule(q, seed))
+    c1, c2 = regular_classical(rng, 8, 5, 4), regular_classical(rng, 8, 5, 4)
+    q = hgp(c1, c2)
+    m = baseline_schedule(q, seed)
+    qc, mc, cm, _ = carry("copy", q, m)
     qg, mg, gm, _ = carry("gauge", qc, mc, cm)
     qt, mt, bm, _ = carry("thicken", qg, mg, gm, ell=2)
     faults = enumerate_faults(qt, mt, "X") + enumerate_faults(qt, mt, "Z")
-    qk, _, _, _ = carry("cone", q, None)
-    qkt, _, _, _ = carry("cone", q, None, cone_ell=2)
+    qk, mk, _, _ = carry("cone", q, m)
+    qkt, mkt, _, _ = carry("cone", q, m, cone_ell=2)
     return [
-        ("input", q, None), ("copy", qc, None), ("gauge", qg, None), ("thicken", qt, [bm, faults]),
-        ("cone", qk, None), ("thicken_cone", qkt, None),
+        ("input", q, m, None, lambda: hgp(c1, c2)),
+        ("copy", qc, mc, None, None),
+        ("gauge", qg, mg, None, None),
+        ("thicken", qt, mt, [bm, faults], lambda: thicken(qg, 2)),
+        ("cone", qk, mk, None, None),
+        ("thicken_cone", qkt, mkt, None, lambda: thicken(qk.transposed(), 2)),
     ]
 
 
@@ -67,7 +81,7 @@ def best_of(repeat: int, fn, make=lambda: None) -> float:
     return 1e3 * best
 
 
-def layer_times(q: CssCode, audit, repeat: int, rng: random.Random) -> list[float | None]:
+def layer_times(q: CssCode, m, audit, product, repeat: int, rng: random.Random) -> list[float | None]:
     mats = (q.h_x, q.h_z)
     rhs = [mat_vec(h, rng.getrandbits(q.n)) for h in mats]
     units = [1 << j for j in range(q.n)]
@@ -78,6 +92,9 @@ def layer_times(q: CssCode, audit, repeat: int, rng: random.Random) -> list[floa
         # a fresh CssCode per call, so no cached pivots carry over
         best_of(repeat, lambda c: [logical_signatures(c, b, units) for b in "XZ"], lambda: CssCode(*mats)),
         None if audit is None else best_of(repeat, lambda _: component_weight_audit(q, *audit)),
+        best_of(repeat, lambda _: [enumerate_faults(q, m, b) for b in "XZ"]),
+        best_of(repeat, lambda _: m.validate(q)),
+        None if product is None else best_of(repeat, lambda _: product()),
     ]
 
 
@@ -89,8 +106,8 @@ def main(argv=None) -> None:
     rng = random.Random(args.seed)
     print(f"ms, best of {args.repeat} calls")
     print(f"{'stage':<13}{'n':>6}" + "".join(f"  {name}" for name in LAYERS))
-    for stage, q, audit in build_chain(args.seed):
-        cells = ["-" if t is None else f"{t:.2f}" for t in layer_times(q, audit, args.repeat, rng)]
+    for stage, q, m, audit, product in build_chain(args.seed):
+        cells = ["-" if t is None else f"{t:.2f}" for t in layer_times(q, m, audit, product, args.repeat, rng)]
         print(f"{stage:<13}{q.n:>6}" + "".join(f"  {c:>{len(name)}}" for c, name in zip(cells, LAYERS)))
 
 

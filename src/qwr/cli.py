@@ -310,7 +310,7 @@ def _effective_entry(code: CssCode, schedule: Schedule, basis: str, max_d: int) 
                 "qubit": None if g.qubit is None else g.qubit + 1,
                 "step": None if g.step is None else g.step + 1,
                 "cut": g.cut,
-                "residual": [j + 1 for j in sorted(bit_indices(g.residual))],
+                "residual": [j + 1 for j in bit_indices(g.residual)],
             }
             for g in res.witness
         ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -24,6 +25,7 @@ from .f2la import (
     BinMatrix,
     Pivots,
     add_pivot,
+    bit_indices,
     echelon,
     kernel_basis,
     mat_mul,
@@ -240,7 +242,8 @@ def logical_basis(q: CssCode, basis: str) -> BinMatrix:
     opp = q.h("Z" if basis == "X" else "X")
     ker = kernel_basis(opp)
     pivots = q.stab_pivots(basis).copy()
-    reps = [v for v in ker.rows if add_pivot(pivots, v)]
+    # once k representatives are in, the pivots span ker(opp): no later vector adds one
+    reps = list(islice((v for v in ker.rows if add_pivot(pivots, v)), q.k))
     out = []
     for v in reps:
         improved = True
@@ -458,7 +461,8 @@ def _connected_walk(syn, pair, nbr, r):
         return
     for v in range(len(syn)):
         above = -2 << v
-        yield from _esu(syn, pair, nbr, r - 1, (v,), _bits(nbr[v] & above), nbr[v] | 1 << v, above, syn[v], pair[v])
+        yield from _esu(syn, pair, nbr, r - 1, (v,), bit_indices(nbr[v] & above), nbr[v] | 1 << v, above,
+                        syn[v], pair[v])
 
 
 def _esu(syn, pair, nbr, m, chosen, ext, closed, above, s, p):
@@ -468,25 +472,15 @@ def _esu(syn, pair, nbr, m, chosen, ext, closed, above, s, p):
         yield chosen, ext, s, p
         return
     for j, w in enumerate(ext):
-        yield from _esu(syn, pair, nbr, m - 1, chosen + (w,), ext[j + 1:] + _bits(nbr[w] & ~closed & above),
+        yield from _esu(syn, pair, nbr, m - 1, chosen + (w,), ext[j + 1:] + bit_indices(nbr[w] & ~closed & above),
                         closed | nbr[w], above, s ^ syn[w], p ^ pair[w])
-
-
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _holders(syn):
     """Per syndrome bit, the ascending indices of the signatures whose syndromes hold it."""
     out: dict[int, list[int]] = {}
     for i, s in enumerate(syn):
-        for b in _bits(s):
+        for b in bit_indices(s):
             out.setdefault(b, []).append(i)
     return out
 
@@ -497,7 +491,7 @@ def _neighbours(syn, holders):
     out = []
     for i, s in enumerate(syn):
         m = 0
-        for b in _bits(s):
+        for b in bit_indices(s):
             m |= masks[b]
         out.append(m & ~(1 << i))
     return out

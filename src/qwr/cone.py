@@ -151,7 +151,7 @@ def build_cone_parts(
         pos = {qb: p for p, qb in enumerate(sup)}
         zero_cells: list[tuple[int | None, int, int]] = []
         for xr in range(q.n_x):
-            inter = sorted(bit_indices(q.h_x.rows[xr] & sup_mask))
+            inter = bit_indices(q.h_x.rows[xr] & sup_mask)
             if len(inter) % 2:
                 raise ValueError(f"X row {xr} overlaps coned Z row {zr} oddly (non-commuting input)")
             for qa, qb in pairing(inter):

@@ -9,7 +9,7 @@ it hits, not a test per pivot.  All functions are pure; matrices are immutable.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class BinMatrix:
@@ -85,7 +85,7 @@ class BinMatrix:
 
     def row_support(self, i: int) -> list[int]:
         """Sorted column indices of the ones in row i."""
-        return sorted(bit_indices(self.rows[i]))
+        return bit_indices(self.rows[i])
 
     def row_weights(self) -> list[int]:
         return [r.bit_count() for r in self.rows]
@@ -120,12 +120,14 @@ class BinMatrix:
         return f"BinMatrix({self.nrows}x{self.ncols})"
 
 
-def bit_indices(v: int) -> Iterator[int]:
-    """Yield the set-bit positions of v in ascending order."""
+def bit_indices(v: int) -> list[int]:
+    """The set-bit positions of v, ascending."""
+    out = []
     while v:
         low = v & -v
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         v ^= low
+    return out
 
 
 def parity(v: int) -> int:
@@ -284,10 +286,11 @@ def kron(a: BinMatrix, b: BinMatrix) -> BinMatrix:
     """Kronecker product, index (ia*b.nrows + ib, ja*b.ncols + jb)."""
     out = []
     for ra in a.rows:
+        shifts = [ja * b.ncols for ja in bit_indices(ra)]
         for rb in b.rows:
             v = 0
-            for ja in bit_indices(ra):
-                v |= rb << (ja * b.ncols)
+            for sh in shifts:
+                v |= rb << sh
             out.append(v)
     return BinMatrix(out, a.ncols * b.ncols)
 

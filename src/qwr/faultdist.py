@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .codes import INF, MITM_TABLE_CAP, CapExceeded, CssCode, logical_signatures, min_logical_search
 from .reduce import BalanceMap
@@ -23,8 +24,7 @@ ORACLE_COMBO_CAP = 100_000_000
 DEFAULT_MAX_D = 6
 
 
-@dataclass(frozen=True)
-class FaultGenerator:
+class FaultGenerator(NamedTuple):
     """Residual data-error vector of one elementary fault."""
 
     kind: str  # "data" | "hook"
@@ -60,9 +60,9 @@ def enumerate_faults(q: CssCode, m: Schedule, basis: str, dedup: bool = True) ->
     stabilizer and the empty suffix is trivial.  Duplicate residuals keep the
     lowest origin.
     """
-    gens = []
-    for qb in range(q.n):
-        gens.append(FaultGenerator("data", basis, 1 << qb, qubit=qb))
+    gens = [FaultGenerator("data", basis, 1 << qb, qubit=qb) for qb in range(q.n)]
+    # generators come out by ascending origin, so the first of a residual is kept
+    seen = {g.residual for g in gens} if dedup else set()
     for si, s in enumerate(m.steps):
         if s.basis != basis:
             continue
@@ -73,20 +73,13 @@ def enumerate_faults(q: CssCode, m: Schedule, basis: str, dedup: bool = True) ->
             rev.append(suffix)
         # rev[i] is the residual for cut position w-1-i; emit k = 1..w-1.
         for k in range(1, len(s.order)):
-            gens.append(
-                FaultGenerator(
-                    "hook", basis, rev[len(s.order) - 1 - k],
-                    step=si, row=s.row, step_basis=s.basis, cut=k,
-                )
-            )
-    if not dedup:
-        return gens
-    seen: dict[int, FaultGenerator] = {}
-    for g in gens:
-        old = seen.get(g.residual)
-        if old is None or g.origin < old.origin:
-            seen[g.residual] = g
-    return sorted(seen.values(), key=lambda g: g.origin)
+            residual = rev[len(s.order) - 1 - k]
+            if residual in seen:
+                continue
+            if dedup:
+                seen.add(residual)
+            gens.append(FaultGenerator("hook", basis, residual, step=si, row=s.row, step_basis=s.basis, cut=k))
+    return gens
 
 
 def effective_distance(

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .codes import INF, ChainComplex, ClassicalCode, CssCode, classical_distance, complex_to_css
-from .f2la import BinMatrix, block_matrix, kron, rank, transpose
+from .codes import INF, ChainComplex, ClassicalCode, CssCode, classical_distance
+from .f2la import BinMatrix, kron, rank, transpose
 
 
 def one_complex(c: ClassicalCode, dualized: bool = False) -> ChainComplex:
@@ -19,33 +19,43 @@ def one_complex(c: ClassicalCode, dualized: bool = False) -> ChainComplex:
 
 def tensor_complex(a: ChainComplex, b: ChainComplex) -> ChainComplex:
     """Total complex of the double complex, no signs over GF(2)."""
-    la, lb = a.length, b.length
+    return ChainComplex(tuple(_total_boundary(a, b, total) for total in range(a.length + b.length, 0, -1)))
 
-    def blocks(total: int) -> list[tuple[int, int]]:
-        return [(i, total - i) for i in range(min(total, la), -1, -1) if total - i <= lb]
 
-    boundaries = []
-    for total in range(la + lb, 0, -1):
-        src = blocks(total)
-        dst = blocks(total - 1)
-        dst_pos = {blk: t for t, blk in enumerate(dst)}
-        grid = [
-            [BinMatrix.zeros(a.dim(i) * b.dim(j), a.dim(si) * b.dim(sj)) for (si, sj) in src]
-            for (i, j) in dst
-        ]
-        for s, (i, j) in enumerate(src):
-            if i >= 1 and (i - 1, j) in dst_pos:
-                grid[dst_pos[(i - 1, j)]][s] = kron(a.boundary(i), BinMatrix.identity(b.dim(j)))
-            if j >= 1 and (i, j - 1) in dst_pos:
-                grid[dst_pos[(i, j - 1)]][s] = kron(BinMatrix.identity(a.dim(i)), b.boundary(j))
-        boundaries.append(block_matrix(grid))
-    return ChainComplex(tuple(boundaries))
+def product_css(a: ChainComplex, b: ChainComplex, level: int) -> CssCode:
+    """complex_to_css(tensor_complex(a, b), level), building only the two
+    boundaries the code reads."""
+    if not 1 <= level <= a.length + b.length - 1:
+        raise ValueError(f"level must be in 1..{a.length + b.length - 1}, got {level}")
+    return CssCode(_total_boundary(a, b, level), transpose(_total_boundary(a, b, level + 1)))
+
+
+def _total_boundary(a: ChainComplex, b: ChainComplex, total: int) -> BinMatrix:
+    """The total complex's map out of degree total.  Block (i, j) of a degree
+    maps by d_i x 1 to block (i - 1, j) and by 1 x d_j to block (i, j - 1);
+    blocks sit at their offsets by descending i."""
+
+    def offsets(t: int) -> tuple[dict[tuple[int, int], int], int]:
+        out, at = {}, 0
+        for i in range(min(t, a.length), max(t - b.length, 0) - 1, -1):
+            out[(i, t - i)] = at
+            at += a.dim(i) * b.dim(t - i)
+        return out, at
+
+    (src, ncols), (dst, nrows) = offsets(total), offsets(total - 1)
+    rows = [0] * nrows
+    for (i, j), col in src.items():
+        parts = [(dst[(i - 1, j)], kron(a.boundary(i), BinMatrix.identity(b.dim(j))))] if i else []
+        parts += [(dst[(i, j - 1)], kron(BinMatrix.identity(a.dim(i)), b.boundary(j)))] if j else []
+        for at, m in parts:
+            for r, v in enumerate(m.rows, at):
+                rows[r] |= v << col
+    return BinMatrix(rows, ncols)
 
 
 def hgp(c1: ClassicalCode, c2: ClassicalCode) -> CssCode:
     """Hypergraph product of two classical codes (second factor dualized)."""
-    prod = tensor_complex(one_complex(c1), one_complex(c2, dualized=True))
-    return complex_to_css(prod, 1)
+    return product_css(one_complex(c1), one_complex(c2, dualized=True), 1)
 
 
 @dataclass(frozen=True)
@@ -78,9 +88,9 @@ def higher_dim_hgp(spec: ProductSpec) -> tuple[CssCode, ProductLayout]:
     """Iterated tensor product of 1-complexes, read off at the given level."""
     complexes = [one_complex(c, d) for c, d in zip(spec.factors, spec.dualized)]
     prod = complexes[0]
-    for nxt in complexes[1:]:
+    for nxt in complexes[1:-1]:
         prod = tensor_complex(prod, nxt)
-    code = complex_to_css(prod, spec.level)
+    code = product_css(prod, complexes[-1], spec.level)
     layout = ProductLayout(spec.level, tuple(_level_blocks(complexes, spec.level)))
     return code, layout
 

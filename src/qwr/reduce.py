@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .codes import ClassicalCode, CssCode, complex_to_css, css_to_complex, repetition_code
+from .codes import ClassicalCode, CssCode, css_to_complex, repetition_code
 from .f2la import BinMatrix
-from .hgp import one_complex, tensor_complex
+from .hgp import one_complex, product_css
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,7 @@ def balance_x(q: CssCode, c: ClassicalCode) -> tuple[CssCode, BalanceMap]:
     """
     if not c.full_row_rank:
         raise ValueError("classical check matrix must have full row rank")
-    code = complex_to_css(tensor_complex(css_to_complex(q), one_complex(c, dualized=True)), 1)
+    code = product_css(css_to_complex(q), one_complex(c, dualized=True), 1)
     return code, BalanceMap(q.n, q.n_x, q.n_z, c.n, c.k, c.h, q.h_x, q.h_z)
 
 

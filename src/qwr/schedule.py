@@ -42,8 +42,11 @@ class Schedule:
             if s.row in seen[s.basis]:
                 raise ValueError(f"duplicate step for {s.basis} row {s.row}")
             seen[s.basis].add(s.row)
-            support = set(h.row_support(s.row))
-            if len(s.order) != len(set(s.order)) or set(s.order) != support:
+            # a negative index leaves the mask empty, so len(order) tells
+            mask = 0
+            for qb in s.order if min(s.order, default=0) >= 0 else ():
+                mask |= 1 << qb
+            if mask != h.rows[s.row] or len(s.order) != mask.bit_count():
                 raise ValueError(f"gate order of {s.basis} row {s.row} is not its support")
         if len(seen["X"]) != q.n_x or len(seen["Z"]) != q.n_z:
             raise ValueError("schedule does not cover every stabilizer row exactly once")

@@ -8,7 +8,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from qwr.codes import INF, ClassicalCode, CssCode
-from qwr.f2la import BinMatrix, block_matrix, hstack, kernel_basis, kron, mat_vec, rank, transpose
+from qwr.f2la import BinMatrix, add_pivot, block_matrix, hstack, kernel_basis, kron, mat_vec, rank, transpose
+from qwr.faultdist import FaultGenerator
 from qwr.hgp import hgp
 from qwr.schedule import Schedule, Step, dual_schedule
 
@@ -483,3 +484,65 @@ def reference_gauge_patches(q, new_qubits):
         if patch:
             z_patch[zr] = tuple(sorted(patch))
     return z_rows, z_patch
+
+
+def reference_logical_basis_full(q, basis):
+    """logical_basis reducing every kernel vector against the stabilizer
+    pivots, as it did before stopping at k representatives."""
+    same = q.h(basis)
+    ker = kernel_basis(q.h("Z" if basis == "X" else "X"))
+    pivots = q.stab_pivots(basis).copy()
+    reps = [v for v in ker.rows if add_pivot(pivots, v)]
+    out = []
+    for v in reps:
+        improved = True
+        while improved:
+            improved = False
+            for s in same.rows:
+                if (v ^ s).bit_count() < v.bit_count():
+                    v ^= s
+                    improved = True
+        out.append(v)
+    return BinMatrix(out, q.n)
+
+
+def reference_enumerate_faults(q, m, basis, dedup=True):
+    """enumerate_faults building every generator, then keeping the lowest
+    origin per residual in a dict and sorting by origin."""
+    gens = [FaultGenerator("data", basis, 1 << qb, qubit=qb) for qb in range(q.n)]
+    for si, s in enumerate(m.steps):
+        if s.basis != basis:
+            continue
+        suffix = 0
+        rev = []
+        for qb in reversed(s.order):
+            suffix |= 1 << qb
+            rev.append(suffix)
+        for k in range(1, len(s.order)):
+            residual = rev[len(s.order) - 1 - k]
+            gens.append(FaultGenerator("hook", basis, residual, step=si, row=s.row, step_basis=s.basis, cut=k))
+    if not dedup:
+        return gens
+    seen = {}
+    for g in gens:
+        old = seen.get(g.residual)
+        if old is None or g.origin < old.origin:
+            seen[g.residual] = g
+    return sorted(seen.values(), key=lambda g: g.origin)
+
+
+def reference_schedule_validate(m, q):
+    """Schedule.validate comparing each gate order with its row's support as sets."""
+    seen = {"X": set(), "Z": set()}
+    for s in m.steps:
+        h = q.h(s.basis)
+        if not 0 <= s.row < h.nrows:
+            raise ValueError(f"{s.basis} row {s.row} out of range")
+        if s.row in seen[s.basis]:
+            raise ValueError(f"duplicate step for {s.basis} row {s.row}")
+        seen[s.basis].add(s.row)
+        support = set(h.row_support(s.row))
+        if len(s.order) != len(set(s.order)) or set(s.order) != support:
+            raise ValueError(f"gate order of {s.basis} row {s.row} is not its support")
+    if len(seen["X"]) != q.n_x or len(seen["Z"]) != q.n_z:
+        raise ValueError("schedule does not cover every stabilizer row exactly once")

@@ -449,8 +449,14 @@ class TestTooling:
         rows = {line.split()[0]: line.split()[1:] for line in res.stdout.splitlines()[2:]}
         assert list(rows) == ["input", "copy", "gauge", "thicken", "cone", "thicken_cone"]
         assert rows["input"][0] == "89" and rows["thicken"][0] == "1679"
-        assert all(len(cells) == 6 for cells in rows.values())
-        assert rows["thicken"][-1] != "-" and rows["copy"][-1] == "-"
+        header = res.stdout.splitlines()[1].split()
+        assert header[2:] == ["rank", "kernel_basis", "solve", "logical_signatures", "component_weight_audit",
+                              "enumerate_faults", "validate", "product"]
+        assert all(len(cells) == 9 for cells in rows.values())
+        assert rows["thicken"][5] != "-" and rows["copy"][5] == "-"
+        # every stage carries a schedule; only hgp and the thickenings are product builds
+        assert all("-" not in cells[6:8] for cells in rows.values())
+        assert [stage for stage, cells in rows.items() if cells[8] != "-"] == ["input", "thicken", "thicken_cone"]
 
     def test_search_costs_script(self):
         res = self.run("scripts/search_costs.py", "--repeat", "1")

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -213,7 +212,7 @@ class TestComponentAudit:
                 assert rep.ok and (rep.checked, rep.violations) == reference_component_audit(bm, faults)
                 # residuals of two hooks from different steps may span rows and columns
                 hooks = [g for g in faults if g.kind == "hook"]
-                mixed = faults + [replace(g, residual=g.residual ^ h.residual) for g, h in zip(hooks, hooks[5:])]
+                mixed = faults + [g._replace(residual=g.residual ^ h.residual) for g, h in zip(hooks, hooks[5:])]
                 rep = component_weight_audit(qt, bm, mixed)
                 assert not rep.ok and (rep.checked, rep.violations) == reference_component_audit(bm, mixed)
 
