@@ -20,7 +20,7 @@ from .codes import (
 from .f2la import BinMatrix
 from .reduce import balance_x, balance_z, choose_heights, copy_code, gauge_code, greedy_heights, thicken
 from .cone import build_cone_parts, cellulate, cone_code, soundness_lambda, thicken_cone
-from .hgp import ProductSpec, higher_dim_hgp, hgp, kunneth_distance_predictor, product_css, tensor_complex
+from .hgp import ProductSpec, higher_dim_hgp, hgp, kunneth_distance_predictor, tensor_complex
 from .schedule import (
     Schedule,
     balanced_schedule,

@@ -226,9 +226,14 @@ def css_to_complex(q: CssCode) -> ChainComplex:
 
 def complex_to_css(c: ChainComplex, level: int) -> CssCode:
     """CSS code at homology level a: h_x = d_a, h_z = d_{a+1}^T."""
-    if not 1 <= level <= c.length - 1:
-        raise ValueError(f"level must be in 1..{c.length - 1}, got {level}")
-    return CssCode(c.boundary(level), transpose(c.boundary(level + 1)))
+    return css_at_level(c.length, c.boundary, level)
+
+
+def css_at_level(length: int, boundary: Callable[[int], BinMatrix], level: int) -> CssCode:
+    """complex_to_css of a complex whose maps boundary(i) builds on demand."""
+    if not 1 <= level <= length - 1:
+        raise ValueError(f"level must be in 1..{length - 1}, got {level}")
+    return CssCode(boundary(level), transpose(boundary(level + 1)))
 
 
 def logical_basis(q: CssCode, basis: str) -> BinMatrix:

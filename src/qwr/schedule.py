@@ -42,9 +42,10 @@ class Schedule:
             if s.row in seen[s.basis]:
                 raise ValueError(f"duplicate step for {s.basis} row {s.row}")
             seen[s.basis].add(s.row)
-            # a negative index leaves the mask empty, so len(order) tells
+            if s.order and not 0 <= min(s.order) <= max(s.order) < h.ncols:
+                raise ValueError(f"gate order of {s.basis} row {s.row} is not its support")
             mask = 0
-            for qb in s.order if min(s.order, default=0) >= 0 else ():
+            for qb in s.order:
                 mask |= 1 << qb
             if mask != h.rows[s.row] or len(s.order) != mask.bit_count():
                 raise ValueError(f"gate order of {s.basis} row {s.row} is not its support")

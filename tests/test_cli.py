@@ -27,7 +27,7 @@ from qwr.cli import (
 from qwr.codes import CapExceeded, CssCode, repetition_code, steane_code
 from qwr.f2la import BinMatrix
 from qwr.hgp import hgp
-from qwr.schedule import Schedule, Step, format_schedule, parse_schedule
+from qwr.schedule import Schedule, Step, baseline_schedule, format_schedule, parse_schedule
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 REP3_ALIST = "3 2\n2 2\n1 2 1\n2 2\n1 0\n1 2\n2 0\n1 2\n2 3\n"
@@ -329,6 +329,15 @@ class TestMainEntry:
         sched = tmp_path / "m.schedule"
         sched.write_text("X 1 : 1 3 5 7\n")
         assert main(["faultdist", "--hx", hx, "--hz", hz, "--schedule", f"file:{sched}"]) == 2
+
+    @pytest.mark.parametrize("index", [8, 10**20])
+    def test_schedule_index_beyond_n_exit_two(self, steane_files, tmp_path, capsys, index):
+        hx, hz = steane_files
+        good = format_schedule(baseline_schedule(steane_code())).splitlines()
+        sched = tmp_path / "m.schedule"
+        sched.write_text("\n".join([good[0] + f" {index}"] + good[1:]) + "\n")
+        assert main(["faultdist", "--hx", hx, "--hz", hz, "--schedule", f"file:{sched}"]) == 2
+        assert capsys.readouterr().err == "audit failure: gate order of X row 0 is not its support\n"
 
     def test_schedule_without_max_d_labelled_skipped(self, steane_files, tmp_path, capsys):
         hx, hz = steane_files

@@ -138,6 +138,8 @@ class TestValidate:
         edits = {
             "negative": order[:-1] + (-1,),
             "beyond_n": order[:-1] + (q.n,),
+            "huge": order[:-1] + (10**20,),
+            "huge_negative": (-(10**20),) + order[1:],
             "repeated": order + (order[0],),
             "repeated_swap": order[:-1] + (order[0],),
             "missing": order[:-1],
@@ -159,12 +161,14 @@ class TestValidate:
         for name, m in self.bad_schedules(q).items():
             got = validate_message(Schedule.validate, m, q)
             assert got == validate_message(reference_schedule_validate, m, q), name
-            if name in ("negative", "beyond_n", "repeated", "repeated_swap", "missing", "extra", "empty"):
+            if name in ("negative", "beyond_n", "huge", "huge_negative", "repeated", "repeated_swap", "missing",
+                        "extra", "empty"):
                 assert got == f"gate order of X row {m.steps[0].row} is not its support", name
             assert (got is None) == (name == "good"), name
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from("XZ"), st.integers(-1, 4), st.lists(st.integers(-2, 8), max_size=6)),
+    @given(st.lists(st.tuples(st.sampled_from("XZ"), st.integers(-1, 4),
+                              st.lists(st.integers(-2, 8) | st.sampled_from([64, 10**20, -(10**20)]), max_size=6)),
                     max_size=8))
     def test_fuzzed_schedules(self, raw):
         q = steane_code()
