@@ -10,7 +10,14 @@ lookups; table_entries: subsets put into tables) and the best-of-N
 perf_counter time of css_search in milliseconds.  A class that exceeds a
 cap prints route "capped" with the level the cap stopped at.
 
-    PYTHONPATH=src python scripts/search_costs.py [--repeat N]
+With --faults it times the effective-distance search instead: Steane and
+surface 2x3, each carried through copy -> gauge -> thicken(2) with the
+seed-0 baseline schedule, in both bases at max_d 5.  Per case it prints the
+fault generators, the distance, the level that answered, the same work
+counts and the best-of-N time of faultdist.effective_distance (generators
+given, so fault enumeration is not timed).
+
+    PYTHONPATH=src python scripts/search_costs.py [--repeat N] [--faults]
 """
 
 import argparse
@@ -25,8 +32,13 @@ from qwr.codes import (
     logical_signatures,
     min_logical_search,
     repetition_code,
+    steane_code,
+    surface_code_2x3,
 )
+from qwr.faultdist import effective_distance, enumerate_faults
 from qwr.hgp import ProductSpec, higher_dim_hgp, kunneth_distance_predictor
+from qwr.reduce import copy_code, gauge_code, thicken
+from qwr.schedule import balanced_schedule, baseline_schedule, copied_schedule, gauged_schedule
 
 FACTORS = {"r2": repetition_code(2), "r3": repetition_code(3), "h7": hamming_7_4()}
 MAX_N = 140
@@ -70,11 +82,47 @@ def timed_search(q, basis, repeat: int):
     return found, 1e3 * best
 
 
+FAULT_CODES = {"steane": steane_code, "surface2x3": surface_code_2x3}
+FAULT_MAX_D = 5
+
+
+def carried_thickening(q):
+    """copy -> gauge -> thicken(2) with the seed-0 baseline schedule carried along."""
+    m = baseline_schedule(q, 0)
+    qc, cm = copy_code(q)
+    qg, gm = gauge_code(qc)
+    qt, bm = thicken(qg, 2)
+    return qt, balanced_schedule(gauged_schedule(copied_schedule(m, cm), gm, cm), bm)
+
+
+def fault_costs(repeat: int) -> None:
+    """One row per (code, basis) effective search; see the module docstring."""
+    print(f"{'code':<11}{'b':>1}{'gens':>6}{'d':>5}{'level':>6}{'probes':>10}{'table_entries':>15}{'ms':>10}")
+    for name, build in FAULT_CODES.items():
+        q, m = carried_thickening(build())
+        for basis in ("X", "Z"):
+            gens = enumerate_faults(q, m, basis)
+            sigs, k = logical_signatures(q, basis, [g.residual for g in gens])
+            found = min_logical_search(sigs, k, FAULT_MAX_D)
+            best = float("inf")
+            for _ in range(repeat):
+                t0 = time.perf_counter()
+                effective_distance(q, m, basis, FAULT_MAX_D, generators=gens)
+                best = min(best, time.perf_counter() - t0)
+            print(f"{name:<11}{basis:>1}{len(gens):>6}{found.distance:>5}{found.level:>6}{found.probes:>10}"
+                  f"{found.table_entries:>15}{1e3 * best:>10.2f}")
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeat", type=int, default=5, help="calls per timing; the least is printed")
+    ap.add_argument("--faults", action="store_true",
+                    help=f"time effective searches on carried schedules at max_d {FAULT_MAX_D}")
     args = ap.parse_args(argv)
     print(f"ms, best of {args.repeat} calls")
+    if args.faults:
+        fault_costs(args.repeat)
+        return
     print(f"{'product':<8}{'L':>2} {'b':>1}{'n':>5}{'dim':>5}{'d':>3}  {'route':<10}{'level':>5}"
           f"{'probes':>10}{'table_entries':>15}{'ms':>10}")
     for name, level, basis, q, dim, d in grid_classes():

@@ -8,8 +8,9 @@ probes only subsets connected through shared syndrome bits.  Such a level
 builds no table for the next ones: they meet a table one size short through
 an anchor, the lowest syndrome bit of the probe, whose holders supply the
 missing item, and fill the full table only once the anchor's extra lookups
-have cost as much.  Infinite distance is the float ``inf`` sentinel so that
-``min()`` treats it as absorbing.
+have cost as much.  An odd connected level that holds the full table walks
+its smaller half through the same anchor.  Infinite distance is the float
+``inf`` sentinel so that ``min()`` treats it as absorbing.
 """
 
 from __future__ import annotations
@@ -317,9 +318,11 @@ class Search(NamedTuple):
     cap_count is the subset count that exceeded the cap; witness holds the
     sorted signature indices of one minimum set.  probes counts table
     lookups: one per subset probed against a full table, one per holder of
-    the anchor bit against a table one size short.  table_entries counts
-    the subsets put into tables.  (A NamedTuple: small searches build one
-    per call, and it builds faster than a frozen dataclass.)"""
+    the anchor bit when a subset is probed through the anchor (against a
+    table one size short, or as the small side of an odd connected level).
+    table_entries counts the subsets put into tables.  (A NamedTuple: small
+    searches build one per call, and it builds faster than a frozen
+    dataclass.)"""
     distance: int | float | None
     witness: tuple[int, ...] | None
     route: str  # "mitm" | "exhaustive"
@@ -338,11 +341,13 @@ def min_logical_search(
     Only the first occurrence of each distinct nonzero signature is searched:
     a minimum set holds no zero signature (drop it) and no equal pair (the
     two cancel), and swapping a later duplicate for its first occurrence
-    keeps a set hitting while making it lex-smaller.  Level t = 1..max_t
-    walks ceil(t/2)-subsets with running prefix XORs and looks each one up
-    in a table of floor(t/2)-subsets, which maps each syndrome to its
-    pairing, or to MULTI once two pairings share it; a subset hits when the
-    table holds its syndrome with another pairing.  The size-s table serves
+    keeps a set hitting while making it lex-smaller.  So levels stop at n,
+    the number of distinct nonzero signatures; beyond it the answer is inf
+    at level max_t, as if every level had been searched.  Level t walks
+    ceil(t/2)-subsets with running prefix XORs and looks each one up in a
+    table of floor(t/2)-subsets, which maps each syndrome to its pairing,
+    or to MULTI once two pairings share it; a subset hits when the table
+    holds its syndrome with another pairing.  The size-s table serves
     t = 2s and 2s+1.  Where all ceil(t/2)-subsets outnumber n^2 pairs, only
     the connected ones are probed: calling two signatures adjacent when
     their syndromes share a bit, a minimum set is connected (parts with
@@ -363,6 +368,18 @@ def min_logical_search(
     the full table costs, the table is filled and the walk goes on against
     it.  A table two sizes short for level t + 1 is never used: level t
     fills the size-floor(t/2) table at its end when plan(t + 1) is MITM.
+
+    An odd connected level t = 2s + 1 that has the full size-s table walks
+    the connected s-subsets instead, each through the anchor against that
+    same table.  It hits on the same levels: a minimum t-set S is connected,
+    so it holds a connected s-subset A (drop leaves of a spanning tree);
+    syn(A) != 0, so some b in S - A holds sigma, and S - A - {b} is in the
+    table; a match that overlaps A or repeats b XORs to a shorter logical.
+    A lookup (A, b) with b not in A is the lookup of the connected
+    (s+1)-set A + {b}, which at most s + 1 choices of A give, so these are
+    at most s + 1 times the lookups of the (s+1)-walk; the holders inside A
+    (at most s) never hit.  Thickened Steane Z level 5 takes 70,759 lookups
+    over 4,141 pairs instead of 132,763.
 
     On the level that hits, the lex walk picks the witness against the full
     table (filled then if it is short): the lex-first hitting probe plus its
@@ -388,7 +405,8 @@ def min_logical_search(
     table, size, rent = {0: 0}, 0, 0  # every size-subset; extra lookups anchored on it so far
     holders = nbr = anchors = None  # built at the first connected and the first anchored level
     spent = probes = entries = 0
-    for t in range(1, max_t + 1):
+    top = min(max_t, n)  # a minimum set holds each distinct signature at most once
+    for t in range(1, top + 1):
         route = plan(t, spent)
         if route == "exhaustive":
             return Search(exhaustive[1](t), None, route, t, probes=probes, table_entries=entries)
@@ -397,20 +415,22 @@ def min_logical_search(
             over = comb(n, small) if comb(n, small) > table_cap else comb(n, big)
             return Search(None, None, "mitm", t, cap_count=over, probes=probes, table_entries=entries)
         spent += comb(n, big)
-        nxt = big > small and t < max_t and plan(t + 1, spent) == "mitm"  # level t + 1 needs size big
+        nxt = big > small and t < top and plan(t + 1, spent) == "mitm"  # level t + 1 needs size big
         connected = _connected_pays(n, big)
         if connected and nbr is None:
             holders = _holders(syn)
             nbr = _neighbours(syn, holders)
-        walk = _connected_walk(syn, pair, nbr, big) if connected else _lex_walk(syn, pair, big)
+        halve = connected and 0 < small == size < big  # odd level, full table: walk the small side, anchored
+        walk = _connected_walk(syn, pair, nbr, small if halve else big) if connected else _lex_walk(syn, pair, big)
         grow = nxt and not connected and size == small
         hit = None
-        if size < small:
+        if size < small or halve:
             if anchors is None:
                 anchors = {1 << b: [(syn[i], pair[i]) for i in held] for b, held in holders.items()}
-            hit, count, extra, walk = _anchored_probe(syn, pair, table, anchors, walk, comb(n, small) - rent)
+            budget = INF if halve else comb(n, small) - rent
+            hit, count, extra, walk = _anchored_probe(syn, pair, table, anchors, walk, budget)
             probes += count
-            rent += extra
+            rent += 0 if halve else extra  # only a table one size short pays rent
             if walk is not None:  # the extra lookups cost what the full table does: build it, go on direct
                 table, size, rent = _fill(syn, pair, small), small, 0
                 entries += comb(n, small)

@@ -295,14 +295,6 @@ def kron(a: BinMatrix, b: BinMatrix) -> BinMatrix:
     return BinMatrix(out, a.ncols * b.ncols)
 
 
-def hstack(a: BinMatrix, b: BinMatrix) -> BinMatrix:
-    if a.nrows != b.nrows:
-        raise ValueError(f"row mismatch: {a.shape} vs {b.shape}")
-    return BinMatrix(
-        [ra | (rb << a.ncols) for ra, rb in zip(a.rows, b.rows)], a.ncols + b.ncols
-    )
-
-
 def vstack(a: BinMatrix, b: BinMatrix) -> BinMatrix:
     if a.ncols != b.ncols:
         raise ValueError(f"column mismatch: {a.shape} vs {b.shape}")
@@ -312,17 +304,3 @@ def vstack(a: BinMatrix, b: BinMatrix) -> BinMatrix:
 def direct_sum(a: BinMatrix, b: BinMatrix) -> BinMatrix:
     rows = list(a.rows) + [r << a.ncols for r in b.rows]
     return BinMatrix(rows, a.ncols + b.ncols)
-
-
-def block_matrix(grid: Sequence[Sequence[BinMatrix]]) -> BinMatrix:
-    """Assemble a matrix from a rectangular grid of blocks."""
-    stripes = []
-    for row_blocks in grid:
-        stripe = row_blocks[0]
-        for blk in row_blocks[1:]:
-            stripe = hstack(stripe, blk)
-        stripes.append(stripe)
-    out = stripes[0]
-    for stripe in stripes[1:]:
-        out = vstack(out, stripe)
-    return out

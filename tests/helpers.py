@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from qwr.codes import INF, ClassicalCode, CssCode
-from qwr.f2la import BinMatrix, add_pivot, block_matrix, hstack, kernel_basis, kron, mat_vec, rank, transpose
+from qwr.f2la import BinMatrix, add_pivot, kernel_basis, kron, mat_vec, rank, transpose, vstack
 from qwr.faultdist import FaultGenerator
 from qwr.hgp import hgp
 from qwr.schedule import Schedule, Step, dual_schedule
@@ -124,6 +124,28 @@ def assert_thicken_lemma(q, qt, ell):
         assert qt.q_x == max(q.q_x, 2)
     if ell >= 2 and q.n >= 1:
         assert qt.w_z == max(q.w_z, q.q_x + 2)
+
+
+def hstack(a: BinMatrix, b: BinMatrix) -> BinMatrix:
+    if a.nrows != b.nrows:
+        raise ValueError(f"row mismatch: {a.shape} vs {b.shape}")
+    return BinMatrix(
+        [ra | (rb << a.ncols) for ra, rb in zip(a.rows, b.rows)], a.ncols + b.ncols
+    )
+
+
+def block_matrix(grid) -> BinMatrix:
+    """Assemble a matrix from a rectangular grid of blocks."""
+    stripes = []
+    for row_blocks in grid:
+        stripe = row_blocks[0]
+        for blk in row_blocks[1:]:
+            stripe = hstack(stripe, blk)
+        stripes.append(stripe)
+    out = stripes[0]
+    for stripe in stripes[1:]:
+        out = vstack(out, stripe)
+    return out
 
 
 def reference_balance_x(q: CssCode, c: ClassicalCode) -> CssCode:

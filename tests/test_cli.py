@@ -478,6 +478,17 @@ class TestTooling:
         assert (route, level, entries) == ("mitm", "6", str(137 + comb(137, 2)))
         assert by_case["r3r3h7", "1", "X"][:2] == ["capped", "8"]
 
+    def test_search_costs_faults_script(self):
+        res = self.run("scripts/search_costs.py", "--faults", "--repeat", "1")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[1].split() == ["code", "b", "gens", "d", "level", "probes", "table_entries",
+                                                      "ms"]
+        rows = {tuple(line.split()[:2]): line.split()[2:7] for line in res.stdout.splitlines()[2:]}
+        assert list(rows) == [("steane", "X"), ("steane", "Z"), ("surface2x3", "X"), ("surface2x3", "Z")]
+        # thickened Steane Z exhausts max_d 5; level 5 walks its pairs through the anchor
+        assert rows["steane", "Z"] == ["234", "inf", "5", "110161", "19701"]
+        assert rows["steane", "X"][1:3] == rows["surface2x3", "X"][1:3] == ["4", "4"]
+
     def test_hgp_hook_survey_script(self):
         res = self.run("scripts/hgp_hook_survey.py", "2")
         assert res.returncode == 0, res.stderr

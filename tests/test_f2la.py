@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from qwr.f2la import (
     BinMatrix,
     direct_sum,
-    hstack,
     kernel_basis,
     kron,
     mat_mul,
@@ -16,6 +15,8 @@ from qwr.f2la import (
     transpose,
     vstack,
 )
+
+from helpers import hstack
 
 
 def mat(rows):

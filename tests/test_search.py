@@ -400,3 +400,130 @@ class TestAnchoredRoute:
         sigs, k = logical_signatures(q, "X", [1 << j for j in range(q.n)])
         found = min_logical_search(sigs, k, q.n, 100_000, 10_000_000, witness=False)
         assert (found.distance, found.route, found.level, found.cap_count) == (None, "mitm", 6, comb(109, 3))
+
+
+def count_small_side(mp):
+    """Count the odd connected levels that walk their small side through the
+    anchor (the only anchored probes with no budget), and those that hit."""
+    seen = {"levels": 0, "hits": 0}
+    real = codes._anchored_probe
+
+    def spy(*args):
+        out = real(*args)
+        if args[5] == INF:
+            seen["levels"] += 1
+            seen["hits"] += out[0] is not None
+        return out
+
+    mp.setattr(codes, "_anchored_probe", spy)
+    return seen
+
+
+def one_subset(prefix, i, ps, pp):
+    """A walk of the single subset prefix + (i,)."""
+    return iter([(prefix, [i], ps, pp)])
+
+
+def planted_cycle(rng):
+    """A cycle of 5 or 7 signatures whose syndromes XOR to zero, one of them
+    pairing with the logical, among 3-6 random weight-2 and weight-3
+    syndromes, so that minimum sets of 5 and 7 are common."""
+    t = rng.choice([5, 7])
+    width = t + rng.randint(0, 3)
+    sigs = [(1 << j | 1 << (j + 1) % t) << 1 | (j == 0) for j in range(t)]
+    for _ in range(rng.randint(3, 6)):
+        syn = sum(1 << b for b in rng.sample(range(width), rng.randint(2, 3)))
+        sigs.append(syn << 1 | (rng.random() < 0.15))
+    rng.shuffle(sigs)
+    return sigs, 1
+
+
+class TestSmallSideRoute:
+    @pytest.mark.parametrize("force", [connected_only, odd_connected])
+    def test_matches_reference_on_seeded_signatures(self, force):
+        rng = random.Random(41)
+        with pytest.MonkeyPatch.context() as mp:
+            force(mp)
+            seen = count_small_side(mp)
+            for draw in [seeded_signatures] * 300 + [planted_cycle] * 100:
+                sigs, k = draw(rng)
+                found = min_logical_search(sigs, k, 9)
+                assert (found.distance, found.witness) == reference_min_logical(sigs, k, 9), sigs
+                assert min_logical_search(sigs, k, 9, witness=False).distance == found.distance
+        assert seen["levels"] > seen["hits"] > 0
+
+    @pytest.mark.parametrize("force", [connected_only, odd_connected])
+    @settings(max_examples=200, deadline=None)
+    @given(case=wide_signature_lists(), max_t=st.integers(5, 9))
+    def test_matches_reference_on_random_signatures(self, force, case, max_t):
+        sigs, k = case
+        with pytest.MonkeyPatch.context() as mp:
+            force(mp)
+            found = min_logical_search(sigs, k, max_t)
+            assert (found.distance, found.witness) == reference_min_logical(sigs, k, max_t)
+            assert min_logical_search(sigs, k, max_t, witness=False).distance == found.distance
+
+    def test_small_side_hits_where_the_big_side_does(self):
+        # on every odd level t = 2s + 1 up to the first that hits, a connected
+        # s-subset hits through the anchor against the full size-s table iff
+        # it lies in a connected (s+1)-subset that hits that table directly
+        rng = random.Random(47)
+        levels, hits = 0, [0] * 4  # hitting levels by s
+        for draw in [seeded_signatures] * 200 + [planted_cycle] * 100:
+            sigs, k = draw(rng)
+            distance = reference_min_logical(sigs, k, 7)[0]
+            uniq = list(dict.fromkeys(s for s in sigs if s))
+            syn, pair = [s >> k for s in uniq], [s & ((1 << k) - 1) for s in uniq]
+            holders = codes._holders(syn)
+            nbr = codes._neighbours(syn, holders)
+            anchors = {1 << b: [(syn[i], pair[i]) for i in held] for b, held in holders.items()}
+            for s in range(1, 4):
+                if 2 * s + 1 > min(distance, 7):
+                    break
+                full = codes._fill(syn, pair, s)
+                big = set()
+                for prefix, cands, ps, pp in codes._connected_walk(syn, pair, nbr, s + 1):
+                    for i in cands:
+                        if codes._probe(syn, pair, full, one_subset(prefix, i, ps, pp), False)[0] is not None:
+                            big.add(frozenset(prefix + (i,)))
+                for prefix, cands, ps, pp in codes._connected_walk(syn, pair, nbr, s):
+                    for i in cands:
+                        small = codes._anchored_probe(syn, pair, full, anchors, one_subset(prefix, i, ps, pp), INF)[0]
+                        assert (small is not None) == any(set(prefix + (i,)) < b for b in big)
+                levels += 1
+                hits[s] += bool(big)
+        assert levels > 300 and min(hits[1:]) > 5
+
+    def test_thickened_steane_level_5_walks_pairs(self):
+        # Z at max_d 5 ends inf.  Level 5 walks the 4,141 connected pairs
+        # through the anchor against the size-2 table: 70,759 lookups where
+        # the connected 3-subsets took 132,763
+        q, m = carried_thickening(steane_code())
+        sigs, k = logical_signatures(q, "Z", [g.residual for g in enumerate_faults(q, m, "Z")])
+        found = min_logical_search(sigs, k, 5)
+        assert (found.distance, found.level) == (INF, 5)
+        assert (found.probes, found.table_entries) == (110_161, 19_701) == (
+            min_logical_search(sigs, k, 4).probes + 70_759, comb(198, 1) + comb(198, 2))
+        uniq = list(dict.fromkeys(s for s in sigs if s))
+        syn, pair = [s >> k for s in uniq], [s & ((1 << k) - 1) for s in uniq]
+        nbr = codes._neighbours(syn, codes._holders(syn))
+        walks = {r: sum(len(c) for _, c, _, _ in codes._connected_walk(syn, pair, nbr, r)) for r in (2, 3)}
+        assert walks == {2: 4_141, 3: 132_763}
+
+
+class TestLevelBound:
+    @pytest.mark.parametrize("force", [connected_only, odd_connected, lex_only])
+    def test_no_level_above_the_distinct_signatures(self, force):
+        # three distinct signatures whose syndromes and pairings all XOR to
+        # zero: no logical, and no set of four distinct signatures to search
+        sigs = [0b10, 0b110, 0b100, 0, 0b110]
+        with pytest.MonkeyPatch.context() as mp:
+            force(mp)
+            up_to_n = min_logical_search(sigs, 1, 3)
+            for max_t in (4, 10 ** 6):
+                found = min_logical_search(sigs, 1, max_t)
+                assert found == up_to_n._replace(level=max_t)
+                assert found[:4] == (INF, None, "mitm", max_t)
+
+    def test_no_signatures(self):
+        assert min_logical_search([0, 0], 1, 10 ** 6) == (INF, None, "mitm", 10 ** 6, 0, 0, 0)
