@@ -12,10 +12,12 @@ cap prints route "capped" with the level the cap stopped at.
 
 With --faults it times the effective-distance search instead: Steane and
 surface 2x3, each carried through copy -> gauge -> thicken(2) with the
-seed-0 baseline schedule, in both bases at max_d 5.  Per case it prints the
-fault generators, the distance, the level that answered, the same work
-counts and the best-of-N time of faultdist.effective_distance (generators
-given, so fault enumeration is not timed).
+seed-0 baseline schedule, in both bases at max_d 5, then surface 2x3 Z at
+max_d 6, the one case that hits on a connected level and so runs the
+witness pass.  Per case it prints the fault generators, the distance, the
+level that answered (max_d when the distance is inf), the same work counts
+and the best-of-N time of faultdist.effective_distance (generators given,
+so fault enumeration is not timed).
 
     PYTHONPATH=src python scripts/search_costs.py [--repeat N] [--faults]
 """
@@ -84,6 +86,7 @@ def timed_search(q, basis, repeat: int):
 
 FAULT_CODES = {"steane": steane_code, "surface2x3": surface_code_2x3}
 FAULT_MAX_D = 5
+FAULT_CASES = [(name, basis, FAULT_MAX_D) for name in FAULT_CODES for basis in ("X", "Z")] + [("surface2x3", "Z", 6)]
 
 
 def carried_thickening(q):
@@ -96,28 +99,28 @@ def carried_thickening(q):
 
 
 def fault_costs(repeat: int) -> None:
-    """One row per (code, basis) effective search; see the module docstring."""
+    """One row per (code, basis, max_d) effective search; see the module docstring."""
     print(f"{'code':<11}{'b':>1}{'gens':>6}{'d':>5}{'level':>6}{'probes':>10}{'table_entries':>15}{'ms':>10}")
-    for name, build in FAULT_CODES.items():
-        q, m = carried_thickening(build())
-        for basis in ("X", "Z"):
-            gens = enumerate_faults(q, m, basis)
-            sigs, k = logical_signatures(q, basis, [g.residual for g in gens])
-            found = min_logical_search(sigs, k, FAULT_MAX_D)
-            best = float("inf")
-            for _ in range(repeat):
-                t0 = time.perf_counter()
-                effective_distance(q, m, basis, FAULT_MAX_D, generators=gens)
-                best = min(best, time.perf_counter() - t0)
-            print(f"{name:<11}{basis:>1}{len(gens):>6}{found.distance:>5}{found.level:>6}{found.probes:>10}"
-                  f"{found.table_entries:>15}{1e3 * best:>10.2f}")
+    carried = {name: carried_thickening(build()) for name, build in FAULT_CODES.items()}
+    for name, basis, max_d in FAULT_CASES:
+        q, m = carried[name]
+        gens = enumerate_faults(q, m, basis)
+        sigs, k = logical_signatures(q, basis, [g.residual for g in gens])
+        found = min_logical_search(sigs, k, max_d)
+        best = float("inf")
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            effective_distance(q, m, basis, max_d, generators=gens)
+            best = min(best, time.perf_counter() - t0)
+        print(f"{name:<11}{basis:>1}{len(gens):>6}{found.distance:>5}{found.level:>6}{found.probes:>10}"
+              f"{found.table_entries:>15}{1e3 * best:>10.2f}")
 
 
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeat", type=int, default=5, help="calls per timing; the least is printed")
     ap.add_argument("--faults", action="store_true",
-                    help=f"time effective searches on carried schedules at max_d {FAULT_MAX_D}")
+                    help=f"time effective searches on carried schedules at max_d {FAULT_MAX_D} (and surface Z at 6)")
     args = ap.parse_args(argv)
     print(f"ms, best of {args.repeat} calls")
     if args.faults:

@@ -317,12 +317,12 @@ class Search(NamedTuple):
     """distance is None when a cap stopped the search at level `level`, and
     cap_count is the subset count that exceeded the cap; witness holds the
     sorted signature indices of one minimum set.  probes counts table
-    lookups: one per subset probed against a full table, one per holder of
-    the anchor bit when a subset is probed through the anchor (against a
-    table one size short, or as the small side of an odd connected level).
-    table_entries counts the subsets put into tables.  (A NamedTuple: small
-    searches build one per call, and it builds faster than a frozen
-    dataclass.)"""
+    lookups, the witness pass's included: one per subset probed against a
+    full table, one per holder of the anchor bit when a subset is probed
+    through the anchor (against a table one size short, or as the small
+    side of an odd connected level).  table_entries counts the subsets put
+    into tables.  (A NamedTuple: small searches build one per call, and it
+    builds faster than a frozen dataclass.)"""
     distance: int | float | None
     witness: tuple[int, ...] | None
     route: str  # "mitm" | "exhaustive"
@@ -381,13 +381,30 @@ def min_logical_search(
     (at most s) never hit.  Thickened Steane Z level 5 takes 70,759 lookups
     over 4,141 pairs instead of 132,763.
 
-    On the level that hits, the lex walk picks the witness against the full
-    table (filled then if it is short): the lex-first hitting probe plus its
-    lex-first partner.  A level is capped when its table side exceeds
-    table_cap or its probe side probe_cap, counting distinct signatures
-    only.  With exhaustive = (dim, finish), finish(t) answers instead (no
-    logical weighs less than t) once the subsets walked so far plus level
-    t's exceed 2^dim, or t is capped.
+    The witness is the lex-first hitting ceil(t/2)-subset A* plus its
+    lex-first partner, which _first_partner looks for above max(A*).  A lex
+    level meets A* first.  After a connected hit, a witness pass walks in
+    lex order only the ceil(t/2)-subsets whose least index is v, the least
+    index of that hit, against the table the level holds (through the
+    anchor if it is one size short).  It fills no table, and is skipped when
+    ceil(t/2) = 1, where the hit is A*.  Both shortcuts keep the witness:
+    - Partners lie above A*.  For a partner B, A* + B is a minimum set
+      whose first ceil(t/2) indices hit and come no later than A* in lex
+      order, so they are A*: every index of B exceeds max(A*).
+    - A* starts with v.  The connected walk takes its roots in ascending
+      order.  At root min(S) of a minimum set S it meets a connected subset
+      of S that holds min(S), and that subset hits (an s-subset on a halved
+      odd level); a hit at root u makes a minimum set whose least index is
+      at most u.  So v is the least min(S) over all minimum sets.  A* is
+      the first ceil(t/2) indices of a minimum set (above), so it starts no
+      lower than v, and the first ceil(t/2) indices of a minimum set with
+      least index v hit, so it starts no higher.
+
+    A level is capped when its table side exceeds table_cap or its probe
+    side probe_cap, counting distinct signatures only.  With exhaustive =
+    (dim, finish), finish(t) answers instead (no logical weighs less than
+    t) once the subsets walked so far plus level t's exceed 2^dim, or t is
+    capped.
     """
     distinct = dict.fromkeys(sigs)  # in order of first occurrence
     distinct.pop(0, None)
@@ -437,11 +454,13 @@ def min_logical_search(
         if walk is not None:
             hit, count, grown = _probe(syn, pair, table, walk, grow)
             probes += count
-        if hit is not None and witness and connected:
-            if size < small:
-                table, size = _fill(syn, pair, small), small
-                entries += comb(n, small)
-            hit, count, _ = _probe(syn, pair, table, _lex_walk(syn, pair, big), False)
+        if hit is not None and witness and connected and big > 1:  # the lex-first hitter starts at hit's root
+            v = min(hit)
+            lead = _lex_walk(syn, pair, big - 1, v + 1, (v,), syn[v], pair[v])
+            if size == small:
+                hit, count, _ = _probe(syn, pair, table, lead, False)
+            else:
+                hit, count, _, _ = _anchored_probe(syn, pair, table, anchors, lead, INF)
             probes += count
         if hit is not None:
             found = None
@@ -587,13 +606,14 @@ def _fill(syn, pair, r):
 
 
 def _first_partner(syn, pair, s, hit):
-    """Lex-first s-subset with the hit's syndrome and another pairing."""
+    """Lex-first s-subset with the hit's syndrome and another pairing, for
+    the lex-first hitting probe: every partner lies above max(hit)."""
     target_syn = target_pair = 0
     for i in hit:
         target_syn, target_pair = target_syn ^ syn[i], target_pair ^ pair[i]
     if s == 0:
         return ()
-    for prefix, cands, ps, pp in _lex_walk(syn, pair, s):
+    for prefix, cands, ps, pp in _lex_walk(syn, pair, s, max(hit) + 1):
         for i in cands:
             if ps ^ syn[i] == target_syn and pp ^ pair[i] != target_pair:
                 return prefix + (i,)

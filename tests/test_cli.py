@@ -488,6 +488,8 @@ class TestTooling:
         # thickened Steane Z exhausts max_d 5; level 5 walks its pairs through the anchor
         assert rows["steane", "Z"] == ["234", "inf", "5", "110161", "19701"]
         assert rows["steane", "X"][1:3] == rows["surface2x3", "X"][1:3] == ["4", "4"]
+        # the last row, surface Z at max_d 6, hits after a connected level: its witness pass fills no table
+        assert res.stdout.splitlines()[-1].split()[:7] == ["surface2x3", "Z", "100", "6", "6", "31179", "3081"]
 
     def test_hgp_hook_survey_script(self):
         res = self.run("scripts/hgp_hook_survey.py", "2")

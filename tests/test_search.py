@@ -378,16 +378,16 @@ class TestAnchoredRoute:
         assert (found.distance, found.route, found.level) == (6, "mitm", 6)
         assert found.table_entries == comb(137, 1) + comb(137, 2) < comb(137, 3)
 
-    def test_witness_pass_fills_the_table_a_plain_walk_would(self):
+    def test_witness_pass_fills_no_table(self):
         # thickened surface Z hits at level 6 after the connected level 5: the
-        # lex walk that picks the witness meets the full size-3 table, filled
-        # once, as when level 5 filled it
+        # lex walk that picks the witness probes through the anchor against
+        # the size-2 table the level holds, and fills no size-3 table
         q, m = carried_thickening(surface_code_2x3())
         sigs, k = logical_signatures(q, "Z", [g.residual for g in enumerate_faults(q, m, "Z")])
         n = len(set(sigs) - {0})
         found = min_logical_search(sigs, k, 6)
         assert (found.distance, found.witness) == (6, (8, 10, 12, 14, 16, 18))
-        assert found.table_entries == comb(n, 1) + comb(n, 2) + comb(n, 3)
+        assert found.table_entries == comb(n, 1) + comb(n, 2)
 
     def test_capped_question_stops_where_it_did(self):
         # hgp(rep3, rep3, H7) level 1, X with a 100k-entry table: n = 109,
@@ -509,6 +509,93 @@ class TestSmallSideRoute:
         nbr = codes._neighbours(syn, codes._holders(syn))
         walks = {r: sum(len(c) for _, c, _, _ in codes._connected_walk(syn, pair, nbr, r)) for r in (2, 3)}
         assert walks == {2: 4_141, 3: 132_763}
+
+
+def lex_first_split(syn, pair, t):
+    """By brute force: the lex-first ceil(t/2)-subset whose syndrome some
+    floor(t/2)-subset shares with another pairing, and all such subsets."""
+    def xor(sub):
+        s = p = 0
+        for i in sub:
+            s, p = s ^ syn[i], p ^ pair[i]
+        return s, p
+
+    table = {}
+    for b in combinations(range(len(syn)), t // 2):
+        table.setdefault(xor(b)[0], []).append(b)
+    for a in combinations(range(len(syn)), t - t // 2):
+        s, p = xor(a)
+        partners = [b for b in table.get(s, []) if xor(b)[1] != p]
+        if partners:
+            return a, partners
+    return None
+
+
+def log_kernel_calls(mp):
+    """Log, in call order, each probe's hit (or None) and each table fill."""
+    log = []
+    for name in ("_probe", "_anchored_probe", "_fill"):
+        real = getattr(codes, name)
+
+        def spy(*args, real=real, name=name):
+            out = real(*args)
+            log.append((name, None if name == "_fill" else out[0]))
+            return out
+
+        mp.setattr(codes, name, spy)
+    return log
+
+
+def deduplicated(sigs, k):
+    """The distinct nonzero signatures in order of first occurrence (the
+    kernel's own indices) and their syndromes and pairings."""
+    uniq = list(dict.fromkeys(s for s in sigs if s))
+    return uniq, [s >> k for s in uniq], [s & ((1 << k) - 1) for s in uniq]
+
+
+class TestWitnessPass:
+    @pytest.mark.parametrize("force", [connected_only, odd_connected])
+    def test_lex_first_hitter_starts_at_the_root_of_the_first_hit(self, force):
+        # on a connected level that hits, the first hit's least index starts
+        # the lex-first hitter, and no table is filled after that hit
+        rng = random.Random(53)
+        roots = {"big side": 0, "small side": 0}
+        with pytest.MonkeyPatch.context() as mp:
+            force(mp)
+            log = log_kernel_calls(mp)
+            for draw in [seeded_signatures] * 300 + [planted_cycle] * 100:
+                sigs, k = draw(rng)
+                uniq, syn, pair = deduplicated(sigs, k)
+                log.clear()
+                t = min_logical_search(uniq, k, 9).distance
+                if t == INF or not codes._connected_pays(len(uniq), t - t // 2):
+                    continue
+                first = next(j for j, (name, hit) in enumerate(log) if name != "_fill" and hit is not None)
+                hit = log[first][1]
+                assert lex_first_split(syn, pair, t)[0][0] == min(hit)
+                assert all(name != "_fill" for name, _ in log[first:])
+                roots["small side" if len(hit) < t - t // 2 else "big side"] += 1
+        assert min(roots.values()) > 5
+
+    @pytest.mark.parametrize("force", [connected_only, odd_connected])
+    def test_partners_lie_above_the_lex_first_hitter(self, force):
+        # every partner of the lex-first hitter starts above its last index,
+        # and the witness is the hitter plus its lex-first partner
+        rng = random.Random(59)
+        next_up = 0  # cases whose first partner holds max(hitter) + 1
+        with pytest.MonkeyPatch.context() as mp:
+            force(mp)
+            for draw in [seeded_signatures] * 300 + [planted_cycle] * 100:
+                sigs, k = draw(rng)
+                uniq, syn, pair = deduplicated(sigs, k)
+                found = min_logical_search(uniq, k, 9)
+                if found.distance == INF:
+                    continue
+                hitter, partners = lex_first_split(syn, pair, found.distance)
+                assert all(i > max(hitter) for b in partners for i in b)
+                assert found.witness == hitter + min(partners)
+                next_up += min(partners)[:1] == (max(hitter) + 1,)
+        assert next_up > 5
 
 
 class TestLevelBound:
