@@ -27,6 +27,7 @@ import time
 from itertools import product
 
 from qwr.codes import (
+    MITM_PROBE_FACTOR,
     MITM_TABLE_CAP,
     CapExceeded,
     css_search,
@@ -68,7 +69,7 @@ def capped_search(q, basis):
     """The kernel run of a css_search that no route fits (dim > its
     enumeration cap), for the level its cap stopped at and its counts."""
     sigs, k = logical_signatures(q, basis, [1 << j for j in range(q.n)])
-    return min_logical_search(sigs, k, q.n, MITM_TABLE_CAP, 100 * MITM_TABLE_CAP, witness=False)
+    return min_logical_search(sigs, k, q.n, MITM_TABLE_CAP, MITM_PROBE_FACTOR * MITM_TABLE_CAP, witness=False)
 
 
 def timed_search(q, basis, repeat: int):

@@ -272,14 +272,13 @@ def _compute_distances(code: CssCode, schedule: Schedule | None, bases, max_d: i
     """Entries in sorted key order; with a schedule but no max_d the
     effective distances are labelled skipped."""
     entries = {f"code_{b}": _code_distance_entry(code, b) for b in bases}
-    if schedule is not None:
-        for b in bases:
-            entries[f"effective_{b}"] = (
-                {"value": None, "method": "skipped", "bound": "no --max-d given"}
-                if max_d is None
-                else _effective_entry(code, schedule, b, max_d)
-            )
-    return entries
+    if schedule is None:
+        return entries
+    if max_d is None:
+        skipped = {"value": None, "method": "skipped", "bound": "no --max-d given"}
+        return entries | {f"effective_{b}": dict(skipped) for b in bases}
+    audit_ok = hook_weight_audit(code, schedule).ok  # the audit reads the schedule, not the basis: one serves both
+    return entries | {f"effective_{b}": _effective_entry(code, schedule, b, max_d, audit_ok) for b in bases}
 
 
 def _code_distance_entry(code: CssCode, basis: str) -> dict:
@@ -290,17 +289,16 @@ def _code_distance_entry(code: CssCode, basis: str) -> dict:
         return {"value": None, "method": "skipped", "bound": str(e)}
 
 
-def _effective_entry(code: CssCode, schedule: Schedule, basis: str, max_d: int) -> dict:
-    audit = hook_weight_audit(code, schedule)
+def _effective_entry(code: CssCode, schedule: Schedule, basis: str, max_d: int, audit_ok: bool) -> dict:
     try:
         res = effective_distance(code, schedule, basis, max_d)
     except CapExceeded as e:
-        return {"value": None, "method": "skipped", "bound": str(e), "hook_audit_ok": audit.ok}
+        return {"value": None, "method": "skipped", "bound": str(e), "hook_audit_ok": audit_ok}
     entry = {
         "value": _dist_value(res.distance),
         "method": "mitm",
         "bound": res.exact_up_to,
-        "hook_audit_ok": audit.ok,
+        "hook_audit_ok": audit_ok,
     }
     if res.witness is not None:
         entry["witness"] = [

@@ -42,6 +42,7 @@ INF = math.inf
 CLASSICAL_K_CAP = 24
 CSS_ENUM_CAP = 26
 MITM_TABLE_CAP = 4_000_000
+MITM_PROBE_FACTOR = 100  # css_search's probe cap is this many times its table cap
 
 
 class CapExceeded(RuntimeError):
@@ -298,7 +299,7 @@ def css_search(
     if dim <= enum_cap:
         stabs = [row for _, row in q.stab_pivots(basis).items()]
         exhaustive = (dim, lambda floor: exhaustive_min_weight(logical_basis(q, basis).rows, stabs, floor))
-    found = min_logical_search(sigs, k, q.n, table_cap, 100 * table_cap, exhaustive, witness=False)
+    found = min_logical_search(sigs, k, q.n, table_cap, MITM_PROBE_FACTOR * table_cap, exhaustive, witness=False)
     if found.distance is None:
         raise CapExceeded(
             "code too large for exhaustive css_distance; use the fault-search bound "
@@ -382,12 +383,14 @@ def min_logical_search(
     over 4,141 pairs instead of 132,763.
 
     The witness is the lex-first hitting ceil(t/2)-subset A* plus its
-    lex-first partner, which _first_partner looks for above max(A*).  A lex
-    level meets A* first.  After a connected hit, a witness pass walks in
-    lex order only the ceil(t/2)-subsets whose least index is v, the least
-    index of that hit, against the table the level holds (through the
-    anchor if it is one size short).  It fills no table, and is skipped when
-    ceil(t/2) = 1, where the hit is A*.  Both shortcuts keep the witness:
+    lex-first partner, which _probe finds by walking the floor(t/2)-subsets
+    above max(A*) against the one-entry table {syn(A*): pair(A*)} (lookups
+    not counted in probes).  A lex level meets A* first.  After a connected
+    hit, a witness pass walks in lex order only the ceil(t/2)-subsets whose
+    least index is v, the least index of that hit, against the table the
+    level holds (through the anchor if it is one size short).  It fills no
+    table, and is skipped when ceil(t/2) = 1, where the hit is A*.  Both
+    shortcuts keep the witness:
     - Partners lie above A*.  For a partner B, A* + B is a minimum set
       whose first ceil(t/2) indices hit and come no later than A* in lex
       order, so they are A*: every index of B exceeds max(A*).
@@ -420,7 +423,7 @@ def min_logical_search(
         return "capped" if capped else "mitm"
 
     table, size, rent = {0: 0}, 0, 0  # every size-subset; extra lookups anchored on it so far
-    holders = nbr = anchors = None  # built at the first connected and the first anchored level
+    nbr = anchors = None  # built at the first level that walks connected subsets or anchors
     spent = probes = entries = 0
     top = min(max_t, n)  # a minimum set holds each distinct signature at most once
     for t in range(1, top + 1):
@@ -434,16 +437,13 @@ def min_logical_search(
         spent += comb(n, big)
         nxt = big > small and t < top and plan(t + 1, spent) == "mitm"  # level t + 1 needs size big
         connected = _connected_pays(n, big)
-        if connected and nbr is None:
-            holders = _holders(syn)
-            nbr = _neighbours(syn, holders)
+        if nbr is None and (connected or size < small):
+            nbr, anchors = _adjacency(syn, pair)
         halve = connected and 0 < small == size < big  # odd level, full table: walk the small side, anchored
         walk = _connected_walk(syn, pair, nbr, small if halve else big) if connected else _lex_walk(syn, pair, big)
         grow = nxt and not connected and size == small
         hit = None
         if size < small or halve:
-            if anchors is None:
-                anchors = {1 << b: [(syn[i], pair[i]) for i in held] for b, held in holders.items()}
             budget = INF if halve else comb(n, small) - rent
             hit, count, extra, walk = _anchored_probe(syn, pair, table, anchors, walk, budget)
             probes += count
@@ -465,7 +465,15 @@ def min_logical_search(
         if hit is not None:
             found = None
             if witness:
-                found = tuple(sorted(sigs.index(uniq[i]) for i in hit + _first_partner(syn, pair, small, hit)))
+                partner = ()
+                if small:
+                    xs = xp = 0
+                    for i in hit:
+                        xs, xp = xs ^ syn[i], xp ^ pair[i]
+                    partner = _probe(syn, pair, {xs: xp}, _lex_walk(syn, pair, small, max(hit) + 1), False)[0]
+                    if partner is None:
+                        raise AssertionError("a table hit has a partner")
+                found = tuple(sorted(sigs.index(uniq[i]) for i in hit + partner))
             return Search(t, found, "mitm", t, probes=probes, table_entries=entries)
         if grow:
             table, size, rent = grown, big, 0
@@ -520,25 +528,23 @@ def _esu(syn, pair, nbr, m, chosen, ext, closed, above, s, p):
                         closed | nbr[w], above, s ^ syn[w], p ^ pair[w])
 
 
-def _holders(syn):
-    """Per syndrome bit, the ascending indices of the signatures whose syndromes hold it."""
-    out: dict[int, list[int]] = {}
+def _adjacency(syn, pair):
+    """The signature x syndrome-bit incidence, built once: per signature, the
+    mask of the other signatures whose syndromes share a bit with it (the
+    connected walk's neighbours); and per syndrome-bit mask 1 << b, the
+    (syn, pair) of the signatures holding bit b, by ascending index (the
+    anchor's holders)."""
+    held: dict[int, list[int]] = {}
     for i, s in enumerate(syn):
         for b in bit_indices(s):
-            out.setdefault(b, []).append(i)
-    return out
-
-
-def _neighbours(syn, holders):
-    """Per signature, the mask of the other signatures whose syndromes share a bit with it."""
-    masks = {b: sum(1 << i for i in held) for b, held in holders.items()}
-    out = []
-    for i, s in enumerate(syn):
-        m = 0
-        for b in bit_indices(s):
-            m |= masks[b]
-        out.append(m & ~(1 << i))
-    return out
+            held.setdefault(b, []).append(i)
+    nbr = [0] * len(syn)
+    for idx in held.values():
+        m = sum(1 << i for i in idx)
+        for i in idx:
+            nbr[i] |= m
+    anchors = {1 << b: [(syn[i], pair[i]) for i in idx] for b, idx in held.items()}
+    return [m & ~(1 << i) for i, m in enumerate(nbr)], anchors
 
 
 def _probe(syn, pair, table, walk, grow):
@@ -603,21 +609,6 @@ def _fill(syn, pair, r):
             if put(ps ^ syn[i], p) != p:
                 table[ps ^ syn[i]] = MULTI
     return table
-
-
-def _first_partner(syn, pair, s, hit):
-    """Lex-first s-subset with the hit's syndrome and another pairing, for
-    the lex-first hitting probe: every partner lies above max(hit)."""
-    target_syn = target_pair = 0
-    for i in hit:
-        target_syn, target_pair = target_syn ^ syn[i], target_pair ^ pair[i]
-    if s == 0:
-        return ()
-    for prefix, cands, ps, pp in _lex_walk(syn, pair, s, max(hit) + 1):
-        for i in cands:
-            if ps ^ syn[i] == target_syn and pp ^ pair[i] != target_pair:
-                return prefix + (i,)
-    raise AssertionError("a table hit has a partner")
 
 
 def exhaustive_min_weight(logicals, stabs, floor: int = 1) -> int | float:
@@ -692,10 +683,9 @@ def ring_face_code(ring_len: int, dangler_vertices: tuple[int, int | None] = (0,
     if d1 == d2:
         raise ValueError("danglers must attach at distinct vertices")
     n = ring_len + 2
-    ring_edge = lambda v: v  # edge v connects vertices v, v+1 mod ring_len
     x_rows = []
     for v in range(ring_len):
-        sup = [ring_edge((v - 1) % ring_len), ring_edge(v)]
+        sup = [(v - 1) % ring_len, v]  # edge v connects vertices v, v+1 mod ring_len
         if v == d1:
             sup.append(ring_len)
         if v == d2:

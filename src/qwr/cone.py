@@ -76,44 +76,30 @@ def _part_boundaries(one_cells, zero_cells, minus_cells) -> tuple[BinMatrix, Bin
 
 
 def _fundamental_cycles(n_vertices: int, edges: list[tuple[int, int]]) -> tuple[list[tuple[int, ...]], int]:
-    """Spanning-forest fundamental cycles (as edge-index sets) and component count."""
+    """Spanning-forest fundamental cycles (as edge-index sets) and component
+    count: each vertex keeps its tree path to the root as an edge-index mask,
+    and a non-tree edge e = (a, b) closes the cycle e + path[a] ^ path[b]."""
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n_vertices)}
     for e, (a, b) in enumerate(edges):
         adj[a].append((b, e))
         adj[b].append((a, e))
-    parent_edge: dict[int, tuple[int, int]] = {}
-    visited: set[int] = set()
-    components = 0
+    path: dict[int, int] = {}
+    tree = components = 0
     for root in range(n_vertices):
-        if root in visited:
+        if root in path:
             continue
         components += 1
         stack = [root]
-        visited.add(root)
+        path[root] = 0
         while stack:
             v = stack.pop()
             for w, e in sorted(adj[v]):
-                if w not in visited:
-                    visited.add(w)
-                    parent_edge[w] = (v, e)
+                if w not in path:
+                    path[w] = path[v] | 1 << e
+                    tree |= 1 << e
                     stack.append(w)
-    tree_edges = {e for _, e in parent_edge.values()}
-
-    def path_to_root(v: int) -> dict[int, None]:
-        seen = {}
-        while v in parent_edge:
-            p, e = parent_edge[v]
-            seen[e] = None
-            v = p
-        return seen
-
-    cycles = []
-    for e, (a, b) in enumerate(edges):
-        if e in tree_edges:
-            continue
-        pa, pb = path_to_root(a), path_to_root(b)
-        cyc = {e} | (set(pa) ^ set(pb))
-        cycles.append(tuple(sorted(cyc)))
+    cycles = [tuple(bit_indices(1 << e | path[a] ^ path[b]))
+              for e, (a, b) in enumerate(edges) if not tree >> e & 1]
     return cycles, components
 
 
@@ -224,21 +210,17 @@ def _walk_cycle(part: ConeComplexPart, cyc: tuple[int, ...]) -> tuple[list[int],
         incident.setdefault(pos[qb], []).append(e)
     if any(len(es) != 2 for es in incident.values()):
         raise ValueError("cycle support is not a simple closed walk")
+    # leave the least vertex by its lower edge, then each vertex by the other of its two edges
     start = min(incident)
-    verts = [start]
-    edges = []
-    prev_edge = None
-    v = start
+    verts, edges = [start], [min(incident[start])]
     while True:
-        e = next(x for x in sorted(incident[v]) if x != prev_edge)
-        edges.append(e)
-        _, qa, qb = part.zero_cells[e]
-        v = pos[qb] if pos[qa] == v else pos[qa]
-        prev_edge = e
+        _, qa, qb = part.zero_cells[edges[-1]]
+        v = pos[qb] if pos[qa] == verts[-1] else pos[qa]
         if v == start:
-            break
+            return verts, edges
         verts.append(v)
-    return verts, edges
+        a, b = incident[v]
+        edges.append(b if a == edges[-1] else a)
 
 
 class ConeIndex:

@@ -20,16 +20,13 @@ class BinMatrix:
     def __init__(self, rows: Sequence[int], ncols: int):
         if ncols < 0:
             raise ValueError(f"negative column count {ncols}")
-        mask = (1 << ncols) - 1
-        packed = []
-        for r in rows:
-            if r < 0:
-                raise ValueError("negative row bitset")
-            if r & ~mask:
-                raise ValueError(f"row has bits beyond column {ncols}")
-            packed.append(r)
-        self.rows = tuple(packed)
-        self.nrows = len(packed)
+        rows = tuple(rows)
+        # min and max check every row in C; only a failed check looks for the first bad row
+        if rows and (min(rows) < 0 or max(rows) >> ncols):
+            bad = next(r for r in rows if r < 0 or r >> ncols)
+            raise ValueError("negative row bitset" if bad < 0 else f"row has bits beyond column {ncols}")
+        self.rows = rows
+        self.nrows = len(rows)
         self.ncols = ncols
 
     # -- constructors -------------------------------------------------
@@ -42,16 +39,10 @@ class BinMatrix:
             if not lists:
                 raise ValueError("ncols required for a matrix with no rows")
             ncols = len(lists[0])
-        packed = []
         for r in lists:
             if len(r) != ncols:
                 raise ValueError(f"ragged row: expected {ncols} entries, got {len(r)}")
-            v = 0
-            for j, bit in enumerate(r):
-                if bit & 1:
-                    v |= 1 << j
-            packed.append(v)
-        return cls(packed, ncols)
+        return cls.from_support([[j for j, bit in enumerate(r) if bit & 1] for r in lists], ncols)
 
     @classmethod
     def from_support(cls, supports: Iterable[Iterable[int]], ncols: int) -> "BinMatrix":

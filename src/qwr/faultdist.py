@@ -2,10 +2,11 @@
 
 A fault generator is the residual data error left by one elementary fault:
 a single data-qubit error, or an ancilla fault at cut position k of a step,
-which spreads to the suffix of the step's gate order.  The effective
-distance is the least number of generators whose XOR is a nontrivial
-logical; codes.min_logical_search finds it on (stabilizer syndrome, logical
-pairing) signatures, both linear in the residual.  A plain
+which spreads to the suffix of the step's gate order; _hook_residuals lists
+those suffixes once, for enumerate_faults and for hook_weight_audit.  The
+effective distance is the least number of generators whose XOR is a
+nontrivial logical; codes.min_logical_search finds it on (stabilizer
+syndrome, logical pairing) signatures, both linear in the residual.  A plain
 combination-enumeration oracle double-checks the search in tests.
 """
 
@@ -66,20 +67,23 @@ def enumerate_faults(q: CssCode, m: Schedule, basis: str, dedup: bool = True) ->
     for si, s in enumerate(m.steps):
         if s.basis != basis:
             continue
-        suffix = 0
-        rev = []
-        for qb in reversed(s.order):
-            suffix |= 1 << qb
-            rev.append(suffix)
-        # rev[i] is the residual for cut position w-1-i; emit k = 1..w-1.
-        for k in range(1, len(s.order)):
-            residual = rev[len(s.order) - 1 - k]
+        for k, residual in enumerate(_hook_residuals(s.order), start=1):
             if residual in seen:
                 continue
             if dedup:
                 seen.add(residual)
             gens.append(FaultGenerator("hook", basis, residual, step=si, row=s.row, step_basis=s.basis, cut=k))
     return gens
+
+
+def _hook_residuals(order) -> list[int]:
+    """The masks of the suffixes order[k:] for cut positions k = 1..w-1, by
+    ascending k: the hooks of a step, for the fault list and the audit."""
+    out, suffix = [], 0
+    for qb in reversed(order[1:]):
+        suffix |= 1 << qb
+        out.append(suffix)
+    return out[::-1]
 
 
 def effective_distance(
@@ -169,16 +173,10 @@ def hook_weight_audit(q: CssCode, m: Schedule) -> HookAuditReport:
     violations = []
     for si, s in enumerate(m.steps):
         row = q.h(s.basis).rows[s.row]
-        w = len(s.order)
-        bound[si] = w // 2
-        worst = 0
-        suffix = 0
-        for qb in reversed(s.order[1:]):
-            suffix |= 1 << qb
-            reduced = min(suffix.bit_count(), (suffix ^ row).bit_count())
-            worst = max(worst, reduced)
-        per_step[si] = worst
-        if worst > bound[si]:
+        bound[si] = len(s.order) // 2
+        # a residual is equivalent to its complement in the row
+        per_step[si] = max((min(r.bit_count(), (r ^ row).bit_count()) for r in _hook_residuals(s.order)), default=0)
+        if per_step[si] > bound[si]:
             violations.append(si)
     return HookAuditReport(per_step, bound, tuple(violations))
 

@@ -129,18 +129,15 @@ def kunneth_distance_predictor(spec: ProductSpec) -> DistancePrediction:
     d_hom, d_coh = _one_complex_distances(spec.factors[0], spec.dualized[0])
     for c, dual in zip(spec.factors[1:], spec.dualized[1:]):
         b_hom, b_coh = _one_complex_distances(c, dual)
-        levels = len(d_hom)
-        new_hom = []
-        new_coh = []
-        for j in range(levels + 1):
-            lower_h = d_hom[j - 1] if j >= 1 else INF
-            same_h = d_hom[j] if j < levels else INF
-            new_hom.append(min(lower_h * b_hom[1], same_h * b_hom[0]))
-            lower_c = d_coh[j - 1] if j >= 1 else INF
-            same_c = d_coh[j] if j < levels else INF
-            new_coh.append(min(lower_c * b_coh[1], same_c * b_coh[0]))
-        d_hom, d_coh = new_hom, new_coh
+        d_hom, d_coh = _kunneth_step(d_hom, b_hom), _kunneth_step(d_coh, b_coh)
     return DistancePrediction(d_coh[spec.level], d_hom[spec.level], exact)
+
+
+def _kunneth_step(d: list, b: list) -> list:
+    """Per-level distances after one more 1-complex factor with distances b:
+    level j is min(d[j-1] * b[1], d[j] * b[0]), with inf past d's ends."""
+    padded = [INF, *d, INF]
+    return [min(padded[j] * b[1], padded[j + 1] * b[0]) for j in range(len(d) + 1)]
 
 
 def _one_complex_distances(c: ClassicalCode, dualized: bool):

@@ -9,8 +9,8 @@ from itertools import combinations
 
 from qwr.codes import INF, ClassicalCode, CssCode
 from qwr.f2la import BinMatrix, add_pivot, kernel_basis, kron, mat_vec, rank, transpose, vstack
-from qwr.faultdist import FaultGenerator
-from qwr.hgp import hgp
+from qwr.faultdist import FaultGenerator, HookAuditReport
+from qwr.hgp import DistancePrediction, _one_complex_distances, hgp
 from qwr.schedule import Schedule, Step, dual_schedule
 
 
@@ -568,3 +568,116 @@ def reference_schedule_validate(m, q):
             raise ValueError(f"gate order of {s.basis} row {s.row} is not its support")
     if len(seen["X"]) != q.n_x or len(seen["Z"]) != q.n_z:
         raise ValueError("schedule does not cover every stabilizer row exactly once")
+
+
+def reference_hook_weight_audit(q, m):
+    """hook_weight_audit building each step's suffix masks itself, as it did
+    before faultdist._hook_residuals listed them for it and enumerate_faults."""
+    per_step, bound, violations = {}, {}, []
+    for si, s in enumerate(m.steps):
+        row = q.h(s.basis).rows[s.row]
+        w = len(s.order)
+        bound[si] = w // 2
+        worst = 0
+        suffix = 0
+        for qb in reversed(s.order[1:]):
+            suffix |= 1 << qb
+            reduced = min(suffix.bit_count(), (suffix ^ row).bit_count())
+            worst = max(worst, reduced)
+        per_step[si] = worst
+        if worst > bound[si]:
+            violations.append(si)
+    return HookAuditReport(per_step, bound, tuple(violations))
+
+
+def reference_fundamental_cycles(n_vertices, edges):
+    """cone._fundamental_cycles walking a parent-edge dict to the root and
+    taking set algebra over the two root paths, as it did before it kept
+    each tree path as an edge mask."""
+    adj = {v: [] for v in range(n_vertices)}
+    for e, (a, b) in enumerate(edges):
+        adj[a].append((b, e))
+        adj[b].append((a, e))
+    parent_edge = {}
+    visited = set()
+    components = 0
+    for root in range(n_vertices):
+        if root in visited:
+            continue
+        components += 1
+        stack = [root]
+        visited.add(root)
+        while stack:
+            v = stack.pop()
+            for w, e in sorted(adj[v]):
+                if w not in visited:
+                    visited.add(w)
+                    parent_edge[w] = (v, e)
+                    stack.append(w)
+    tree_edges = {e for _, e in parent_edge.values()}
+
+    def path_to_root(v):
+        seen = {}
+        while v in parent_edge:
+            p, e = parent_edge[v]
+            seen[e] = None
+            v = p
+        return seen
+
+    cycles = []
+    for e, (a, b) in enumerate(edges):
+        if e in tree_edges:
+            continue
+        pa, pb = path_to_root(a), path_to_root(b)
+        cycles.append(tuple(sorted({e} | (set(pa) ^ set(pb)))))
+    return cycles, components
+
+
+def reference_walk_cycle(part, cyc):
+    """cone._walk_cycle re-sorting the current vertex's edges at every step,
+    as it did before it left each vertex by the other of its two edges."""
+    pos = {qb: p for p, qb in enumerate(part.one_cells)}
+    incident = {}
+    for e in cyc:
+        _, qa, qb = part.zero_cells[e]
+        incident.setdefault(pos[qa], []).append(e)
+        incident.setdefault(pos[qb], []).append(e)
+    if any(len(es) != 2 for es in incident.values()):
+        raise ValueError("cycle support is not a simple closed walk")
+    start = min(incident)
+    verts = [start]
+    edges = []
+    prev_edge = None
+    v = start
+    while True:
+        e = next(x for x in sorted(incident[v]) if x != prev_edge)
+        edges.append(e)
+        _, qa, qb = part.zero_cells[e]
+        v = pos[qb] if pos[qa] == v else pos[qa]
+        prev_edge = e
+        if v == start:
+            break
+        verts.append(v)
+    return verts, edges
+
+
+def reference_kunneth_distance_predictor(spec):
+    """kunneth_distance_predictor with the homology and the cohomology
+    recursion written out side by side, as it was before one step function
+    served both."""
+    exact = all(c.full_row_rank for c in spec.factors)
+    d_hom, d_coh = _one_complex_distances(spec.factors[0], spec.dualized[0])
+    for c, dual in zip(spec.factors[1:], spec.dualized[1:]):
+        b_hom, b_coh = _one_complex_distances(c, dual)
+        levels = len(d_hom)
+        new_hom = []
+        new_coh = []
+        for j in range(levels + 1):
+            lower_h = d_hom[j - 1] if j >= 1 else INF
+            same_h = d_hom[j] if j < levels else INF
+            new_hom.append(min(lower_h * b_hom[1], same_h * b_hom[0]))
+            lower_c = d_coh[j - 1] if j >= 1 else INF
+            same_c = d_coh[j] if j < levels else INF
+            new_coh.append(min(lower_c * b_coh[1], same_c * b_coh[0]))
+        d_hom, d_coh = new_hom, new_coh
+    return DistancePrediction(d_coh[spec.level], d_hom[spec.level], exact)

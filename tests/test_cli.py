@@ -170,6 +170,17 @@ class TestPipeline:
         assert len(eff["witness"]) == 2
         assert eff["hook_audit_ok"]
 
+    def test_faultdist_audits_the_schedule_once(self, steane_files, monkeypatch, capsys):
+        # the hook audit reads the schedule, not the basis, so both entries share one audit
+        hx, hz = steane_files
+        real, calls = cli.hook_weight_audit, []
+        monkeypatch.setattr(cli, "hook_weight_audit", lambda q, m: calls.append(m) or real(q, m))
+        assert main(["faultdist", "--hx", hx, "--hz", hz, "--basis", "both"]) == 0
+        dist = json.loads(capsys.readouterr().out)["distances"]
+        assert len(calls) == 1
+        assert dist["effective_X"]["hook_audit_ok"] is dist["effective_Z"]["hook_audit_ok"] is real(
+            steane_code(), calls[0]).ok
+
     def test_derived_schedule_through_transforms(self, steane_files):
         hx, hz = steane_files
         rep = run_pipeline(
@@ -483,11 +494,14 @@ class TestTooling:
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[1].split() == ["code", "b", "gens", "d", "level", "probes", "table_entries",
                                                       "ms"]
-        rows = {tuple(line.split()[:2]): line.split()[2:7] for line in res.stdout.splitlines()[2:]}
-        assert list(rows) == [("steane", "X"), ("steane", "Z"), ("surface2x3", "X"), ("surface2x3", "Z")]
+        rows = [line.split()[:7] for line in res.stdout.splitlines()[2:]]  # a list: surface Z comes twice
+        assert [row[:2] for row in rows] == [
+            ["steane", "X"], ["steane", "Z"], ["surface2x3", "X"], ["surface2x3", "Z"], ["surface2x3", "Z"]]
         # thickened Steane Z exhausts max_d 5; level 5 walks its pairs through the anchor
-        assert rows["steane", "Z"] == ["234", "inf", "5", "110161", "19701"]
-        assert rows["steane", "X"][1:3] == rows["surface2x3", "X"][1:3] == ["4", "4"]
+        assert rows[1][2:] == ["234", "inf", "5", "110161", "19701"]
+        assert rows[0][3:5] == rows[2][3:5] == ["4", "4"]
+        # thickened surface Z exhausts max_d 5 with the table it holds at max_d 6
+        assert rows[3] == ["surface2x3", "Z", "100", "inf", "5", "12311", "3081"]
         # the last row, surface Z at max_d 6, hits after a connected level: its witness pass fills no table
         assert res.stdout.splitlines()[-1].split()[:7] == ["surface2x3", "Z", "100", "6", "6", "31179", "3081"]
 

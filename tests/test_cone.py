@@ -1,8 +1,12 @@
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qwr.codes import CssCode, css_distance, ring_face_code, steane_code
+from qwr import cone
+from qwr.codes import ClassicalCode, CssCode, css_distance, ring_face_code, steane_code, surface_code_2x3
 from qwr.cone import (
     build_cone_parts,
     cellulate,
@@ -12,8 +16,9 @@ from qwr.cone import (
     thicken_cone_detail,
 )
 from qwr.f2la import BinMatrix, mat_mul, rank
+from qwr.hgp import hgp
 
-from helpers import corpus, soundness_lambda_bruteforce
+from helpers import corpus, reference_fundamental_cycles, reference_walk_cycle, soundness_lambda_bruteforce
 
 
 def hexagon_parts():
@@ -222,3 +227,70 @@ class TestReducedConeDistanceBound:
         qt = thicken_cone(qc, ell)
         assert css_distance(qt, "Z") >= d_z * ell * lam
         assert css_distance(qt, "X") >= css_distance(r, "X")
+
+
+def seeded_5x8_hgps(seed: int = 13, count: int = 3) -> list[CssCode]:
+    """Hypergraph products of two random full-rank 5 x 8 checks whose rows have weight 4."""
+    rng = random.Random(seed)
+
+    def factor() -> ClassicalCode:
+        while True:
+            h = BinMatrix.from_support([rng.sample(range(8), 4) for _ in range(5)], 8)
+            if rank(h) == 5:
+                return ClassicalCode(h)
+
+    return [hgp(factor(), factor()) for _ in range(count)]
+
+
+CYCLE_CODES = [ring_face_code(n) for n in range(3, 11)] + [steane_code(), surface_code_2x3()]
+CYCLE_CODES += corpus(11, 50) + seeded_5x8_hgps()
+
+# multigraphs on 1..9 vertices: parallel edges, self-loops, isolated vertices and several components
+multigraphs = st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14)))
+
+
+class TestCycleLoops:
+    @pytest.mark.parametrize("threshold", [2, 3, 5])
+    def test_cone_parts_match_the_reference_loops(self, threshold, monkeypatch):
+        # every spanning-tree cycle basis that build_cone_parts takes, and the
+        # walk of every cycle in it, equals the reference loop's
+        real_cycles, real_walk = cone._fundamental_cycles, cone._walk_cycle
+        seen = {"cycles": 0, "walks": 0}
+
+        def cycles(n_vertices, edges):
+            out = real_cycles(n_vertices, edges)
+            assert out == reference_fundamental_cycles(n_vertices, edges)
+            seen["cycles"] += len(out[0])
+            return out
+
+        def walk(part, cyc):
+            out = real_walk(part, cyc)
+            assert out == reference_walk_cycle(part, cyc)
+            seen["walks"] += 1
+            return out
+
+        monkeypatch.setattr(cone, "_fundamental_cycles", cycles)
+        monkeypatch.setattr(cone, "_walk_cycle", walk)
+        for q in CYCLE_CODES:
+            parts = build_cone_parts(q, threshold)[0]
+            cellulate(parts)
+            for part in parts:  # the short cycles too, which cellulate leaves alone
+                for cyc in part.minus_one_cells:
+                    walk(part, cyc)
+        assert seen["cycles"] > 500 and seen["walks"] > 500
+
+    @settings(max_examples=200, deadline=None)
+    @given(multigraphs)
+    def test_multigraphs_match_the_reference_loops(self, graph):
+        n, edges = graph
+        found = cone._fundamental_cycles(n, edges)
+        assert found == reference_fundamental_cycles(n, edges)
+        labels = [3 * v + 1 for v in range(n)][::-1]  # one_cells need not be ascending
+        part = SimpleNamespace(one_cells=labels, zero_cells=[(None, labels[a], labels[b]) for a, b in edges])
+        for cyc in found[0]:
+            assert cone._walk_cycle(part, cyc) == reference_walk_cycle(part, cyc)
+            if len(cyc) > 1:  # drop an edge: a path is no closed walk
+                for walker in (cone._walk_cycle, reference_walk_cycle):
+                    with pytest.raises(ValueError, match="not a simple closed walk"):
+                        walker(part, cyc[1:])

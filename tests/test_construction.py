@@ -1,7 +1,8 @@
 """The construction path gives exactly what the routines it replaced gave
 (kept in helpers.py): product codes built from two boundaries, fault lists
-deduplicated as they are emitted, mask-based schedule validation, early-stopping
-logical bases and list-returning bit_indices."""
+deduplicated as they are emitted, hook audits reading the same suffix masks,
+mask-based schedule validation, early-stopping logical bases and
+list-returning bit_indices."""
 
 import importlib.util
 import pathlib
@@ -20,7 +21,7 @@ from qwr.codes import (
     surface_code_2x3,
 )
 from qwr.f2la import bit_indices
-from qwr.faultdist import enumerate_faults
+from qwr.faultdist import enumerate_faults, hook_weight_audit
 from qwr.hgp import ProductSpec, higher_dim_hgp, hgp, one_complex, product_css, tensor_complex
 from qwr.reduce import balance_x, balance_z
 from qwr.schedule import Schedule, Step, baseline_schedule, carry, enumerate_random_schedules
@@ -29,6 +30,7 @@ from helpers import (
     corpus,
     random_classical,
     reference_enumerate_faults,
+    reference_hook_weight_audit,
     reference_logical_basis_full,
     reference_schedule_validate,
 )
@@ -119,6 +121,19 @@ class TestEnumerateFaults:
         for _, q, m, _, _ in stage_chain:
             for basis in "XZ":
                 assert enumerate_faults(q, m, basis) == reference_enumerate_faults(q, m, basis)
+
+
+class TestHookAudit:
+    def test_carried_random_and_stage_schedules(self, stage_chain):
+        cases = carried_schedules() + [(q, m) for _, q, m, _, _ in stage_chain]
+        for seed, q in enumerate([steane_code(), surface_code_2x3(), hgp(R3, R3)] + corpus(41, 2)):
+            cases += [(q, m) for m in enumerate_random_schedules(q, 4, seed)]
+        worst = set()
+        for q, m in cases:
+            report = hook_weight_audit(q, m)
+            assert report == reference_hook_weight_audit(q, m)
+            worst.update(report.per_step_max.values())
+        assert len(worst) > 5  # per-step maxima of many sizes
 
 
 def validate_message(validate, m, q):

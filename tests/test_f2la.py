@@ -33,6 +33,42 @@ def bin_matrices(draw, max_rows=6, max_cols=7):
     return BinMatrix(rows, c)
 
 
+def first_bad_row_message(rows, ncols):
+    """The message of the row-by-row check BinMatrix made before it checked
+    min and max, or None when every row is in range."""
+    for r in rows:
+        if r < 0:
+            return "negative row bitset"
+        if r >> ncols:
+            return f"row has bits beyond column {ncols}"
+    return None
+
+
+class TestRowChecks:
+    @pytest.mark.parametrize("rows, message", [
+        ([0b11, -1, 0b1000], "negative row bitset"),
+        ([0b11, 0b1000, -1], "row has bits beyond column 3"),
+    ])
+    def test_first_bad_row_names_the_error(self, rows, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BinMatrix(rows, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-4, 40), max_size=6), st.integers(0, 5))
+    def test_matches_the_row_by_row_check(self, rows, ncols):
+        message = first_bad_row_message(rows, ncols)
+        if message is None:
+            assert BinMatrix(rows, ncols).rows == tuple(rows)
+        else:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                BinMatrix(rows, ncols)
+
+    def test_from_rows_packs_low_bits_through_from_support(self):
+        assert BinMatrix.from_rows([[1, 0, 3], [2, 1, 1]]) == BinMatrix([0b101, 0b110], 3)
+        with pytest.raises(ValueError, match="^ragged row: expected 3 entries, got 2$"):
+            BinMatrix.from_rows([[1, 0, 1], [1, 0]])
+
+
 class TestMatMul:
     def test_identity(self):
         a = mat([[1, 1], [0, 1]])

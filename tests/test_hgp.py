@@ -22,7 +22,7 @@ from qwr.hgp import (
 )
 from qwr.reduce import thicken
 
-from helpers import random_classical
+from helpers import random_classical, reference_kunneth_distance_predictor
 
 
 class TestTensorComplex:
@@ -182,3 +182,24 @@ class TestPredictor:
             c2 = random_classical(rng, 3, 4)
             code, _ = higher_dim_hgp(ProductSpec((c1, c2), level=1))
             assert code.k == c1.k * c2.k
+
+
+class TestKunnethStep:
+    def test_matches_reference_fold(self):
+        # every product of two to four rep(2)/rep(3)/Hamming factors, at every
+        # level, with the default dualization and with every flag flipped
+        from itertools import product
+
+        factors = [repetition_code(2), repetition_code(3), hamming_7_4()]
+        checked = infinite = 0
+        for d in (2, 3, 4):
+            for combo in product(factors, repeat=d):
+                for level in range(1, d):
+                    default = ProductSpec(tuple(combo), level=level)
+                    flipped = ProductSpec(tuple(combo), level=level, dualized=tuple(not f for f in default.dualized))
+                    for spec in (default, flipped):
+                        pred = kunneth_distance_predictor(spec)
+                        assert pred == reference_kunneth_distance_predictor(spec), spec
+                        checked += 1
+                        infinite += INF in (pred.d_x, pred.d_z)
+        assert checked == 2 * (9 + 27 * 2 + 81 * 3) and 0 < infinite < checked

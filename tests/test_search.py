@@ -3,8 +3,10 @@ the brute-force oracle, and its own exhaustive route."""
 
 import random
 import re
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import xor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,7 +169,7 @@ class TestConnectedRoute:
         rng = random.Random(seed)
         syn = [rng.randrange(1, 1 << 7) & rng.randrange(1, 1 << 7) or 1 for _ in range(11)]
         pair = [rng.randrange(4) for _ in syn]
-        nbr = codes._neighbours(syn, codes._holders(syn))
+        nbr, _ = codes._adjacency(syn, pair)
 
         def connected(sub):
             reached, todo = {sub[0]}, [sub[0]]
@@ -357,7 +359,7 @@ class TestAnchoredRoute:
             distance = reference_min_logical(sigs, k, 7)[0]
             uniq = list(dict.fromkeys(s for s in sigs if s))
             syn, pair = [s >> k for s in uniq], [s & ((1 << k) - 1) for s in uniq]
-            anchors = {1 << b: [(syn[i], pair[i]) for i in held] for b, held in codes._holders(syn).items()}
+            _, anchors = codes._adjacency(syn, pair)
             for t in range(2, min(distance, 7) + 1):
                 small, big = t // 2, t - t // 2
                 full = codes._fill(syn, pair, small)
@@ -474,9 +476,7 @@ class TestSmallSideRoute:
             distance = reference_min_logical(sigs, k, 7)[0]
             uniq = list(dict.fromkeys(s for s in sigs if s))
             syn, pair = [s >> k for s in uniq], [s & ((1 << k) - 1) for s in uniq]
-            holders = codes._holders(syn)
-            nbr = codes._neighbours(syn, holders)
-            anchors = {1 << b: [(syn[i], pair[i]) for i in held] for b, held in holders.items()}
+            nbr, anchors = codes._adjacency(syn, pair)
             for s in range(1, 4):
                 if 2 * s + 1 > min(distance, 7):
                     break
@@ -506,7 +506,7 @@ class TestSmallSideRoute:
             min_logical_search(sigs, k, 4).probes + 70_759, comb(198, 1) + comb(198, 2))
         uniq = list(dict.fromkeys(s for s in sigs if s))
         syn, pair = [s >> k for s in uniq], [s & ((1 << k) - 1) for s in uniq]
-        nbr = codes._neighbours(syn, codes._holders(syn))
+        nbr, _ = codes._adjacency(syn, pair)
         walks = {r: sum(len(c) for _, c, _, _ in codes._connected_walk(syn, pair, nbr, r)) for r in (2, 3)}
         assert walks == {2: 4_141, 3: 132_763}
 
@@ -596,6 +596,44 @@ class TestWitnessPass:
                 assert found.witness == hitter + min(partners)
                 next_up += min(partners)[:1] == (max(hitter) + 1,)
         assert next_up > 5
+
+    @pytest.mark.parametrize("force", [connected_only, odd_connected, lex_only])
+    def test_partner_walk_starts_right_above_the_hitter(self, force):
+        # the last _probe of a search that finds a witness of weight t >= 2
+        # walks the partners against a one-entry table, from max(hitter) + 1 on
+        rng = random.Random(61)
+        starts, tables = [], []  # per _probe call, the least index of its first walked group; its table
+        real = codes._probe
+
+        def spy(syn, pair, table, walk, grow):
+            def watched():
+                for prefix, cands, ps, pp in walk:
+                    if starts[at] is None:
+                        starts[at] = prefix[0] if prefix else cands[0]
+                    yield prefix, cands, ps, pp
+
+            at = len(starts)
+            starts.append(None)
+            tables.append(dict(table))
+            return real(syn, pair, table, watched(), grow)
+
+        checked = 0
+        with pytest.MonkeyPatch.context() as mp:
+            force(mp)
+            mp.setattr(codes, "_probe", spy)
+            for draw in [seeded_signatures] * 200 + [planted_cycle] * 50:
+                sigs, k = draw(rng)
+                uniq, syn, pair = deduplicated(sigs, k)
+                starts.clear()
+                tables.clear()
+                found = min_logical_search(uniq, k, 9)
+                if found.distance == INF or found.distance < 2:
+                    continue
+                hitter = found.witness[:found.distance - found.distance // 2]  # partners lie above it
+                assert starts[-1] == max(hitter) + 1
+                assert tables[-1] == {reduce(xor, (syn[i] for i in hitter)): reduce(xor, (pair[i] for i in hitter))}
+                checked += 1
+        assert checked > 100
 
 
 class TestLevelBound:
