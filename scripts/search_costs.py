@@ -40,8 +40,7 @@ from qwr.codes import (
 )
 from qwr.faultdist import effective_distance, enumerate_faults
 from qwr.hgp import ProductSpec, higher_dim_hgp, kunneth_distance_predictor
-from qwr.reduce import copy_code, gauge_code, thicken
-from qwr.schedule import balanced_schedule, baseline_schedule, copied_schedule, gauged_schedule
+from qwr.schedule import baseline_schedule, carry
 
 FACTORS = {"r2": repetition_code(2), "r3": repetition_code(3), "h7": hamming_7_4()}
 MAX_N = 140
@@ -67,7 +66,8 @@ def grid_classes():
 
 def capped_search(q, basis):
     """The kernel run of a css_search that no route fits (dim > its
-    enumeration cap), for the level its cap stopped at and its counts."""
+    enumeration cap, so no work cap), for the level its cap stopped at and
+    its counts."""
     sigs, k = logical_signatures(q, basis, [1 << j for j in range(q.n)])
     return min_logical_search(sigs, k, q.n, MITM_TABLE_CAP, MITM_PROBE_FACTOR * MITM_TABLE_CAP, witness=False)
 
@@ -92,11 +92,10 @@ FAULT_CASES = [(name, basis, FAULT_MAX_D) for name in FAULT_CODES for basis in (
 
 def carried_thickening(q):
     """copy -> gauge -> thicken(2) with the seed-0 baseline schedule carried along."""
-    m = baseline_schedule(q, 0)
-    qc, cm = copy_code(q)
-    qg, gm = gauge_code(qc)
-    qt, bm = thicken(qg, 2)
-    return qt, balanced_schedule(gauged_schedule(copied_schedule(m, cm), gm, cm), bm)
+    qc, mc, cm, _ = carry("copy", q, baseline_schedule(q, 0))
+    qg, mg, gm, _ = carry("gauge", qc, mc, cm)
+    qt, mt, _, _ = carry("thicken", qg, mg, gm, ell=2)
+    return qt, mt
 
 
 def fault_costs(repeat: int) -> None:

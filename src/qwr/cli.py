@@ -327,25 +327,26 @@ def _emit(report: dict, out: str | None) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The qwr parser, built on first use and shared by every `main` call.
-    Each option's dest is the PipelineConfig field it sets."""
-    shared = argparse.ArgumentParser(add_help=False)
+    Each option's dest is the PipelineConfig field it sets; an option not
+    given is left out, so PipelineConfig supplies its default."""
+    shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     shared.add_argument("--hx", dest="hx_path", metavar="HX", required=True,
                         help="X check matrix (mtxf2 or .alist)")
     shared.add_argument("--hz", dest="hz_path", metavar="HZ", required=True,
                         help="Z check matrix (mtxf2 or .alist)")
-    shared.add_argument("--transform", dest="transforms", metavar="TRANSFORM", default=[],
+    shared.add_argument("--transform", dest="transforms", metavar="TRANSFORM",
                         type=lambda text: [t for t in text.split(",") if t],
                         help="comma-separated transform list")
-    shared.add_argument("--ell", type=_positive_int, default=2, help="thickening length")
+    shared.add_argument("--ell", type=_positive_int, help="thickening length")
     shared.add_argument("--heights", help="greedy:<w> or explicit:<csv>")
     shared.add_argument("--classical", dest="classical_path", metavar="CLASSICAL",
                         help="classical check matrix for balancing")
-    shared.add_argument("--cone-threshold", type=_positive_int, default=5)
-    shared.add_argument("--cone-ell", type=_positive_int, default=1)
+    shared.add_argument("--cone-threshold", type=_positive_int)
+    shared.add_argument("--cone-ell", type=_positive_int)
     shared.add_argument("--schedule", help="seed:<n> | file:<path> | derived")
-    shared.add_argument("--basis", choices=["X", "Z", "both"], default="both")
-    shared.add_argument("--max-d", type=_positive_int, default=None)
-    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--basis", choices=["X", "Z", "both"])
+    shared.add_argument("--max-d", type=_positive_int)
+    shared.add_argument("--seed", type=int)
     shared.add_argument("--out", help="write the JSON report here instead of stdout")
     shared.add_argument("--out-prefix", help="write transformed matrices/schedule files")
 
@@ -368,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     command = opts.pop("command")
-    opts["transforms"] = opts.pop("names", []) + opts["transforms"]
+    opts["transforms"] = opts.pop("names", []) + opts.get("transforms", [])
     cfg = PipelineConfig(**opts)
     if command == "faultdist":
         if cfg.schedule is None:
@@ -376,14 +377,13 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.max_d is None:
             cfg.max_d = DEFAULT_MAX_D
     try:
-        report = run_pipeline(cfg)
+        _emit(run_pipeline(cfg), cfg.out)
     except (UsageError, OSError, UnicodeDecodeError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except (ValueError, CapExceeded) as e:
         print(f"audit failure: {e}", file=sys.stderr)
         return 2
-    _emit(report, cfg.out)
     return 0
 
 

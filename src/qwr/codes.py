@@ -1,8 +1,10 @@
 """Classical codes, CSS codes, chain complexes, and exact distances.
 
 Distances are exact at desk scale: one meet-in-the-middle kernel serves the
-code and effective distances, handing over to Gray-code enumeration of the
-logical space when that is less work; caps raise CapExceeded.  The kernel
+code and effective distances and stops at the level where a cap would be
+exceeded.  css_search caps the kernel's work at the 2^dim vectors of the
+logical space and, when it stops there, hands over to Gray-code enumeration
+of that space; a search that no route fits raises CapExceeded.  The kernel
 searches one item per distinct nonzero signature and, on wide levels,
 probes only subsets connected through shared syndrome bits.  Such a level
 builds no table for the next ones: they meet a table one size short through
@@ -82,14 +84,14 @@ def hamming_7_4() -> ClassicalCode:
     return ClassicalCode(BinMatrix.from_rows(rows, 7))
 
 
-def classical_distance(code: ClassicalCode, k_cap: int = CLASSICAL_K_CAP) -> int | float:
+def classical_distance(code: ClassicalCode) -> int | float:
     """Minimum weight of a nonzero codeword; inf when the code is zero."""
     basis = kernel_basis(code.h)
     k = basis.nrows
     if k == 0:
         return INF
-    if k > k_cap:
-        raise CapExceeded(f"kernel dimension {k} exceeds exhaustive cap {k_cap}")
+    if k > CLASSICAL_K_CAP:
+        raise CapExceeded(f"kernel dimension {k} exceeds exhaustive cap {CLASSICAL_K_CAP}")
     # a nonzero codeword is its lowest basis row plus any later rows
     rows = basis.rows
     return min(exhaustive_min_weight(rows[i:i + 1], rows[i + 1:]) for i in range(k))
@@ -287,25 +289,28 @@ def css_search(
 ) -> Search:
     """css_distance with the route that answered it.
 
-    The kernel runs over single-qubit supports; when the logical space has
-    dimension dim = k + rank(same-basis checks) <= enum_cap it may finish by
-    enumerating all 2^dim vectors.  Raises CapExceeded when no route fits.
+    The kernel runs over single-qubit supports.  When the logical space has
+    dimension dim = k + rank(same-basis checks) <= enum_cap, the kernel's
+    work is capped at its 2^dim vectors, and once any cap stops the kernel
+    at level t they are enumerated instead, down to weight t.  Raises
+    CapExceeded when no route fits.
     """
     if q.k == 0:
         return Search(INF, None, "exhaustive")
     sigs, k = logical_signatures(q, basis, [1 << j for j in range(q.n)])
     dim = q.k + (q.rank_x if basis == "X" else q.rank_z)
-    exhaustive = None
-    if dim <= enum_cap:
-        stabs = [row for _, row in q.stab_pivots(basis).items()]
-        exhaustive = (dim, lambda floor: exhaustive_min_weight(logical_basis(q, basis).rows, stabs, floor))
-    found = min_logical_search(sigs, k, q.n, table_cap, MITM_PROBE_FACTOR * table_cap, exhaustive, witness=False)
-    if found.distance is None:
+    work_cap = 1 << dim if dim <= enum_cap else INF
+    found = min_logical_search(sigs, k, q.n, table_cap, MITM_PROBE_FACTOR * table_cap, work_cap, witness=False)
+    if found.distance is not None:
+        return found
+    if dim > enum_cap:
         raise CapExceeded(
             "code too large for exhaustive css_distance; use the fault-search bound "
             "(effective_distance with an explicit max_d) instead"
         )
-    return found
+    stabs = [row for _, row in q.stab_pivots(basis).items()]
+    distance = exhaustive_min_weight(logical_basis(q, basis).rows, stabs, found.level)
+    return found._replace(distance=distance, route="exhaustive", cap_count=0)
 
 
 # -- the exact search kernel ---------------------------------------------
@@ -316,17 +321,19 @@ LOW_STAB_ROWS = 10  # stabilizer rows in the exhaustive route's XOR table
 
 class Search(NamedTuple):
     """distance is None when a cap stopped the search at level `level`, and
-    cap_count is the subset count that exceeded the cap; witness holds the
-    sorted signature indices of one minimum set.  probes counts table
+    cap_count is that level's subset count on the capped side; witness holds
+    the sorted signature indices of one minimum set.  probes counts table
     lookups, the witness pass's included: one per subset probed against a
     full table, one per holder of the anchor bit when a subset is probed
     through the anchor (against a table one size short, or as the small
-    side of an odd connected level).  table_entries counts the subsets put
-    into tables.  (A NamedTuple: small searches build one per call, and it
-    builds faster than a frozen dataclass.)"""
+    side of an odd connected level).  The partner walk that completes the
+    witness is not counted.  table_entries counts the subsets put into
+    tables.  route is "mitm" from the kernel, "exhaustive" when css_search
+    enumerated the logical space.  (A NamedTuple: small searches build one
+    per call, and it builds faster than a frozen dataclass.)"""
     distance: int | float | None
     witness: tuple[int, ...] | None
-    route: str  # "mitm" | "exhaustive"
+    route: str
     level: int = 0
     cap_count: int = 0
     probes: int = 0
@@ -334,8 +341,8 @@ class Search(NamedTuple):
 
 
 def min_logical_search(
-    sigs: list[int], k: int, max_t: int, table_cap: int = MITM_TABLE_CAP, probe_cap: int | None = None,
-    exhaustive: tuple[int, Callable[[int], int | float]] | None = None, witness: bool = True,
+    sigs: list[int], k: int, max_t: int, table_cap: int = MITM_TABLE_CAP, probe_cap: int | float = INF,
+    work_cap: int | float = INF, witness: bool = True,
 ) -> Search:
     """Fewest signatures (see logical_signatures) whose XOR is a logical.
 
@@ -368,7 +375,7 @@ def min_logical_search(
     anchor's lookups beyond one per subset exceed comb(n, floor(t/2)), what
     the full table costs, the table is filled and the walk goes on against
     it.  A table two sizes short for level t + 1 is never used: level t
-    fills the size-floor(t/2) table at its end when plan(t + 1) is MITM.
+    fills the size-floor(t/2) table at its end unless level t + 1 is capped.
 
     An odd connected level t = 2s + 1 that has the full size-s table walks
     the connected s-subsets instead, each through the anchor against that
@@ -403,11 +410,10 @@ def min_logical_search(
       lower than v, and the first ceil(t/2) indices of a minimum set with
       least index v hit, so it starts no higher.
 
-    A level is capped when its table side exceeds table_cap or its probe
-    side probe_cap, counting distinct signatures only.  With exhaustive =
-    (dim, finish), finish(t) answers instead (no logical weighs less than
-    t) once the subsets walked so far plus level t's exceed 2^dim, or t is
-    capped.
+    A level is capped when its table side exceeds table_cap, its probe
+    side probe_cap, or the subsets walked so far plus its own work_cap,
+    counting distinct signatures only.  The search stops at the first
+    capped level with distance None; no logical weighs less than that level.
     """
     distinct = dict.fromkeys(sigs)  # in order of first occurrence
     distinct.pop(0, None)
@@ -416,26 +422,20 @@ def min_logical_search(
     syn = [s >> k for s in uniq]
     pair = [s & ((1 << k) - 1) for s in uniq]
 
-    def plan(t: int, spent: int) -> str:
-        capped = comb(n, t // 2) > table_cap or (probe_cap is not None and comb(n, t - t // 2) > probe_cap)
-        if exhaustive is not None and (capped or spent + comb(n, t - t // 2) > 1 << exhaustive[0]):
-            return "exhaustive"
-        return "capped" if capped else "mitm"
+    def capped(t: int, spent: int) -> bool:
+        return comb(n, t // 2) > table_cap or comb(n, t - t // 2) > min(probe_cap, work_cap - spent)
 
     table, size, rent = {0: 0}, 0, 0  # every size-subset; extra lookups anchored on it so far
     nbr = anchors = None  # built at the first level that walks connected subsets or anchors
     spent = probes = entries = 0
     top = min(max_t, n)  # a minimum set holds each distinct signature at most once
     for t in range(1, top + 1):
-        route = plan(t, spent)
-        if route == "exhaustive":
-            return Search(exhaustive[1](t), None, route, t, probes=probes, table_entries=entries)
         small, big = t // 2, t - t // 2
-        if route == "capped":
+        if capped(t, spent):
             over = comb(n, small) if comb(n, small) > table_cap else comb(n, big)
             return Search(None, None, "mitm", t, cap_count=over, probes=probes, table_entries=entries)
         spent += comb(n, big)
-        nxt = big > small and t < top and plan(t + 1, spent) == "mitm"  # level t + 1 needs size big
+        nxt = big > small and t < top and not capped(t + 1, spent)  # level t + 1 needs size big
         connected = _connected_pays(n, big)
         if nbr is None and (connected or size < small):
             nbr, anchors = _adjacency(syn, pair)

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .codes import CapExceeded, CssCode
 from .f2la import BinMatrix, bit_indices, kernel_basis, solve, transpose
 from .reduce import choose_heights, greedy_heights, thicken
+
+SOUNDNESS_CAP = 18  # soundness_lambda enumerates cycle and filling spaces up to this dimension
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,7 @@ class ChainMapF:
     n_x: int
     n_z: int
     skipped_rows: tuple[int, ...] = ()
-    cycle_basis: str = "spanning-tree fundamental cycles"
+    cycle_basis: ClassVar[str] = "spanning-tree fundamental cycles"
 
     def validate(self, h_x: BinMatrix, parts: tuple[ConeComplexPart, ...]) -> None:
         """Check f.d_B == d_A.f on every 1-cell, as a matrix identity."""
@@ -111,7 +114,6 @@ def consecutive_pairing(incident: list[int]) -> list[tuple[int, int]]:
 def build_cone_parts(
     q: CssCode,
     weight_threshold: int = 5,
-    on_disconnected: str = "keep",
     pairing=consecutive_pairing,
 ) -> tuple[tuple[ConeComplexPart, ...], ChainMapF, list[int]]:
     """Build one auxiliary complex per Z row heavier than the threshold.
@@ -120,8 +122,8 @@ def build_cone_parts(
     into tuples; it changes the part's geometry and soundness, so it is an
     explicit strategy.  The -1-cells are the spanning-tree fundamental
     cycles that ChainMapF.cycle_basis names.  Rows whose incidence graph is
-    disconnected cannot be coned without changing k; they stay direct
-    ('keep', recorded on the chain map) or raise ('error').
+    disconnected cannot be coned without changing k; they stay direct, and
+    the chain map records them as skipped.
     """
     if weight_threshold < 1:
         raise ValueError("weight threshold must be >= 1")
@@ -147,8 +149,6 @@ def build_cone_parts(
         edges = [(pos[qa], pos[qb]) for _, qa, qb in zero_cells]
         cycles, components = _fundamental_cycles(len(sup), edges)
         if components > 1:
-            if on_disconnected == "error":
-                raise ValueError(f"coned Z row {zr} has a disconnected incidence graph")
             skipped.append(zr)
             retained.append(zr)
             continue
@@ -288,30 +288,30 @@ def thicken_cone_detail(q_cone: CssCode, length: int):
     return chosen.transposed(), bm, hr
 
 
-def soundness_lambda(parts: tuple[ConeComplexPart, ...], cycle_cap: int = 18) -> Fraction:
+def soundness_lambda(parts: tuple[ConeComplexPart, ...]) -> Fraction:
     """Exact soundness factor: min over parts and nonzero 0-cycles u of
     |u| / (minimum filling weight), capped at 1.
 
-    Enumerates every u in the cycle space of the part (dimension capped) and
-    minimizes each filling over the solution coset exactly.
+    Enumerates every u in the cycle space of the part (dimension capped at
+    SOUNDNESS_CAP) and minimizes each filling over the solution coset exactly.
     """
     best = Fraction(1)
     for part in parts:
-        lam = _part_lambda(part, cycle_cap)
+        lam = _part_lambda(part)
         if lam < best:
             best = lam
     return best
 
 
-def _part_lambda(part: ConeComplexPart, cycle_cap: int) -> Fraction:
+def _part_lambda(part: ConeComplexPart) -> Fraction:
     m1, m0 = part.boundary_1, part.boundary_0
     cyc = kernel_basis(m0)
-    if cyc.nrows > cycle_cap:
+    if cyc.nrows > SOUNDNESS_CAP:
         raise CapExceeded(
-            f"part for Z row {part.parent_z_row} has 0-cycle dimension {cyc.nrows} > cap {cycle_cap}"
+            f"part for Z row {part.parent_z_row} has 0-cycle dimension {cyc.nrows} > cap {SOUNDNESS_CAP}"
         )
     filler = kernel_basis(m1)
-    if filler.nrows > cycle_cap:
+    if filler.nrows > SOUNDNESS_CAP:
         raise CapExceeded("filling coset dimension exceeds the enumeration cap")
     # fillings are linear in u, so one per basis cycle follows u through the
     # Gray code; each minimum is over that filling plus the span of ker d_1

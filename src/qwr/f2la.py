@@ -290,8 +290,3 @@ def vstack(a: BinMatrix, b: BinMatrix) -> BinMatrix:
     if a.ncols != b.ncols:
         raise ValueError(f"column mismatch: {a.shape} vs {b.shape}")
     return BinMatrix(list(a.rows) + list(b.rows), a.ncols)
-
-
-def direct_sum(a: BinMatrix, b: BinMatrix) -> BinMatrix:
-    rows = list(a.rows) + [r << a.ncols for r in b.rows]
-    return BinMatrix(rows, a.ncols + b.ncols)

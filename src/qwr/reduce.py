@@ -20,7 +20,6 @@ class CopyMap:
     """Provenance of copy_code: copy layout, row assignments, gluing checks."""
 
     q_x: int
-    n: int
     assigned_copy: dict[tuple[int, int], int]
     glue_rows: tuple[tuple[int, int, int], ...]  # (new X row, qubit, copy j)
 
@@ -69,14 +68,13 @@ def copy_code(q: CssCode, assignment: dict[tuple[int, int], int] | None = None) 
             v |= group_mask << (i * q_x)
         z_rows.append(v)
     code = CssCode(BinMatrix(x_rows, n * q_x), BinMatrix(z_rows, n * q_x))
-    return code, CopyMap(q_x, n, assigned, tuple(glue))
+    return code, CopyMap(q_x, assigned, tuple(glue))
 
 
 @dataclass(frozen=True)
 class GaugeMap:
     """Provenance of gauge_code: row splits, chain qubits, Z-row patches."""
 
-    n: int
     split_rows: dict[int, tuple[int, ...]]
     new_qubits: dict[int, tuple[int, ...]]
     z_patch: dict[int, tuple[int, ...]]
@@ -91,8 +89,7 @@ def gauge_code(q: CssCode) -> tuple[CssCode, GaugeMap]:
     repaired by the prefix rule: the i-th chain qubit is toggled into a Z row
     exactly when the row overlaps the first i original support qubits oddly.
     """
-    n = q.n
-    next_col = n
+    next_col = q.n
     x_rows: list[int] = []
     split_rows: dict[int, tuple[int, ...]] = {}
     new_qubits: dict[int, tuple[int, ...]] = {}
@@ -131,7 +128,7 @@ def gauge_code(q: CssCode) -> tuple[CssCode, GaugeMap]:
             z_patch[zr] = tuple(sorted(patch))
     h_x_out = BinMatrix(x_rows, next_col)
     code = CssCode(h_x_out, BinMatrix(z_rows, next_col))
-    return code, GaugeMap(n, split_rows, new_qubits, z_patch, h_x_out)
+    return code, GaugeMap(split_rows, new_qubits, z_patch, h_x_out)
 
 
 @dataclass(frozen=True)

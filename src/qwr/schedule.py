@@ -52,13 +52,6 @@ class Schedule:
         if len(seen["X"]) != q.n_x or len(seen["Z"]) != q.n_z:
             raise ValueError("schedule does not cover every stabilizer row exactly once")
 
-    def step_for(self, basis: str, row: int) -> Step:
-        for s in self.steps:
-            if s.basis == basis and s.row == row:
-                return s
-        raise KeyError((basis, row))
-
-
 def baseline_schedule(q: CssCode, seed: int = 0) -> Schedule:
     """Seed 0: matrix order with ascending gate order; otherwise seeded-random."""
     steps = [Step("X", r, tuple(q.h_x.row_support(r))) for r in range(q.n_x)]

@@ -276,6 +276,13 @@ class TestMainEntry:
         assert main(["info", "--hx", str(tmp_path), "--hz", hz]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", [".", "missing/r.json"])  # a directory; a file in a missing one
+    def test_unwritable_out_exit_one(self, steane_files, tmp_path, capsys, out):
+        hx, hz = steane_files
+        assert main(["info", "--hx", hx, "--hz", hz, "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "flags",
         [

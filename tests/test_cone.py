@@ -70,8 +70,6 @@ class TestBuildParts:
         parts, f, retained = build_cone_parts(q)
         assert not parts and retained == [0]
         assert f.skipped_rows == (0,)
-        with pytest.raises(ValueError, match="disconnected"):
-            build_cone_parts(q, on_disconnected="error")
 
     def test_threshold_parameter(self):
         r = ring_face_code(6)

@@ -3,7 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from qwr.f2la import (
     BinMatrix,
-    direct_sum,
     kernel_basis,
     kron,
     mat_mul,
@@ -178,9 +177,6 @@ class TestStacking:
     def test_vstack(self):
         v = vstack(BinMatrix.identity(2), BinMatrix.zeros(1, 2))
         assert v.shape == (3, 2)
-
-    def test_direct_sum(self):
-        assert direct_sum(BinMatrix.identity(1), BinMatrix.identity(1)) == BinMatrix.identity(2)
 
     def test_mismatch(self):
         with pytest.raises(ValueError):

@@ -204,7 +204,7 @@ class TestConeSchedule:
         m = baseline_schedule(r, 21)
         mc = cone_schedule(m, cparts, f)
         mc.validate(qc)
-        parent = m.step_for("Z", 0)
+        parent = next(s for s in m.steps if (s.basis, s.row) == ("Z", 0))
         new_z = [s for s in mc.steps if s.basis == "Z"]
         part = cparts[0]
         expected_rows = [
@@ -223,7 +223,7 @@ class TestConeSchedule:
         mc = cone_schedule(m, cparts, f)
         for s in mc.steps:
             if s.basis == "X" and s.row < r.n_x:
-                pre = m.step_for("X", s.row).order
+                pre = next(p for p in m.steps if (p.basis, p.row) == ("X", s.row)).order
                 assert s.order[: len(pre)] == pre
                 assert all(qb >= r.n for qb in s.order[len(pre):])
 

@@ -1,10 +1,10 @@
 """The exact search kernel against the original meet-in-the-middle search,
-the brute-force oracle, and its own exhaustive route."""
+the brute-force oracle, and css_search's exhaustive hand-over."""
 
 import random
 import re
 from functools import reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from operator import xor
 
@@ -652,3 +652,30 @@ class TestLevelBound:
 
     def test_no_signatures(self):
         assert min_logical_search([0, 0], 1, 10 ** 6) == (INF, None, "mitm", 10 ** 6, 0, 0, 0)
+
+
+class TestWorkCap:
+    @pytest.mark.parametrize("force", [connected_only, odd_connected, lex_only])
+    def test_stops_where_the_walked_subsets_exceed_the_cap(self, force):
+        # with work_cap W the search either answers as without it or stops,
+        # distance None, at the first level t whose walked subsets
+        # sum_{u <= t} C(n, ceil(u/2)) exceed W (n distinct nonzero signatures)
+        rng = random.Random(67)
+        stops = set()
+        with pytest.MonkeyPatch.context() as mp:
+            force(mp)
+            for draw in [seeded_signatures] * 100 + [planted_cycle] * 50:
+                sigs, k = draw(rng)
+                n = len(set(sigs) - {0})
+                full = min_logical_search(sigs, k, 9)
+                reached = min(9, n) if full.distance == INF else full.distance
+                walked = list(accumulate(comb(n, u - u // 2) for u in range(1, reached + 1)))
+                for cap in {0, *(w - 1 for w in walked), *walked[-1:]}:
+                    found = min_logical_search(sigs, k, 9, work_cap=cap)
+                    stop = next((t for t, w in enumerate(walked, 1) if w > cap), None)
+                    if stop is None:
+                        assert found == full, (sigs, cap)
+                    else:
+                        assert found[:5] == (None, None, "mitm", stop, comb(n, stop - stop // 2)), (sigs, cap)
+                        stops.add(stop)
+        assert stops >= {1, 2, 3, 4, 5, 6, 7}
