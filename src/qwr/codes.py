@@ -3,8 +3,10 @@
 Distances are exact at desk scale: one meet-in-the-middle kernel serves the
 code and effective distances and stops at the level where a cap would be
 exceeded.  css_search caps the kernel's work at the 2^dim vectors of the
-logical space and, when it stops there, hands over to Gray-code enumeration
-of that space; a search that no route fits raises CapExceeded.  The kernel
+logical space and, when it stops there, hands over to an exact enumeration
+of that space, above ten rows by Brouwer-Zimmermann over disjoint
+information sets, which stops once its lower bound meets the best logical
+found; a search that no route fits raises CapExceeded.  The kernel
 searches one item per distinct nonzero signature and, on wide levels,
 probes only subsets connected through shared syndrome bits.  Such a level
 builds no table for the next ones: they meet a table one size short through
@@ -18,10 +20,12 @@ its smaller half through the same anchor.  Infinite distance is the float
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import islice
 from math import comb
+from operator import or_
 from typing import Callable, NamedTuple
 
 from .f2la import (
@@ -45,6 +49,7 @@ CLASSICAL_K_CAP = 24
 CSS_ENUM_CAP = 26
 MITM_TABLE_CAP = 4_000_000
 MITM_PROBE_FACTOR = 100  # css_search's probe cap is this many times its table cap
+BZ_SEED = 0  # seeds the column order of the Brouwer-Zimmermann information sets
 
 
 class CapExceeded(RuntimeError):
@@ -92,9 +97,7 @@ def classical_distance(code: ClassicalCode) -> int | float:
         return INF
     if k > CLASSICAL_K_CAP:
         raise CapExceeded(f"kernel dimension {k} exceeds exhaustive cap {CLASSICAL_K_CAP}")
-    # a nonzero codeword is its lowest basis row plus any later rows
-    rows = basis.rows
-    return min(exhaustive_min_weight(rows[i:i + 1], rows[i + 1:]) for i in range(k))
+    return exhaustive_min_weight(basis.rows, [])  # every nonzero codeword counts
 
 
 class CssCode:
@@ -292,8 +295,9 @@ def css_search(
     The kernel runs over single-qubit supports.  When the logical space has
     dimension dim = k + rank(same-basis checks) <= enum_cap, the kernel's
     work is capped at its 2^dim vectors, and once any cap stops the kernel
-    at level t they are enumerated instead, down to weight t.  Raises
-    CapExceeded when no route fits.
+    at level t that space is enumerated instead (exhaustive_min_weight: by
+    Brouwer-Zimmermann above LOW_STAB_ROWS rows), stopping at weight t.
+    Raises CapExceeded when no route fits.
     """
     if q.k == 0:
         return Search(INF, None, "exhaustive")
@@ -316,7 +320,7 @@ def css_search(
 # -- the exact search kernel ---------------------------------------------
 
 MULTI = -1  # table value once two different pairings share one syndrome
-LOW_STAB_ROWS = 10  # stabilizer rows in the exhaustive route's XOR table
+LOW_STAB_ROWS = 10  # up to this many rows the exhaustive route is one XOR-table pass
 
 
 class Search(NamedTuple):
@@ -329,8 +333,10 @@ class Search(NamedTuple):
     side of an odd connected level).  The partner walk that completes the
     witness is not counted.  table_entries counts the subsets put into
     tables.  route is "mitm" from the kernel, "exhaustive" when css_search
-    enumerated the logical space.  (A NamedTuple: small searches build one
-    per call, and it builds faster than a frozen dataclass.)"""
+    enumerated the logical space (exhaustive_min_weight); the counts are then
+    the kernel's, up to the level where it stopped.  (A NamedTuple: small
+    searches build one per call, and it builds faster than a frozen
+    dataclass.)"""
     distance: int | float | None
     witness: tuple[int, ...] | None
     route: str
@@ -612,28 +618,115 @@ def _fill(syn, pair, r):
 
 
 def exhaustive_min_weight(logicals, stabs, floor: int = 1) -> int | float:
-    """Least weight of a nonzero combination of logicals plus any of stabs.
+    """Least weight of a combination of independent rows, logicals plus
+    stabs, with at least one logical in it; inf when there are no logicals.
 
-    Gray code over the logical rows and the high stabilizer rows; each vector
-    meets a precomputed XOR table of the low stabilizer rows.  Stops once the
-    weight reaches floor, a known lower bound.
+    Up to LOW_STAB_ROWS rows, each logical combination meets a precomputed
+    XOR table of the stabilizer span.  Beyond that, Brouwer-Zimmermann
+    enumeration (see _bz_min_weight), which also stops once it meets floor,
+    a known lower bound.
     """
-    table = [0]
-    for row in stabs[:LOW_STAB_ROWS]:
-        table += [x ^ row for x in table]
-    rows = list(logicals) + list(stabs[LOW_STAB_ROWS:])
+    if not logicals:
+        return INF
+    if len(logicals) + len(stabs) > LOW_STAB_ROWS:
+        rows = list(logicals) + list(stabs)
+        return _bz_min_weight(rows, [1 << i for i in range(len(logicals))] + [0] * len(stabs), floor)
+    table = _span(stabs)
+    return min(min(map(int.bit_count, map(v.__xor__, table))) for v in _span(logicals)[1:])
+
+
+def _span(rows) -> list[int]:
+    """All 2^len(rows) combinations of rows, the empty one first."""
+    span = [0]
+    for row in rows:
+        span += [x ^ row for x in span]
+    return span
+
+
+def _bz_min_weight(rows, lams, floor: int) -> int | float:
+    """Brouwer-Zimmermann enumeration (Grassl, "Searching for linear codes
+    with large minimum distance", 2006) of the dim independent rows: the
+    least weight of a combination whose logical mask, the XOR of its rows'
+    lams, is nonzero.
+
+    Level w of a systematic matrix of the code (see _information_sets) holds
+    the combinations of w of its rows.  A combination of more than w rows
+    has more than w ones on the matrix's dim pivot columns, so more than
+    w - (dim - r) on the r of them that no earlier matrix pivots on.  Those
+    columns are disjoint across matrices, so once every matrix has had its
+    levels up to done_j enumerated, every codeword not yet seen weighs at
+    least sum_j max(0, done_j + 1 - (dim - r_j)).  Level w is run on each
+    matrix whose term is positive after it (w >= dim - r_j); a partial
+    matrix runs its lower levels first, since its term needs all of them.
+    The search stops once the best nontrivial weight is at most the larger
+    of that bound and floor.
+    """
+    dim = len(rows)
+    mats = _information_sets(rows, lams)
+    done = [0] * len(mats)  # levels enumerated per matrix
     best = INF
-    v = lam = 0
-    for g in range(1, 1 << len(rows)):
-        idx = (g & -g).bit_length() - 1
-        v ^= rows[idx]
-        if idx < len(logicals):
-            lam ^= 1 << idx
-        if lam:
-            best = min(best, min(map(int.bit_count, map(v.__xor__, table))))
-            if best <= floor:
-                break
+
+    def stop() -> int:
+        return max(floor, sum(max(0, d + 1 - (dim - r)) for d, (_, _, r) in zip(done, mats)))
+
+    for w in range(1, dim + 1):
+        for j, (rs, ls, r) in enumerate(mats):
+            if w < dim - r:
+                continue
+            tails = [rs[i:] for i in range(dim)]
+            for level in range(done[j] + 1, w + 1):
+                cut = stop()
+                for _, cands, v, p in _lex_walk(rs, ls, level):
+                    # the last index vectorised; the logical mask is read only below the best
+                    if min(map(int.bit_count, map(v.__xor__, tails[cands.start]))) < best:
+                        best = min([best] + [(v ^ rs[i]).bit_count() for i in cands if p ^ ls[i]])
+                        if best <= cut:
+                            return best
+                done[j] = level
+                if best <= stop():
+                    return best
     return best
+
+
+def _column_order(cols: list[int]) -> list[int]:
+    """The order in which _information_sets tries the columns: a seeded
+    shuffle.  (Ascending columns leave the product codes few full sets:
+    hgp(rep3, rep3, rep3) level 1, X gets ranks 19, 17, 12, 3 instead of
+    19, 19, 12, 1.)"""
+    return random.Random(BZ_SEED).sample(cols, len(cols))
+
+
+def _information_sets(rows, lams) -> list[tuple[list[int], list[int], int]]:
+    """Systematic forms (rows, lams, r) of the dim independent rows on
+    disjoint information sets.  Each Gauss-Jordan pass takes its pivots from
+    the columns no earlier pass used, in one seeded column order, r of them;
+    a pass with r < dim completes its pivots on used columns.  Passes go on
+    until one finds no unused pivot."""
+    order = _column_order(bit_indices(reduce(or_, rows, 0)))
+    used, mats = 0, []
+    while True:
+        rs, ls, free, fresh = list(rows), list(lams), list(range(len(rows))), 0
+        for new in (True, False):
+            for c in order:
+                bit = 1 << c
+                if not free:
+                    break
+                if bool(used & bit) == new:
+                    continue
+                i = next((i for i in free if rs[i] & bit), None)
+                if i is None:
+                    continue
+                free.remove(i)
+                for j, row in enumerate(rs):
+                    if j != i and row & bit:
+                        rs[j] ^= rs[i]
+                        ls[j] ^= ls[i]
+                if new:
+                    fresh |= bit
+        if not fresh:
+            return mats
+        mats.append((rs, ls, fresh.bit_count()))
+        used |= fresh
 
 
 # -- named desk-scale instances --------------------------------------

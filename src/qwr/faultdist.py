@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .codes import INF, MITM_TABLE_CAP, CapExceeded, CssCode, logical_signatures, min_logical_search
+from .codes import INF, MITM_PROBE_FACTOR, MITM_TABLE_CAP, CapExceeded, CssCode, logical_signatures, min_logical_search
 from .reduce import BalanceMap
 from .schedule import Schedule
 
@@ -98,7 +98,9 @@ def effective_distance(
 
     Runs codes.min_logical_search over the generators' signatures; a match at
     the first feasible t is a weight-t witness since lower levels were
-    exhausted first.
+    exhausted first.  As in css_search, a level whose table side exceeds
+    table_cap, or whose probe side exceeds MITM_PROBE_FACTOR * table_cap,
+    raises CapExceeded naming that side.
     """
     if max_d < 1:
         raise ValueError("max_d must be >= 1")
@@ -106,13 +108,16 @@ def effective_distance(
         return FaultSearchResult(INF, None, basis, max_d)
     gens = enumerate_faults(q, m, basis) if generators is None else generators
     sigs, k = logical_signatures(q, basis, [g.residual for g in gens])
-    found = min_logical_search(sigs, k, max_d, table_cap)
+    found = min_logical_search(sigs, k, max_d, table_cap, MITM_PROBE_FACTOR * table_cap)
     t = found.level
     if found.distance is None:
-        raise CapExceeded(
-            f"meet-in-the-middle table for t={t} needs {found.cap_count} entries; "
-            f"lower max_d or raise table_cap"
-        )
+        # the kernel checks the table side first, over the distinct nonzero signatures
+        if comb(len(set(sigs) - {0}), t // 2) > table_cap:
+            need = f"meet-in-the-middle table for t={t} needs {found.cap_count} entries"
+        else:
+            need = (f"meet-in-the-middle probes for t={t} need {found.cap_count} subsets, "
+                    f"over {MITM_PROBE_FACTOR} x table_cap")
+        raise CapExceeded(f"{need}; lower max_d or raise table_cap")
     witness = None if found.witness is None else tuple(gens[i] for i in found.witness)
     # overlapping halves cannot match at the first feasible t: the cancelled
     # XOR would have matched two levels earlier

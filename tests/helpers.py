@@ -229,6 +229,41 @@ def reference_min_logical(sigs: list[int], k: int, max_t: int):
     return INF, None
 
 
+# The Gray-code pass codes.exhaustive_min_weight made before it switched to
+# Brouwer-Zimmermann enumeration above ten rows, kept as its reference.
+def reference_exhaustive_min_weight(logicals, stabs, floor: int = 1) -> int | float:
+    """Least weight of a nonzero combination of logicals plus any of stabs.
+
+    Gray code over the logical rows and all but the first ten stabilizer
+    rows; each vector meets a precomputed XOR table of those ten.  Stops
+    once the weight reaches floor, a known lower bound.
+    """
+    table = [0]
+    for row in stabs[:10]:
+        table += [x ^ row for x in table]
+    rows = list(logicals) + list(stabs[10:])
+    best = INF
+    v = lam = 0
+    for g in range(1, 1 << len(rows)):
+        idx = (g & -g).bit_length() - 1
+        v ^= rows[idx]
+        if idx < len(logicals):
+            lam ^= 1 << idx
+        if lam:
+            best = min(best, min(map(int.bit_count, map(v.__xor__, table))))
+            if best <= floor:
+                break
+    return best
+
+
+def brute_force_min_weight(logicals, stabs) -> int | float:
+    """The same least weight by listing every combination of the rows."""
+    words = [(0, False)]
+    for i, row in enumerate(list(logicals) + list(stabs)):
+        words += [(v ^ row, lam or i < len(logicals)) for v, lam in words]
+    return min((v.bit_count() for v, lam in words if lam), default=INF)
+
+
 # The elimination loops f2la had before its masked kernels, kept verbatim
 # (renamed, calling each other) as the reference that the kernels must
 # reproduce output for output.  Pivots are (pivot_col, row) lists.

@@ -1,10 +1,12 @@
 """The exact search kernel against the original meet-in-the-middle search,
-the brute-force oracle, and css_search's exhaustive hand-over."""
+the brute-force oracle, and css_search's exhaustive hand-over, whose
+Brouwer-Zimmermann enumeration is checked against the Gray-code pass it
+replaced and against brute force."""
 
 import random
 import re
 from functools import reduce
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 from math import comb
 from operator import xor
 
@@ -16,22 +18,31 @@ from qwr.cli import _code_distance_entry
 from qwr.codes import (
     INF,
     CapExceeded,
+    CssCode,
     classical_distance,
     css_search,
+    exhaustive_min_weight,
     hamming_7_4,
+    logical_basis,
     logical_signatures,
     min_logical_search,
     repetition_code,
     steane_code,
     surface_code_2x3,
 )
-from qwr.f2la import mat_vec
+from qwr.f2la import BinMatrix, kernel_basis, mat_vec, rank
 from qwr.faultdist import effective_distance, enumerate_faults, oracle_effective_distance, witness_is_valid
-from qwr.hgp import ProductSpec, higher_dim_hgp
-from qwr.reduce import copy_code, gauge_code, thicken
-from qwr.schedule import balanced_schedule, baseline_schedule, copied_schedule, gauged_schedule
+from qwr.hgp import ProductSpec, higher_dim_hgp, kunneth_distance_predictor
+from qwr.schedule import baseline_schedule, carry
 
-from helpers import corpus, random_classical, random_css, reference_min_logical
+from helpers import (
+    brute_force_min_weight,
+    corpus,
+    random_classical,
+    random_css,
+    reference_exhaustive_min_weight,
+    reference_min_logical,
+)
 
 FACTORS = {"r2": repetition_code(2), "r3": repetition_code(3), "h7": hamming_7_4()}
 
@@ -58,11 +69,10 @@ def fault_cases(seed: int, count: int, n_max: int):
 def carried_thickening(q):
     """copy -> gauge -> thicken(2) with the seed-0 schedule carried along,
     as `qwr transform copy gauge thicken --schedule derived` builds it."""
-    m = baseline_schedule(q, 0)
-    qc, cm = copy_code(q)
-    qg, gm = gauge_code(qc)
-    qt, bm = thicken(qg, 2)
-    return qt, balanced_schedule(gauged_schedule(copied_schedule(m, cm), gm, cm), bm)
+    qc, mc, cm, _ = carry("copy", q, baseline_schedule(q, 0))
+    qg, mg, gm, _ = carry("gauge", qc, mc, cm)
+    qt, mt, _, _ = carry("thicken", qg, mg, gm, ell=2)
+    return qt, mt
 
 
 @st.composite
@@ -134,6 +144,101 @@ class TestExhaustiveRoute:
         assert (found.distance, found.route) == (6, "exhaustive")
         with pytest.raises(CapExceeded):
             css_search(q, "X", enum_cap=0, table_cap=100)
+
+
+def spread_code(rng, dim: int, n: int, k0: bool = False) -> CssCode:
+    """Random CSS code on n qubits whose X logical space ker(h_z) has
+    dimension dim: n - dim random Z checks of full rank, and X checks drawn
+    from their kernel, all dim of them when k0 (so k = 0), else at least
+    dim - 12 (so the Gray-code reference walks at most 2^12 vectors)."""
+    while True:
+        hz = BinMatrix([rng.getrandbits(n) for _ in range(n - dim)], n)
+        if rank(hz) == n - dim:
+            break
+    ker = kernel_basis(hz).rows
+    hx = []
+    while rank(BinMatrix(hx, n)) < (dim if k0 else rng.randint(max(0, dim - 12), dim)):
+        hx.append(reduce(xor, (row for row in ker if rng.random() < 0.5), 0))
+    return CssCode(BinMatrix(hx or [0], n), hz)
+
+
+class TestBrouwerZimmermann:
+    def test_matches_gray_code_and_brute_force(self):
+        # per dim 11-18: a short code, whose second information set is
+        # partial, and a long one, which usually has two or more full ones;
+        # per dim 19-22 (where the reference walks 2^dim vectors) a long one
+        rng = random.Random(71)
+        shapes = {"one partial": 0, "two or more full": 0}
+        for dim in range(11, 23):
+            short = [rng.randint(dim + 3, 2 * dim - 1)] if dim <= 18 else []
+            for n in short + [rng.randint(5 * dim // 2, 3 * dim)]:
+                q = spread_code(rng, dim, n)
+                logicals = list(logical_basis(q, "X").rows)
+                stabs = [row for _, row in q.x_pivots.items()]
+                assert len(logicals) + len(stabs) == dim
+                d = reference_exhaustive_min_weight(logicals, stabs)
+                if dim <= 16:
+                    assert brute_force_min_weight(logicals, stabs) == d
+                for floor in range(1, d + 1):
+                    assert exhaustive_min_weight(logicals, stabs, floor) == d, (dim, n, floor)
+                ranks = [r for *_, r in codes._information_sets(logicals + stabs, [1] * dim)]
+                full = ranks.count(dim)
+                shapes["one partial"] += full == 1 and len(ranks) == 2
+                shapes["two or more full"] += full >= 2
+        assert min(shapes.values()) >= 5
+
+    def test_partial_sets_run_their_lower_levels(self):
+        # logical row e0|p and stabilizer rows e1|q, e2|p+q, e3 on 4 + 6
+        # columns, p and q of weight 3 on columns 4-6 and 7-9: the lightest
+        # logical is e0+e1+e2 (weight 3).  In ascending column order the
+        # sets have ranks 4, 2, 2, 2, and that logical is a single row of the
+        # second matrix, which joins at level 2: skipping its level 1 would
+        # stop at weight 4 (as would a bound term of w + 2)
+        p, q = 0b111 << 4, 0b111 << 7
+        rows, lams = [1 | p, 2 | q, 4 | p | q, 8], [1, 0, 0, 0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codes, "_column_order", sorted)
+            assert [r for *_, r in codes._information_sets(rows, lams)] == [4, 2, 2, 2]
+            assert codes._bz_min_weight(rows, lams, 1) == 3 == brute_force_min_weight(rows[:1], rows[1:])
+
+    def test_no_logicals(self):
+        rng = random.Random(73)
+        for dim in (11, 16, 22):
+            q = spread_code(rng, dim, 2 * dim, k0=True)
+            stabs = [row for _, row in q.x_pivots.items()]
+            assert (q.k, len(stabs)) == (0, dim)
+            assert exhaustive_min_weight([], stabs) == INF == reference_exhaustive_min_weight([], stabs)
+            assert css_search(q, "X", table_cap=0).distance == INF
+
+    def test_classical_distance_beyond_the_table_pass(self):
+        # k = 11-16 kernel rows: every nonzero codeword counts
+        rng = random.Random(79)
+        for _ in range(6):
+            n = rng.randint(20, 28)
+            h = BinMatrix([rng.getrandbits(n) for _ in range(n - rng.randint(11, 16))], n)
+            rows = kernel_basis(h).rows
+            assert classical_distance(codes.ClassicalCode(h)) == brute_force_min_weight(rows, [])
+
+    def test_grid_matches_kunneth(self):
+        # each (n, dim, d) class of the rep(2)/rep(3)/Hamming product grid
+        # (n <= 140, as scripts/search_costs.py) with dim <= 26, enumerated
+        # from the first level: a zero table cap stops the kernel there
+        seen = set()
+        for count in (2, 3):
+            for names in product(FACTORS, repeat=count):
+                for level in range(1, count):
+                    spec = ProductSpec(tuple(FACTORS[f] for f in names), level=level)
+                    q, _ = higher_dim_hgp(spec)
+                    if q.n > 140:
+                        continue
+                    pred = kunneth_distance_predictor(spec)
+                    for basis, d in (("X", pred.d_x), ("Z", pred.d_z)):
+                        dim = q.k + (q.rank_x if basis == "X" else q.rank_z)
+                        if dim <= 26 and (q.n, dim, d) not in seen:
+                            seen.add((q.n, dim, d))
+                            found = css_search(q, basis, table_cap=0)
+                            assert (found.distance, found.route, found.level) == (d, "exhaustive", 1), (names, level)
+        assert len(seen) == 23
 
 
 class TestRouteChoice:
@@ -261,6 +366,16 @@ class TestDeduplication:
         assert (found.distance, found.level, found.cap_count) == (None, 2, distinct)
         with pytest.raises(CapExceeded, match=f"t=2 needs {distinct} entries"):
             effective_distance(q, baseline_schedule(q, 0), "X", 4, generators=doubled, table_cap=distinct - 1)
+
+
+class TestEffectiveDistanceCaps:
+    def test_probe_side_stops_first_with_many_generators(self):
+        # thickened Steane Z has 198 distinct generators: with table_cap 1
+        # level 1 already probes 198 > 100 x 1 subsets, one level before its
+        # table side (198 entries at level 2) would stop it
+        q, m = carried_thickening(steane_code())
+        with pytest.raises(CapExceeded, match=r"^meet-in-the-middle probes for t=1 need 198 subsets"):
+            effective_distance(q, m, "Z", 5, table_cap=1)
 
 
 def lex_only(mp):
