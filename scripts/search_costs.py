@@ -8,7 +8,11 @@ and d the Kunneth prediction.  For each class it prints the route and level
 that answered codes.css_search, the kernel's work counts (probes: table
 lookups; table_entries: subsets put into tables) and the best-of-N
 perf_counter time of css_search in milliseconds.  A class that exceeds a
-cap prints route "capped" with the level the cap stopped at.
+cap prints route "capped" with the level the cap stopped at.  The last
+column names the side that stopped the kernel, on capped classes and on
+those it handed over to enumeration: "table" (over table_cap entries) or
+"walk" (over the walk cap, 100 x table_cap subsets, or the 2^dim vectors
+of the logical space); "-" when the kernel answered.
 
 With --faults it times the effective-distance search instead: Steane and
 surface 2x3, each carried through copy -> gauge -> thicken(2) with the
@@ -27,8 +31,6 @@ import time
 from itertools import product
 
 from qwr.codes import (
-    MITM_PROBE_FACTOR,
-    MITM_TABLE_CAP,
     CapExceeded,
     css_search,
     hamming_7_4,
@@ -65,11 +67,11 @@ def grid_classes():
 
 
 def capped_search(q, basis):
-    """The kernel run of a css_search that no route fits (dim > its
-    enumeration cap, so no work cap), for the level its cap stopped at and
-    its counts."""
+    """The kernel run of a css_search that no route fits (2^dim over the
+    walk cap, so no work cap), for the level its cap stopped at, the side
+    that stopped it and its counts."""
     sigs, k = logical_signatures(q, basis, [1 << j for j in range(q.n)])
-    return min_logical_search(sigs, k, q.n, MITM_TABLE_CAP, MITM_PROBE_FACTOR * MITM_TABLE_CAP, witness=False)
+    return min_logical_search(sigs, k, q.n, witness=False)
 
 
 def timed_search(q, basis, repeat: int):
@@ -127,14 +129,14 @@ def main(argv=None) -> None:
         fault_costs(args.repeat)
         return
     print(f"{'product':<8}{'L':>2} {'b':>1}{'n':>5}{'dim':>5}{'d':>3}  {'route':<10}{'level':>5}"
-          f"{'probes':>10}{'table_entries':>15}{'ms':>10}")
+          f"{'probes':>10}{'table_entries':>15}{'ms':>10}  cap")
     for name, level, basis, q, dim, d in grid_classes():
         found, ms = timed_search(q, basis, args.repeat)
         route = found.route if found is not None else "capped"
         if found is None:
             found = capped_search(q, basis)
         print(f"{name:<8}{level:>2} {basis:>1}{q.n:>5}{dim:>5}{d:>3}  {route:<10}{found.level:>5}"
-              f"{found.probes:>10}{found.table_entries:>15}{ms:>10.2f}")
+              f"{found.probes:>10}{found.table_entries:>15}{ms:>10.2f}  {found.cap_side or '-'}")
 
 
 if __name__ == "__main__":

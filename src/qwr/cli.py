@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 from . import __version__
 from .codes import INF, CapExceeded, CssCode, ClassicalCode, css_search
 from .f2la import BinMatrix, bit_indices, transpose
-from .faultdist import DEFAULT_MAX_D, effective_distance, hook_weight_audit
+from .faultdist import DEFAULT_MAX_D, effective_distance
 from .reduce import greedy_heights, kept_z_rows
 from .schedule import BALANCES, TRANSFORMS, Schedule, baseline_schedule, carry, format_schedule, parse_schedule
 
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 
 class UsageError(ValueError):
@@ -277,8 +277,7 @@ def _compute_distances(code: CssCode, schedule: Schedule | None, bases, max_d: i
     if max_d is None:
         skipped = {"value": None, "method": "skipped", "bound": "no --max-d given"}
         return entries | {f"effective_{b}": dict(skipped) for b in bases}
-    audit_ok = hook_weight_audit(code, schedule).ok  # the audit reads the schedule, not the basis: one serves both
-    return entries | {f"effective_{b}": _effective_entry(code, schedule, b, max_d, audit_ok) for b in bases}
+    return entries | {f"effective_{b}": _effective_entry(code, schedule, b, max_d) for b in bases}
 
 
 def _code_distance_entry(code: CssCode, basis: str) -> dict:
@@ -289,17 +288,12 @@ def _code_distance_entry(code: CssCode, basis: str) -> dict:
         return {"value": None, "method": "skipped", "bound": str(e)}
 
 
-def _effective_entry(code: CssCode, schedule: Schedule, basis: str, max_d: int, audit_ok: bool) -> dict:
+def _effective_entry(code: CssCode, schedule: Schedule, basis: str, max_d: int) -> dict:
     try:
         res = effective_distance(code, schedule, basis, max_d)
     except CapExceeded as e:
-        return {"value": None, "method": "skipped", "bound": str(e), "hook_audit_ok": audit_ok}
-    entry = {
-        "value": _dist_value(res.distance),
-        "method": "mitm",
-        "bound": res.exact_up_to,
-        "hook_audit_ok": audit_ok,
-    }
+        return {"value": None, "method": "skipped", "bound": str(e)}
+    entry = {"value": _dist_value(res.distance), "method": "mitm", "bound": res.exact_up_to}
     if res.witness is not None:
         entry["witness"] = [
             {

@@ -1,12 +1,16 @@
 """Classical codes, CSS codes, chain complexes, and exact distances.
 
-Distances are exact at desk scale: one meet-in-the-middle kernel serves the
-code and effective distances and stops at the level where a cap would be
-exceeded.  css_search caps the kernel's work at the 2^dim vectors of the
-logical space and, when it stops there, hands over to an exact enumeration
-of that space, above ten rows by Brouwer-Zimmermann over disjoint
-information sets, which stops once its lower bound meets the best logical
-found; a search that no route fits raises CapExceeded.  The kernel
+Distances are exact at desk scale, and every exponential search works
+within one budget set by table_cap: it holds at most table_cap items and
+walks or enumerates at most W = MITM_PROBE_FACTOR * table_cap.  One
+meet-in-the-middle kernel serves the code and effective distances and stops
+at the level where either limit would be exceeded.  When the 2^dim vectors
+of the logical space fit in W, css_search caps the kernel's work at 2^dim
+and, when it stops there, hands over to an exact enumeration of that space,
+above ten rows by Brouwer-Zimmermann over disjoint information sets, which
+stops once its lower bound meets the best logical found; otherwise a
+stopped kernel raises CapExceeded.  classical_distance enumerates its 2^k
+codewords under the same test.  The kernel
 searches one item per distinct nonzero signature and, on wide levels,
 probes only subsets connected through shared syndrome bits.  Such a level
 builds no table for the next ones: they meet a table one size short through
@@ -45,15 +49,13 @@ from .f2la import (
 
 INF = math.inf
 
-CLASSICAL_K_CAP = 24
-CSS_ENUM_CAP = 26
 MITM_TABLE_CAP = 4_000_000
-MITM_PROBE_FACTOR = 100  # css_search's probe cap is this many times its table cap
+MITM_PROBE_FACTOR = 100  # a search walks or enumerates at most this many times its table cap
 BZ_SEED = 0  # seeds the column order of the Brouwer-Zimmermann information sets
 
 
 class CapExceeded(RuntimeError):
-    """An exact search would exceed its configured enumeration cap."""
+    """An exact search would exceed its table or walk budget."""
 
 
 @dataclass(frozen=True)
@@ -90,13 +92,16 @@ def hamming_7_4() -> ClassicalCode:
 
 
 def classical_distance(code: ClassicalCode) -> int | float:
-    """Minimum weight of a nonzero codeword; inf when the code is zero."""
+    """Minimum weight of a nonzero codeword; inf when the code is zero.
+    The 2^k codewords are enumerated only when they fit in the walk budget
+    MITM_PROBE_FACTOR * MITM_TABLE_CAP."""
     basis = kernel_basis(code.h)
     k = basis.nrows
     if k == 0:
         return INF
-    if k > CLASSICAL_K_CAP:
-        raise CapExceeded(f"kernel dimension {k} exceeds exhaustive cap {CLASSICAL_K_CAP}")
+    walk_cap = MITM_PROBE_FACTOR * MITM_TABLE_CAP
+    if 1 << k > walk_cap:
+        raise CapExceeded(f"the 2^{k} codewords exceed the walk cap {walk_cap}")
     return exhaustive_min_weight(basis.rows, [])  # every nonzero codeword counts
 
 
@@ -280,37 +285,36 @@ def logical_signatures(q: CssCode, basis: str, vectors) -> tuple[list[int], int]
     return list(mat_mul(BinMatrix(vectors, q.n), cols).rows), pair_rows.nrows
 
 
-def css_distance(
-    q: CssCode, basis: str, enum_cap: int = CSS_ENUM_CAP, table_cap: int = MITM_TABLE_CAP
-) -> int | float:
+def css_distance(q: CssCode, basis: str, table_cap: int = MITM_TABLE_CAP) -> int | float:
     """Exact minimum weight of a nontrivial logical operator, or inf."""
-    return css_search(q, basis, enum_cap, table_cap).distance
+    return css_search(q, basis, table_cap).distance
 
 
-def css_search(
-    q: CssCode, basis: str, enum_cap: int = CSS_ENUM_CAP, table_cap: int = MITM_TABLE_CAP
-) -> Search:
+def css_search(q: CssCode, basis: str, table_cap: int = MITM_TABLE_CAP) -> Search:
     """css_distance with the route that answered it.
 
-    The kernel runs over single-qubit supports.  When the logical space has
-    dimension dim = k + rank(same-basis checks) <= enum_cap, the kernel's
-    work is capped at its 2^dim vectors, and once any cap stops the kernel
-    at level t that space is enumerated instead (exhaustive_min_weight: by
-    Brouwer-Zimmermann above LOW_STAB_ROWS rows), stopping at weight t.
-    Raises CapExceeded when no route fits.
+    The kernel runs over single-qubit supports, holding at most table_cap
+    table entries and walking at most W = MITM_PROBE_FACTOR * table_cap
+    subsets.  When the 2^dim vectors of the logical space (dim = k +
+    rank(same-basis checks)) fit in W, the kernel's walk is capped at 2^dim
+    instead, and once any cap stops the kernel at level t that space is
+    enumerated (exhaustive_min_weight: by Brouwer-Zimmermann above
+    LOW_STAB_ROWS rows), stopping at weight t.  When 2^dim > W, a stopped
+    kernel raises CapExceeded naming 2^dim, W and t.
     """
     if q.k == 0:
         return Search(INF, None, "exhaustive")
     sigs, k = logical_signatures(q, basis, [1 << j for j in range(q.n)])
     dim = q.k + (q.rank_x if basis == "X" else q.rank_z)
-    work_cap = 1 << dim if dim <= enum_cap else INF
-    found = min_logical_search(sigs, k, q.n, table_cap, MITM_PROBE_FACTOR * table_cap, work_cap, witness=False)
+    walk_cap = MITM_PROBE_FACTOR * table_cap
+    work_cap = 1 << dim if 1 << dim <= walk_cap else INF
+    found = min_logical_search(sigs, k, q.n, table_cap, work_cap, witness=False)
     if found.distance is not None:
         return found
-    if dim > enum_cap:
+    if work_cap == INF:
         raise CapExceeded(
-            "code too large for exhaustive css_distance; use the fault-search bound "
-            "(effective_distance with an explicit max_d) instead"
+            f"no logical below weight {found.level}, where the search stopped; the 2^{dim} vectors of the "
+            f"logical space exceed the walk cap {walk_cap} ({MITM_PROBE_FACTOR} x table_cap)"
         )
     stabs = [row for _, row in q.stab_pivots(basis).items()]
     distance = exhaustive_min_weight(logical_basis(q, basis).rows, stabs, found.level)
@@ -324,19 +328,20 @@ LOW_STAB_ROWS = 10  # up to this many rows the exhaustive route is one XOR-table
 
 
 class Search(NamedTuple):
-    """distance is None when a cap stopped the search at level `level`, and
-    cap_count is that level's subset count on the capped side; witness holds
-    the sorted signature indices of one minimum set.  probes counts table
-    lookups, the witness pass's included: one per subset probed against a
-    full table, one per holder of the anchor bit when a subset is probed
-    through the anchor (against a table one size short, or as the small
-    side of an odd connected level).  The partner walk that completes the
-    witness is not counted.  table_entries counts the subsets put into
-    tables.  route is "mitm" from the kernel, "exhaustive" when css_search
-    enumerated the logical space (exhaustive_min_weight); the counts are then
-    the kernel's, up to the level where it stopped.  (A NamedTuple: small
-    searches build one per call, and it builds faster than a frozen
-    dataclass.)"""
+    """distance is None when a cap stopped the search at level `level`;
+    cap_side then names the capped side, "table" or "walk", and cap_count is
+    that level's subset count on it.  witness holds the sorted signature
+    indices of one minimum set.  probes counts table lookups, the witness
+    pass's included: one per subset probed against a full table, one per
+    holder of the anchor bit when a subset is probed through the anchor
+    (against a table one size short, or as the small side of an odd
+    connected level).  The partner walk that completes the witness is not
+    counted.  table_entries counts the subsets put into tables.  route is
+    "mitm" from the kernel, "exhaustive" when css_search enumerated the
+    logical space (exhaustive_min_weight); the counts and cap_side are then
+    the kernel's, up to the level where it stopped, and cap_count is 0.
+    (A NamedTuple: small searches build one per call, and it builds faster
+    than a frozen dataclass.)"""
     distance: int | float | None
     witness: tuple[int, ...] | None
     route: str
@@ -344,11 +349,12 @@ class Search(NamedTuple):
     cap_count: int = 0
     probes: int = 0
     table_entries: int = 0
+    cap_side: str | None = None
 
 
 def min_logical_search(
-    sigs: list[int], k: int, max_t: int, table_cap: int = MITM_TABLE_CAP, probe_cap: int | float = INF,
-    work_cap: int | float = INF, witness: bool = True,
+    sigs: list[int], k: int, max_t: int, table_cap: int = MITM_TABLE_CAP, work_cap: int | float = INF,
+    witness: bool = True,
 ) -> Search:
     """Fewest signatures (see logical_signatures) whose XOR is a logical.
 
@@ -416,8 +422,10 @@ def min_logical_search(
       lower than v, and the first ceil(t/2) indices of a minimum set with
       least index v hit, so it starts no higher.
 
-    A level is capped when its table side exceeds table_cap, its probe
-    side probe_cap, or the subsets walked so far plus its own work_cap,
+    The search holds at most table_cap entries and walks at most W =
+    MITM_PROBE_FACTOR * table_cap subsets per level: a level is capped when
+    its table side exceeds table_cap ("table"), or its walk side exceeds W
+    or what is left of work_cap after the subsets walked so far ("walk"),
     counting distinct signatures only.  The search stops at the first
     capped level with distance None; no logical weighs less than that level.
     """
@@ -428,8 +436,10 @@ def min_logical_search(
     syn = [s >> k for s in uniq]
     pair = [s & ((1 << k) - 1) for s in uniq]
 
+    walk_cap = MITM_PROBE_FACTOR * table_cap
+
     def capped(t: int, spent: int) -> bool:
-        return comb(n, t // 2) > table_cap or comb(n, t - t // 2) > min(probe_cap, work_cap - spent)
+        return comb(n, t // 2) > table_cap or comb(n, t - t // 2) > min(walk_cap, work_cap - spent)
 
     table, size, rent = {0: 0}, 0, 0  # every size-subset; extra lookups anchored on it so far
     nbr = anchors = None  # built at the first level that walks connected subsets or anchors
@@ -438,8 +448,8 @@ def min_logical_search(
     for t in range(1, top + 1):
         small, big = t // 2, t - t // 2
         if capped(t, spent):
-            over = comb(n, small) if comb(n, small) > table_cap else comb(n, big)
-            return Search(None, None, "mitm", t, cap_count=over, probes=probes, table_entries=entries)
+            side, over = ("table", comb(n, small)) if comb(n, small) > table_cap else ("walk", comb(n, big))
+            return Search(None, None, "mitm", t, over, probes, entries, side)
         spent += comb(n, big)
         nxt = big > small and t < top and not capped(t + 1, spent)  # level t + 1 needs size big
         connected = _connected_pays(n, big)

@@ -14,11 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
-from .codes import CapExceeded, CssCode
+from .codes import MITM_PROBE_FACTOR, MITM_TABLE_CAP, CapExceeded, CssCode
 from .f2la import BinMatrix, bit_indices, kernel_basis, solve, transpose
 from .reduce import choose_heights, greedy_heights, thicken
-
-SOUNDNESS_CAP = 18  # soundness_lambda enumerates cycle and filling spaces up to this dimension
 
 
 @dataclass(frozen=True)
@@ -106,24 +104,16 @@ def _fundamental_cycles(n_vertices: int, edges: list[tuple[int, int]]) -> tuple[
     return cycles, components
 
 
-def consecutive_pairing(incident: list[int]) -> list[tuple[int, int]]:
-    """Default pairing rule: ascending qubit order, consecutive pairs."""
-    return [(incident[a], incident[a + 1]) for a in range(0, len(incident), 2)]
-
-
 def build_cone_parts(
-    q: CssCode,
-    weight_threshold: int = 5,
-    pairing=consecutive_pairing,
+    q: CssCode, weight_threshold: int = 5
 ) -> tuple[tuple[ConeComplexPart, ...], ChainMapF, list[int]]:
     """Build one auxiliary complex per Z row heavier than the threshold.
 
-    `pairing` turns each X row's (even-sized, ascending) incident qubit list
-    into tuples; it changes the part's geometry and soundness, so it is an
-    explicit strategy.  The -1-cells are the spanning-tree fundamental
-    cycles that ChainMapF.cycle_basis names.  Rows whose incidence graph is
-    disconnected cannot be coned without changing k; they stay direct, and
-    the chain map records them as skipped.
+    Each X row's (even-sized, ascending) incident qubit list is paired
+    consecutively into 0-cells.  The -1-cells are the spanning-tree
+    fundamental cycles that ChainMapF.cycle_basis names.  Rows whose
+    incidence graph is disconnected cannot be coned without changing k;
+    they stay direct, and the chain map records them as skipped.
     """
     if weight_threshold < 1:
         raise ValueError("weight threshold must be >= 1")
@@ -142,10 +132,7 @@ def build_cone_parts(
             inter = bit_indices(q.h_x.rows[xr] & sup_mask)
             if len(inter) % 2:
                 raise ValueError(f"X row {xr} overlaps coned Z row {zr} oddly (non-commuting input)")
-            for qa, qb in pairing(inter):
-                if qa == qb or qa not in pos or qb not in pos:
-                    raise ValueError(f"pairing rule produced a bad tuple for X row {xr}")
-                zero_cells.append((xr, qa, qb))
+            zero_cells += [(xr, inter[a], inter[a + 1]) for a in range(0, len(inter), 2)]
         edges = [(pos[qa], pos[qb]) for _, qa, qb in zero_cells]
         cycles, components = _fundamental_cycles(len(sup), edges)
         if components > 1:
@@ -292,8 +279,11 @@ def soundness_lambda(parts: tuple[ConeComplexPart, ...]) -> Fraction:
     """Exact soundness factor: min over parts and nonzero 0-cycles u of
     |u| / (minimum filling weight), capped at 1.
 
-    Enumerates every u in the cycle space of the part (dimension capped at
-    SOUNDNESS_CAP) and minimizes each filling over the solution coset exactly.
+    Enumerates every u in the cycle space of the part and minimizes each
+    filling over the solution coset exactly, within the search budget of
+    codes.MITM_TABLE_CAP: a part whose filling span (2^f vectors, held as a
+    table) exceeds MITM_TABLE_CAP, or whose 2^c cycles times 2^f fillings
+    exceed MITM_PROBE_FACTOR times it, raises CapExceeded.
     """
     best = Fraction(1)
     for part in parts:
@@ -305,14 +295,14 @@ def soundness_lambda(parts: tuple[ConeComplexPart, ...]) -> Fraction:
 
 def _part_lambda(part: ConeComplexPart) -> Fraction:
     m1, m0 = part.boundary_1, part.boundary_0
-    cyc = kernel_basis(m0)
-    if cyc.nrows > SOUNDNESS_CAP:
-        raise CapExceeded(
-            f"part for Z row {part.parent_z_row} has 0-cycle dimension {cyc.nrows} > cap {SOUNDNESS_CAP}"
-        )
-    filler = kernel_basis(m1)
-    if filler.nrows > SOUNDNESS_CAP:
-        raise CapExceeded("filling coset dimension exceeds the enumeration cap")
+    cyc, filler = kernel_basis(m0), kernel_basis(m1)
+    c, f = cyc.nrows, filler.nrows
+    where = f"part for Z row {part.parent_z_row}"
+    if 1 << f > MITM_TABLE_CAP:
+        raise CapExceeded(f"{where}: the 2^{f} fillings exceed table_cap {MITM_TABLE_CAP}")
+    walk_cap = MITM_PROBE_FACTOR * MITM_TABLE_CAP
+    if 1 << (c + f) > walk_cap:
+        raise CapExceeded(f"{where}: 2^{c} cycles x 2^{f} fillings exceed the walk cap {walk_cap}")
     # fillings are linear in u, so one per basis cycle follows u through the
     # Gray code; each minimum is over that filling plus the span of ker d_1
     fills = [solve(m1, u) for u in cyc.rows]
@@ -323,7 +313,7 @@ def _part_lambda(part: ConeComplexPart) -> Fraction:
         span += [w ^ row for w in span]
     best = Fraction(1)
     u = v0 = 0
-    for g in range(1, 1 << cyc.nrows):
+    for g in range(1, 1 << c):
         i = (g & -g).bit_length() - 1
         u ^= cyc.rows[i]
         v0 ^= fills[i]

@@ -100,7 +100,7 @@ def effective_distance(
     the first feasible t is a weight-t witness since lower levels were
     exhausted first.  As in css_search, a level whose table side exceeds
     table_cap, or whose probe side exceeds MITM_PROBE_FACTOR * table_cap,
-    raises CapExceeded naming that side.
+    raises CapExceeded naming that side (the kernel's Search.cap_side).
     """
     if max_d < 1:
         raise ValueError("max_d must be >= 1")
@@ -108,11 +108,10 @@ def effective_distance(
         return FaultSearchResult(INF, None, basis, max_d)
     gens = enumerate_faults(q, m, basis) if generators is None else generators
     sigs, k = logical_signatures(q, basis, [g.residual for g in gens])
-    found = min_logical_search(sigs, k, max_d, table_cap, MITM_PROBE_FACTOR * table_cap)
+    found = min_logical_search(sigs, k, max_d, table_cap)
     t = found.level
     if found.distance is None:
-        # the kernel checks the table side first, over the distinct nonzero signatures
-        if comb(len(set(sigs) - {0}), t // 2) > table_cap:
+        if found.cap_side == "table":
             need = f"meet-in-the-middle table for t={t} needs {found.cap_count} entries"
         else:
             need = (f"meet-in-the-middle probes for t={t} need {found.cap_count} subsets, "

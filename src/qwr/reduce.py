@@ -27,31 +27,26 @@ class CopyMap:
         return qubit * self.q_x + copy
 
 
-def copy_code(q: CssCode, assignment: dict[tuple[int, int], int] | None = None) -> tuple[CssCode, CopyMap]:
+def copy_code(q: CssCode) -> tuple[CssCode, CopyMap]:
     """Concatenate every qubit with a [q_X, 1, q_X] repetition code.
 
     Each X row's support on qubit i moves to one of the q_X copies of i
-    (greedy lowest free copy, rows processed top-down, unless an explicit
-    collision-free assignment is given); q_X - 1 gluing X checks per qubit
-    link the copies, and every Z row is replicated across all copies.
+    (greedy lowest free copy, rows processed top-down); q_X - 1 gluing X
+    checks per qubit link the copies, and every Z row is replicated across
+    all copies.
     """
     q_x = q.q_x
     if q_x < 1:
         raise ValueError("copy_code needs q_X >= 1 (some qubit in an X check)")
     n = q.n
-    claimed: list[set[int]] = [set() for _ in range(n)]
+    claimed = [0] * n  # copies of each qubit taken so far: the lowest free one is next
     assigned: dict[tuple[int, int], int] = {}
     x_rows = []
     for r in range(q.n_x):
         v = 0
         for i in q.h_x.row_support(r):
-            if assignment is not None:
-                j = assignment[(r, i)]
-                if j in claimed[i] or not 0 <= j < q_x:
-                    raise ValueError(f"assignment collision at X row {r}, qubit {i}")
-            else:
-                j = min(set(range(q_x)) - claimed[i])
-            claimed[i].add(j)
+            j = claimed[i]
+            claimed[i] += 1
             assigned[(r, i)] = j
             v |= 1 << (i * q_x + j)
         x_rows.append(v)

@@ -150,7 +150,7 @@ class TestPipeline:
         assert rep["code"]["n"] == 7 and rep["code"]["k"] == 1
         assert rep["distances"]["code_X"]["value"] == 3
         assert rep["distances"]["code_X"]["method"] == "exhaustive"
-        assert rep["schema"] == 1
+        assert rep["schema"] == 2
 
     def test_transform_pipeline(self, steane_files):
         hx, hz = steane_files
@@ -168,18 +168,6 @@ class TestPipeline:
         eff = rep["distances"]["effective_X"]
         assert eff["value"] == 2
         assert len(eff["witness"]) == 2
-        assert eff["hook_audit_ok"]
-
-    def test_faultdist_audits_the_schedule_once(self, steane_files, monkeypatch, capsys):
-        # the hook audit reads the schedule, not the basis, so both entries share one audit
-        hx, hz = steane_files
-        real, calls = cli.hook_weight_audit, []
-        monkeypatch.setattr(cli, "hook_weight_audit", lambda q, m: calls.append(m) or real(q, m))
-        assert main(["faultdist", "--hx", hx, "--hz", hz, "--basis", "both"]) == 0
-        dist = json.loads(capsys.readouterr().out)["distances"]
-        assert len(calls) == 1
-        assert dist["effective_X"]["hook_audit_ok"] is dist["effective_Z"]["hook_audit_ok"] is real(
-            steane_code(), calls[0]).ok
 
     def test_derived_schedule_through_transforms(self, steane_files):
         hx, hz = steane_files
@@ -386,8 +374,7 @@ class TestMainEntry:
         assert main(argv) == 0
         dist = json.loads(capsys.readouterr().out)["distances"]
         assert dist["effective_X"]["method"] == "mitm" and dist["effective_X"]["value"] == 2
-        audit_ok = dist["effective_X"]["hook_audit_ok"]
-        assert dist["effective_Z"] == {"value": None, "method": "skipped", "bound": msg, "hook_audit_ok": audit_ok}
+        assert dist["effective_Z"] == {"value": None, "method": "skipped", "bound": msg}
         assert (dist["code_X"]["value"], dist["code_Z"]["value"]) == (3, 9)
 
     def test_main_builds_no_parser_per_call(self, steane_files, monkeypatch, capsys):
@@ -490,11 +477,11 @@ class TestTooling:
         assert res.returncode == 0, res.stderr
         rows = [line.split() for line in res.stdout.splitlines()[2:]]
         assert len(rows) == len({(r[3], r[4], r[5]) for r in rows}) == 39  # one row per (n, dim, d) class
-        assert all(len(r) == 11 and int(r[3]) <= 140 for r in rows)
-        by_case = {tuple(r[:3]): r[6:10] for r in rows}
-        route, level, _, entries = by_case["r2h7h7", "2", "Z"]
-        assert (route, level, entries) == ("mitm", "6", str(137 + comb(137, 2)))
-        assert by_case["r3r3h7", "1", "X"][:2] == ["capped", "8"]
+        assert all(len(r) == 12 and int(r[3]) <= 140 for r in rows)
+        by_case = {tuple(r[:3]): r[6:10] + r[11:] for r in rows}
+        route, level, _, entries, side = by_case["r2h7h7", "2", "Z"]
+        assert (route, level, entries, side) == ("mitm", "6", str(137 + comb(137, 2)), "-")
+        assert by_case["r3r3h7", "1", "X"][:2] + by_case["r3r3h7", "1", "X"][4:] == ["capped", "8", "table"]
 
     def test_search_costs_faults_script(self):
         res = self.run("scripts/search_costs.py", "--faults", "--repeat", "1")

@@ -17,6 +17,8 @@ from qwr.codes import (
     css_to_complex,
     hamming_7_4,
     logical_basis,
+    logical_signatures,
+    min_logical_search,
     repetition_code,
     ring_face_code,
     steane_code,
@@ -60,6 +62,13 @@ class TestClassicalDistance:
         c = ClassicalCode(BinMatrix.zeros(0, 30))
         with pytest.raises(CapExceeded):
             classical_distance(c)
+
+    def test_k_boundary(self):
+        # one all-ones check: k = n - 1, d = 2.  2^28 codewords fit in the
+        # walk cap (100 x the 4,000,000 table cap) and are enumerated; 2^29 do not
+        assert classical_distance(ClassicalCode(BinMatrix([(1 << 29) - 1], 29))) == 2
+        with pytest.raises(CapExceeded, match=r"^the 2\^29 codewords exceed the walk cap 400000000$"):
+            classical_distance(ClassicalCode(BinMatrix([(1 << 30) - 1], 30)))
 
 
 class TestCssConstruction:
@@ -180,10 +189,9 @@ class TestCssDistance:
         assert len(calls) <= 4
 
     def test_mitm_route_agrees(self):
-        q = hgp(repetition_code(3), repetition_code(3))
-        assert css_distance(q, "X", enum_cap=0) == 3
-        s = surface_code_2x3()
-        assert css_distance(s, "Z", enum_cap=0) == 3
+        for q, basis in ((hgp(repetition_code(3), repetition_code(3)), "X"), (surface_code_2x3(), "Z")):
+            sigs, k = logical_signatures(q, basis, [1 << j for j in range(q.n)])
+            assert min_logical_search(sigs, k, q.n).distance == 3 == css_distance(q, basis)
 
     def test_ring_face(self):
         r = ring_face_code(6)

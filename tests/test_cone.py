@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwr import cone
-from qwr.codes import ClassicalCode, CssCode, css_distance, ring_face_code, steane_code, surface_code_2x3
+from qwr.codes import CapExceeded, ClassicalCode, CssCode, css_distance, ring_face_code, steane_code, surface_code_2x3
 from qwr.cone import (
     build_cone_parts,
     cellulate,
@@ -75,26 +75,6 @@ class TestBuildParts:
         r = ring_face_code(6)
         parts, _, retained = build_cone_parts(r, weight_threshold=6)
         assert not parts and retained == [0]
-
-    def test_alternative_pairing_strategy(self):
-        # outermost-inward pairing changes the part graphs but must still
-        # produce a valid, k-preserving cone
-        def outer_pairing(incident):
-            out = []
-            lo, hi = 0, len(incident) - 1
-            while lo < hi:
-                out.append((incident[lo], incident[hi]))
-                lo += 1
-                hi -= 1
-            return out
-
-        q = steane_code()  # at threshold 3 each Z row shares 4 qubits with one X row
-        default_parts, f, _ = build_cone_parts(q, weight_threshold=3)
-        outer_parts, f2, _ = build_cone_parts(q, weight_threshold=3, pairing=outer_pairing)
-        assert default_parts and outer_parts != default_parts
-        for parts, fmap in ((default_parts, f), (outer_parts, f2)):
-            qcone = cone_code(q, cellulate(parts), fmap)
-            assert qcone.k == q.k
 
 
 class TestConeCode:
@@ -202,6 +182,21 @@ class TestSoundness:
             cparts = cellulate(parts)
             assert soundness_lambda(parts) == soundness_lambda_bruteforce(parts)
             assert soundness_lambda(cparts) == soundness_lambda_bruteforce(cparts)
+
+    def test_budget(self, monkeypatch):
+        # the ring-12 face part has cycle dimension 11 and filling dimension
+        # 1: 2^12 lookups against a span of 2 fillings.  A table cap of 41
+        # allows 4,100 lookups, 40 only 4,000, and 1 holds no 2 fillings
+        (part,), _, _ = build_cone_parts(ring_face_code(12), weight_threshold=3)
+        lam = soundness_lambda((part,))
+        monkeypatch.setattr(cone, "MITM_TABLE_CAP", 41)
+        assert soundness_lambda((part,)) == lam
+        monkeypatch.setattr(cone, "MITM_TABLE_CAP", 40)
+        with pytest.raises(CapExceeded, match=r"2\^11 cycles x 2\^1 fillings exceed the walk cap 4000$"):
+            soundness_lambda((part,))
+        monkeypatch.setattr(cone, "MITM_TABLE_CAP", 1)
+        with pytest.raises(CapExceeded, match=r"the 2\^1 fillings exceed table_cap 1$"):
+            soundness_lambda((part,))
 
     def test_in_unit_interval(self):
         for q in corpus(37, 20):

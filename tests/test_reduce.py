@@ -65,19 +65,6 @@ class TestCopy:
         assert css_distance(qc, "X") == 3
         assert css_distance(qc, "Z") == 9
 
-    def test_explicit_assignment(self):
-        q = steane_code()
-        assignment = {}
-        claimed = {i: set() for i in range(q.n)}
-        for r in range(q.n_x):
-            for i in q.h_x.row_support(r):
-                j = max(set(range(q.q_x)) - claimed[i])
-                claimed[i].add(j)
-                assignment[(r, i)] = j
-        qc, cm = copy_code(q, assignment)
-        assert qc.k == q.k
-        assert cm.assigned_copy == assignment
-
     def test_stabilizer_group_equivalence(self):
         # rs(H'_X) equals rs(H_X x e1^T stacked with I_n x H_R)
         q = steane_code()

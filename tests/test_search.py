@@ -53,6 +53,18 @@ def grid_code(names: str, level: int):
     return higher_dim_hgp(spec)[0]
 
 
+def kernel_search(q, basis):
+    """The kernel alone on single-qubit supports: css_search with no work cap."""
+    sigs, k = logical_signatures(q, basis, [1 << j for j in range(q.n)])
+    return min_logical_search(sigs, k, q.n, witness=False)
+
+
+def enumerated_distance(q, basis):
+    """The logical space enumerated from weight 1: css_search's exhaustive route alone."""
+    stabs = [row for _, row in q.stab_pivots(basis).items()]
+    return exhaustive_min_weight(logical_basis(q, basis).rows, stabs)
+
+
 def fault_cases(seed: int, count: int, n_max: int):
     """(code, schedule, basis) triples drawn as the acceptance suite draws them."""
     rng = random.Random(seed)
@@ -117,6 +129,7 @@ class TestKernelEquivalence:
         sigs = [(1 << (i + 1)) for i in range(6)]  # independent syndromes: no logical
         found = min_logical_search(sigs, 1, 6, table_cap=10)
         assert found.distance is None and found.level == 4  # C(6, 2) = 15 > 10
+        assert found.cap_side == "table"
         assert min_logical_search(sigs, 1, 3, table_cap=10).distance == INF
 
 
@@ -124,11 +137,9 @@ class TestExhaustiveRoute:
     def test_agrees_with_mitm_on_corpus(self):
         for q in corpus(131, 30, n_max=10):
             for basis in ("X", "Z"):
-                mitm = css_search(q, basis, enum_cap=0)
-                full = css_search(q, basis, table_cap=0)
-                assert mitm.distance == full.distance
-                if q.k:
-                    assert (mitm.route, full.route) == ("mitm", "exhaustive")
+                mitm = kernel_search(q, basis)
+                assert mitm.distance == enumerated_distance(q, basis) == css_search(q, basis).distance
+                assert mitm.route == "mitm"
 
     def test_classical_distance_brute_force(self):
         rng = random.Random(17)
@@ -138,12 +149,11 @@ class TestExhaustiveRoute:
             assert classical_distance(c) == min((v.bit_count() for v in words), default=INF)
 
     def test_cap_falls_back_to_exhaustive(self):
-        # n=41, dim 18, d=6: level 4 needs C(41, 2) = 820 > 100 table entries
-        q = grid_code("r2r2h7", 1)
-        found = css_search(q, "X", table_cap=100)
-        assert (found.distance, found.route) == (6, "exhaustive")
-        with pytest.raises(CapExceeded):
-            css_search(q, "X", enum_cap=0, table_cap=100)
+        # n=41, dim 18, d=6: level 6 needs C(41, 3) = 10,660 > 2,622 table
+        # entries.  2,622 is the least table cap whose walk cap, 100 times
+        # it, holds the 2^18 = 262,144 vectors of the logical space
+        found = css_search(grid_code("r2r2h7", 1), "X", table_cap=2622)
+        assert (found.distance, found.route, found.level, found.cap_side) == (6, "exhaustive", 6, "table")
 
 
 def spread_code(rng, dim: int, n: int, k0: bool = False) -> CssCode:
@@ -208,7 +218,7 @@ class TestBrouwerZimmermann:
             stabs = [row for _, row in q.x_pivots.items()]
             assert (q.k, len(stabs)) == (0, dim)
             assert exhaustive_min_weight([], stabs) == INF == reference_exhaustive_min_weight([], stabs)
-            assert css_search(q, "X", table_cap=0).distance == INF
+            assert css_search(q, "X").distance == INF
 
     def test_classical_distance_beyond_the_table_pass(self):
         # k = 11-16 kernel rows: every nonzero codeword counts
@@ -222,7 +232,7 @@ class TestBrouwerZimmermann:
     def test_grid_matches_kunneth(self):
         # each (n, dim, d) class of the rep(2)/rep(3)/Hamming product grid
         # (n <= 140, as scripts/search_costs.py) with dim <= 26, enumerated
-        # from the first level: a zero table cap stops the kernel there
+        # from the first level
         seen = set()
         for count in (2, 3):
             for names in product(FACTORS, repeat=count):
@@ -236,8 +246,7 @@ class TestBrouwerZimmermann:
                         dim = q.k + (q.rank_x if basis == "X" else q.rank_z)
                         if dim <= 26 and (q.n, dim, d) not in seen:
                             seen.add((q.n, dim, d))
-                            found = css_search(q, basis, table_cap=0)
-                            assert (found.distance, found.route, found.level) == (d, "exhaustive", 1), (names, level)
+                            assert enumerated_distance(q, basis) == d, (names, level)
         assert len(seen) == 23
 
 
@@ -255,11 +264,6 @@ class TestRouteChoice:
         found = css_search(q, basis)
         assert (found.distance, found.route) == (distance, route), name
         assert _code_distance_entry(q, basis) == {"value": distance, "method": route, "bound": None}
-
-    def test_zero_enum_cap_is_always_mitm(self):
-        for q in (steane_code(), surface_code_2x3(), grid_code("r3r3", 1)):
-            for basis in ("X", "Z"):
-                assert css_search(q, basis, enum_cap=0).route == "mitm"
 
 
 def connected_only(mp):
@@ -366,6 +370,23 @@ class TestDeduplication:
         assert (found.distance, found.level, found.cap_count) == (None, 2, distinct)
         with pytest.raises(CapExceeded, match=f"t=2 needs {distinct} entries"):
             effective_distance(q, baseline_schedule(q, 0), "X", 4, generators=doubled, table_cap=distinct - 1)
+
+
+class TestBudget:
+    def test_logical_space_over_the_walk_cap_raises(self):
+        # the code of test_cap_falls_back_to_exhaustive one table entry lower:
+        # 2^18 vectors exceed 100 x 2,621, so the stopped kernel raises
+        message = ("no logical below weight 6, where the search stopped; the 2^18 vectors of the "
+                   "logical space exceed the walk cap 262100 (100 x table_cap)")
+        with pytest.raises(CapExceeded, match=f"^{re.escape(message)}$"):
+            css_search(grid_code("r2r2h7", 1), "X", table_cap=2621)
+
+    def test_walk_side_is_a_hundred_table_caps(self):
+        # 101 independent syndromes: level 1 walks 101 > 100 x 1 subsets
+        sigs = [(1 << (i + 1)) for i in range(101)]
+        found = min_logical_search(sigs, 1, 3, table_cap=1)
+        assert (found.distance, found.level, found.cap_count, found.cap_side) == (None, 1, 101, "walk")
+        assert min_logical_search(sigs[:100], 1, 1, table_cap=1).distance == INF
 
 
 class TestEffectiveDistanceCaps:
@@ -510,13 +531,14 @@ class TestAnchoredRoute:
         # hgp(rep3, rep3, H7) level 1, X with a 100k-entry table: n = 109,
         # dim 46, so no enumeration; level 6 needs C(109, 3) = 209,934 entries
         q = grid_code("r3r3h7", 1)
-        message = ("code too large for exhaustive css_distance; use the fault-search bound "
-                   "(effective_distance with an explicit max_d) instead")
+        message = ("no logical below weight 6, where the search stopped; the 2^46 vectors of the "
+                   "logical space exceed the walk cap 10000000 (100 x table_cap)")
         with pytest.raises(CapExceeded, match=f"^{re.escape(message)}$"):
             css_search(q, "X", table_cap=100_000)
         sigs, k = logical_signatures(q, "X", [1 << j for j in range(q.n)])
-        found = min_logical_search(sigs, k, q.n, 100_000, 10_000_000, witness=False)
+        found = min_logical_search(sigs, k, q.n, 100_000, witness=False)
         assert (found.distance, found.route, found.level, found.cap_count) == (None, "mitm", 6, comb(109, 3))
+        assert found.cap_side == "table"
 
 
 def count_small_side(mp):
@@ -766,7 +788,7 @@ class TestLevelBound:
                 assert found[:4] == (INF, None, "mitm", max_t)
 
     def test_no_signatures(self):
-        assert min_logical_search([0, 0], 1, 10 ** 6) == (INF, None, "mitm", 10 ** 6, 0, 0, 0)
+        assert min_logical_search([0, 0], 1, 10 ** 6) == (INF, None, "mitm", 10 ** 6, 0, 0, 0, None)
 
 
 class TestWorkCap:
@@ -792,5 +814,6 @@ class TestWorkCap:
                         assert found == full, (sigs, cap)
                     else:
                         assert found[:5] == (None, None, "mitm", stop, comb(n, stop - stop // 2)), (sigs, cap)
+                        assert found.cap_side == "walk"
                         stops.add(stop)
         assert stops >= {1, 2, 3, 4, 5, 6, 7}
