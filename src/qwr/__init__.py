@@ -11,7 +11,6 @@ from .codes import (
     ClassicalCode,
     CssCode,
     classical_distance,
-    complex_to_css,
     css_distance,
     css_to_complex,
     logical_basis,

@@ -14,7 +14,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import __version__
 from .codes import INF, CapExceeded, CssCode, ClassicalCode, css_search
@@ -116,24 +115,6 @@ def load_matrix(path: str) -> BinMatrix:
     return parse_matrix_file(path)
 
 
-@dataclass
-class PipelineConfig:
-    hx_path: str
-    hz_path: str
-    transforms: list[str] = field(default_factory=list)
-    ell: int = 2
-    heights: str | None = None  # "greedy:<w>" | "explicit:<csv>"
-    classical_path: str | None = None
-    cone_threshold: int = 5
-    cone_ell: int = 1
-    schedule: str | None = None  # "seed:<n>" | "file:<path>" | "derived"
-    basis: str = "both"
-    max_d: int | None = None
-    seed: int = 0
-    out: str | None = None
-    out_prefix: str | None = None
-
-
 def _digest(path: str) -> str:
     with open(path, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()
@@ -150,8 +131,9 @@ def _dist_value(v) -> int | str:
     return "inf" if v == INF else int(v)
 
 
-def run_pipeline(cfg: PipelineConfig) -> dict:
-    """Apply the configured transforms, derive schedules, compute distances."""
+def run_pipeline(cfg: argparse.Namespace) -> dict:
+    """Apply the configured transforms, derive schedules, compute distances.
+    cfg holds the options by dest, as main or PipelineConfig builds them."""
     t0 = time.monotonic()
     timing = {}
     hx = load_matrix(cfg.hx_path)
@@ -321,26 +303,25 @@ def _emit(report: dict, out: str | None) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The qwr parser, built on first use and shared by every `main` call.
-    Each option's dest is the PipelineConfig field it sets; an option not
-    given is left out, so PipelineConfig supplies its default."""
-    shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    Each option's dest is the name run_pipeline reads."""
+    shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--hx", dest="hx_path", metavar="HX", required=True,
                         help="X check matrix (mtxf2 or .alist)")
     shared.add_argument("--hz", dest="hz_path", metavar="HZ", required=True,
                         help="Z check matrix (mtxf2 or .alist)")
-    shared.add_argument("--transform", dest="transforms", metavar="TRANSFORM",
+    shared.add_argument("--transform", dest="transforms", metavar="TRANSFORM", default=[],
                         type=lambda text: [t for t in text.split(",") if t],
                         help="comma-separated transform list")
-    shared.add_argument("--ell", type=_positive_int, help="thickening length")
+    shared.add_argument("--ell", type=_positive_int, default=2, help="thickening length")
     shared.add_argument("--heights", help="greedy:<w> or explicit:<csv>")
     shared.add_argument("--classical", dest="classical_path", metavar="CLASSICAL",
                         help="classical check matrix for balancing")
-    shared.add_argument("--cone-threshold", type=_positive_int)
-    shared.add_argument("--cone-ell", type=_positive_int)
+    shared.add_argument("--cone-threshold", type=_positive_int, default=5)
+    shared.add_argument("--cone-ell", type=_positive_int, default=1)
     shared.add_argument("--schedule", help="seed:<n> | file:<path> | derived")
-    shared.add_argument("--basis", choices=["X", "Z", "both"])
+    shared.add_argument("--basis", choices=["X", "Z", "both"], default="both")
     shared.add_argument("--max-d", type=_positive_int)
-    shared.add_argument("--seed", type=int)
+    shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("--out", help="write the JSON report here instead of stdout")
     shared.add_argument("--out-prefix", help="write transformed matrices/schedule files")
 
@@ -354,18 +335,24 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def PipelineConfig(**opts) -> argparse.Namespace:
+    """run_pipeline's options for a caller without a command line: what
+    `qwr info` parses, with opts (by dest) in place of the defaults."""
+    return argparse.Namespace(**vars(build_parser().parse_args(["info", "--hx=", "--hz="])) | opts)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        opts = vars(build_parser().parse_args(argv))
+        cfg = build_parser().parse_args(argv)
     except argparse.ArgumentError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
-    command = opts.pop("command")
-    opts["transforms"] = opts.pop("names", []) + opts.get("transforms", [])
-    cfg = PipelineConfig(**opts)
-    if command == "faultdist":
+    # a new list: every parse shares the --transform default
+    cfg.transforms = getattr(cfg, "names", []) + cfg.transforms
+    # faultdist's defaults are set here: the subcommands share their option actions
+    if cfg.command == "faultdist":
         if cfg.schedule is None:
             cfg.schedule = f"seed:{cfg.seed}"
         if cfg.max_d is None:

@@ -30,7 +30,7 @@ from functools import cached_property, reduce
 from itertools import islice
 from math import comb
 from operator import or_
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .f2la import (
     BinMatrix,
@@ -197,25 +197,24 @@ class CssCode:
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Boundary maps [d_L, ..., d_1]; d_i maps level i (cols) to i-1 (rows)."""
+    """Boundary maps [d_L, ..., d_1], at least one; d_i maps level i (cols)
+    to i-1 (rows).  dims[i] is the dimension of level i."""
 
     boundaries: tuple[BinMatrix, ...]
-    dims: tuple[int, ...] = field(default=())
+    dims: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if self.boundaries:
-            dims = [self.boundaries[0].ncols]
-            for b in self.boundaries:
-                dims.append(b.nrows)
-            for hi, lo in zip(self.boundaries, self.boundaries[1:]):
-                if lo.ncols != hi.nrows:
-                    raise ValueError(f"adjacent dimension mismatch: {lo.shape} after {hi.shape}")
-                if not mat_mul(lo, hi).is_zero():
-                    raise ValueError("boundary composition is nonzero")
-            object.__setattr__(self, "dims", tuple(reversed(dims)))
-        else:
-            if len(self.dims) != 1:
-                raise ValueError("a map-free complex needs exactly one explicit dimension")
+        if not self.boundaries:
+            raise ValueError("a chain complex needs at least one boundary map")
+        dims = [self.boundaries[0].ncols]
+        for b in self.boundaries:
+            dims.append(b.nrows)
+        for hi, lo in zip(self.boundaries, self.boundaries[1:]):
+            if lo.ncols != hi.nrows:
+                raise ValueError(f"adjacent dimension mismatch: {lo.shape} after {hi.shape}")
+            if not mat_mul(lo, hi).is_zero():
+                raise ValueError("boundary composition is nonzero")
+        object.__setattr__(self, "dims", tuple(reversed(dims)))
 
     @property
     def length(self) -> int:
@@ -234,18 +233,6 @@ class ChainComplex:
 def css_to_complex(q: CssCode) -> ChainComplex:
     """Three-term complex with d_2 = h_z^T and d_1 = h_x."""
     return ChainComplex((transpose(q.h_z), q.h_x))
-
-
-def complex_to_css(c: ChainComplex, level: int) -> CssCode:
-    """CSS code at homology level a: h_x = d_a, h_z = d_{a+1}^T."""
-    return css_at_level(c.length, c.boundary, level)
-
-
-def css_at_level(length: int, boundary: Callable[[int], BinMatrix], level: int) -> CssCode:
-    """complex_to_css of a complex whose maps boundary(i) builds on demand."""
-    if not 1 <= level <= length - 1:
-        raise ValueError(f"level must be in 1..{length - 1}, got {level}")
-    return CssCode(boundary(level), transpose(boundary(level + 1)))
 
 
 def logical_basis(q: CssCode, basis: str) -> BinMatrix:
@@ -616,15 +603,9 @@ def _anchored_probe(syn, pair, table, anchors, walk, budget):
 
 def _fill(syn, pair, r):
     """The table of every r-subset (r >= 1): syndrome -> pairing, or MULTI
-    once two pairings share the syndrome."""
-    table: dict[int, int] = {}
-    put = table.setdefault
-    for _, cands, ps, pp in _lex_walk(syn, pair, r):
-        for i in cands:
-            p = pp ^ pair[i]
-            if put(ps ^ syn[i], p) != p:
-                table[ps ^ syn[i]] = MULTI
-    return table
+    once two pairings share the syndrome.  (Probed against an empty table,
+    no subset hits.)"""
+    return _probe(syn, pair, {}, _lex_walk(syn, pair, r), True)[2]
 
 
 def exhaustive_min_weight(logicals, stabs, floor: int = 1) -> int | float:
@@ -770,28 +751,23 @@ def surface_code_2x3() -> CssCode:
     return CssCode(BinMatrix.from_support(x_rows, 8), BinMatrix.from_support(z_rows, 8))
 
 
-def ring_face_code(ring_len: int, dangler_vertices: tuple[int, int | None] = (0, None)) -> CssCode:
+def ring_face_code(ring_len: int) -> CssCode:
     """One weight-`ring_len` Z face on a cycle of X vertices, plus two dangling
     qubits that keep k = 1.
 
     Vertices 0..ring_len-1 carry weight-2 or weight-3 X checks; the single Z
-    check is the full ring.  Danglers attach at the given vertices (second
-    defaults to the opposite side of the ring).
+    check is the full ring.  The danglers attach at vertex 0 and at vertex
+    ring_len // 2, the opposite side of the ring.
     """
     if ring_len < 3:
         raise ValueError("ring length must be >= 3")
-    d1, d2 = dangler_vertices
-    if d2 is None:
-        d2 = ring_len // 2
-    if d1 == d2:
-        raise ValueError("danglers must attach at distinct vertices")
     n = ring_len + 2
     x_rows = []
     for v in range(ring_len):
         sup = [(v - 1) % ring_len, v]  # edge v connects vertices v, v+1 mod ring_len
-        if v == d1:
+        if v == 0:
             sup.append(ring_len)
-        if v == d2:
+        if v == ring_len // 2:
             sup.append(ring_len + 1)
         x_rows.append(sorted(sup))
     z_rows = [list(range(ring_len))]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
-from .codes import MITM_PROBE_FACTOR, MITM_TABLE_CAP, CapExceeded, CssCode
+from .codes import MITM_PROBE_FACTOR, MITM_TABLE_CAP, CapExceeded, CssCode, _span
 from .f2la import BinMatrix, bit_indices, kernel_basis, solve, transpose
 from .reduce import choose_heights, greedy_heights, thicken
 
@@ -26,14 +26,13 @@ class ConeComplexPart:
     one_cells are the original qubits the row acts on; zero_cells are
     (x_row, qubit_a, qubit_b) pairing tuples, with x_row None for cellulation
     chords; minus_one_cells are cycles given as tuples of zero-cell indices.
+    Its boundary maps are _part_boundaries(part).
     """
 
     parent_z_row: int
     one_cells: tuple[int, ...]
     zero_cells: tuple[tuple[int | None, int, int], ...]
     minus_one_cells: tuple[tuple[int, ...], ...]
-    boundary_1: BinMatrix
-    boundary_0: BinMatrix
 
 
 @dataclass(frozen=True)
@@ -67,12 +66,13 @@ class ChainMapF:
                     )
 
 
-def _part_boundaries(one_cells, zero_cells, minus_cells) -> tuple[BinMatrix, BinMatrix]:
-    pos = {qb: p for p, qb in enumerate(one_cells)}
+def _part_boundaries(part: ConeComplexPart) -> tuple[BinMatrix, BinMatrix]:
+    """(d_1, d_0) of a part: 0-cells x 1-cells, then -1-cells x 0-cells."""
+    pos = {qb: p for p, qb in enumerate(part.one_cells)}
     b1 = BinMatrix.from_support(
-        [(pos[qa], pos[qb]) for _, qa, qb in zero_cells], len(one_cells)
+        [(pos[qa], pos[qb]) for _, qa, qb in part.zero_cells], len(part.one_cells)
     )
-    b0 = BinMatrix.from_support(minus_cells, len(zero_cells))
+    b0 = BinMatrix.from_support(part.minus_one_cells, len(part.zero_cells))
     return b1, b0
 
 
@@ -139,10 +139,7 @@ def build_cone_parts(
             skipped.append(zr)
             retained.append(zr)
             continue
-        b1, b0 = _part_boundaries(sup, zero_cells, cycles)
-        parts.append(
-            ConeComplexPart(zr, tuple(sup), tuple(zero_cells), tuple(cycles), b1, b0)
-        )
+        parts.append(ConeComplexPart(zr, tuple(sup), tuple(zero_cells), tuple(cycles)))
     return tuple(parts), ChainMapF(q.n, q.n_x, q.n_z, tuple(skipped)), retained
 
 
@@ -178,12 +175,7 @@ def cellulate(parts: tuple[ConeComplexPart, ...]) -> tuple[ConeComplexPart, ...]
             middle = [chords[-1]] + edges[n_chords:length - n_chords]
             faces.append(tuple(sorted(middle)))
             minus_cells.extend(faces)
-        b1, b0 = _part_boundaries(part.one_cells, zero_cells, minus_cells)
-        out.append(
-            ConeComplexPart(
-                part.parent_z_row, part.one_cells, tuple(zero_cells), tuple(minus_cells), b1, b0
-            )
-        )
+        out.append(ConeComplexPart(part.parent_z_row, part.one_cells, tuple(zero_cells), tuple(minus_cells)))
     return tuple(out)
 
 
@@ -294,7 +286,7 @@ def soundness_lambda(parts: tuple[ConeComplexPart, ...]) -> Fraction:
 
 
 def _part_lambda(part: ConeComplexPart) -> Fraction:
-    m1, m0 = part.boundary_1, part.boundary_0
+    m1, m0 = _part_boundaries(part)
     cyc, filler = kernel_basis(m0), kernel_basis(m1)
     c, f = cyc.nrows, filler.nrows
     where = f"part for Z row {part.parent_z_row}"
@@ -308,9 +300,7 @@ def _part_lambda(part: ConeComplexPart) -> Fraction:
     fills = [solve(m1, u) for u in cyc.rows]
     if None in fills:
         raise ValueError("0-cycle has no filling; zeroth homology is not trivial")
-    span = [0]
-    for row in filler.rows:
-        span += [w ^ row for w in span]
+    span = _span(filler.rows)
     best = Fraction(1)
     u = v0 = 0
     for g in range(1, 1 << c):

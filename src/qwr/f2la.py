@@ -241,15 +241,6 @@ def kernel_basis(a: BinMatrix) -> BinMatrix:
     return BinMatrix([v for j, v in enumerate(vecs) if not (pivot_mask >> j) & 1], a.ncols)
 
 
-def rowspace_contains(a: BinMatrix, v: int, pivots: Pivots | None = None) -> bool:
-    """True iff bit-vector v lies in the row span of a."""
-    if v >> a.ncols:
-        raise ValueError(f"vector has bits beyond column {a.ncols}")
-    if pivots is None:
-        pivots = echelon(a.rows)
-    return reduce_vector(v, pivots) == 0
-
-
 def solve(a: BinMatrix, b: int) -> int | None:
     """Some solution x of a.x = b over GF(2), or None when inconsistent."""
     if b >> a.nrows:
@@ -258,16 +249,6 @@ def solve(a: BinMatrix, b: int) -> int | None:
     pivots = echelon(col | (1 << (a.nrows + j)) for j, col in enumerate(transpose(a).rows))
     r = reduce_vector(b, pivots)
     return None if r & ((1 << a.nrows) - 1) else r >> a.nrows
-
-
-def quotient_dim(ker_of: BinMatrix, rs_of: BinMatrix) -> int:
-    """dim ker(ker_of) - rank(rs_of), checking rs(rs_of) <= ker(ker_of)."""
-    if ker_of.ncols != rs_of.ncols:
-        raise ValueError(f"column mismatch: {ker_of.shape} vs {rs_of.shape}")
-    prod = mat_mul(ker_of, transpose(rs_of))
-    if not prod.is_zero():
-        raise ValueError("row space is not contained in the kernel (non-CSS pair)")
-    return ker_of.ncols - rank(ker_of) - rank(rs_of)
 
 
 # -- block composition -----------------------------------------------

@@ -34,21 +34,13 @@ class FaultGenerator(NamedTuple):
     qubit: int | None = None
     step: int | None = None
     row: int | None = None
-    step_basis: str | None = None
     cut: int | None = None
-
-    @property
-    def origin(self):
-        if self.kind == "data":
-            return (0, self.qubit, 0)
-        return (1, self.step, self.cut)
 
 
 @dataclass(frozen=True)
 class FaultSearchResult:
     distance: int | float
     witness: tuple[FaultGenerator, ...] | None
-    basis: str
     exact_up_to: int
 
 
@@ -59,7 +51,7 @@ def enumerate_faults(q: CssCode, m: Schedule, basis: str, dedup: bool = True) ->
     whose stabilizer has the same Pauli type (only same-type ancilla faults
     propagate to data).  Cuts 0 and w are excluded: the full row is a
     stabilizer and the empty suffix is trivial.  Duplicate residuals keep the
-    lowest origin.
+    lowest origin: data faults by qubit, then hooks by (step, cut).
     """
     gens = [FaultGenerator("data", basis, 1 << qb, qubit=qb) for qb in range(q.n)]
     # generators come out by ascending origin, so the first of a residual is kept
@@ -72,7 +64,7 @@ def enumerate_faults(q: CssCode, m: Schedule, basis: str, dedup: bool = True) ->
                 continue
             if dedup:
                 seen.add(residual)
-            gens.append(FaultGenerator("hook", basis, residual, step=si, row=s.row, step_basis=s.basis, cut=k))
+            gens.append(FaultGenerator("hook", basis, residual, step=si, row=s.row, cut=k))
     return gens
 
 
@@ -105,7 +97,7 @@ def effective_distance(
     if max_d < 1:
         raise ValueError("max_d must be >= 1")
     if q.k == 0:
-        return FaultSearchResult(INF, None, basis, max_d)
+        return FaultSearchResult(INF, None, max_d)
     gens = enumerate_faults(q, m, basis) if generators is None else generators
     sigs, k = logical_signatures(q, basis, [g.residual for g in gens])
     found = min_logical_search(sigs, k, max_d, table_cap)
@@ -121,7 +113,7 @@ def effective_distance(
     # overlapping halves cannot match at the first feasible t: the cancelled
     # XOR would have matched two levels earlier
     assert witness is None or len(witness) == t
-    return FaultSearchResult(found.distance, witness, basis, max_d)
+    return FaultSearchResult(found.distance, witness, max_d)
 
 
 def oracle_effective_distance(
@@ -143,8 +135,8 @@ def oracle_effective_distance(
             for i in subset:
                 v ^= gens[i].residual
             if q.is_logical(v, basis):
-                return FaultSearchResult(t, tuple(gens[i] for i in subset), basis, max_d)
-    return FaultSearchResult(INF, None, basis, max_d)
+                return FaultSearchResult(t, tuple(gens[i] for i in subset), max_d)
+    return FaultSearchResult(INF, None, max_d)
 
 
 def witness_is_valid(q: CssCode, basis: str, result: FaultSearchResult) -> bool:
@@ -161,8 +153,10 @@ def witness_is_valid(q: CssCode, basis: str, result: FaultSearchResult) -> bool:
 
 @dataclass(frozen=True)
 class HookAuditReport:
+    """Per step, the least weight its worst hook reduces to; the steps where
+    that exceeds half the step's weight."""
+
     per_step_max: dict[int, int]
-    bound: dict[int, int]
     violations: tuple[int, ...]
 
     @property
@@ -173,16 +167,14 @@ class HookAuditReport:
 def hook_weight_audit(q: CssCode, m: Schedule) -> HookAuditReport:
     """Check every hook is equivalent to at most floor(w/2) data errors."""
     per_step: dict[int, int] = {}
-    bound: dict[int, int] = {}
     violations = []
     for si, s in enumerate(m.steps):
         row = q.h(s.basis).rows[s.row]
-        bound[si] = len(s.order) // 2
         # a residual is equivalent to its complement in the row
         per_step[si] = max((min(r.bit_count(), (r ^ row).bit_count()) for r in _hook_residuals(s.order)), default=0)
-        if per_step[si] > bound[si]:
+        if per_step[si] > len(s.order) // 2:
             violations.append(si)
-    return HookAuditReport(per_step, bound, tuple(violations))
+    return HookAuditReport(per_step, tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -220,7 +212,7 @@ def component_weight_audit(
         if not v:
             continue
         r0, c0 = divmod((v & -v).bit_length() - 1, n_c)
-        if g.step_basis == "X" or (g.row is not None and g.row < bm.n_zt):
+        if g.basis == "X" or (g.row is not None and g.row < bm.n_zt):
             bad = v & ~(col0 << c0)
         else:
             bad = v >> ((r0 + 1) * n_c)

@@ -7,9 +7,8 @@ descending degree of the left factor; reduce.balance_x is this product too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
-from .codes import INF, ChainComplex, ClassicalCode, CssCode, classical_distance, css_at_level
+from .codes import INF, ChainComplex, ClassicalCode, CssCode, classical_distance
 from .f2la import BinMatrix, kron, rank, transpose
 
 
@@ -24,9 +23,12 @@ def tensor_complex(a: ChainComplex, b: ChainComplex) -> ChainComplex:
 
 
 def product_css(a: ChainComplex, b: ChainComplex, level: int) -> CssCode:
-    """complex_to_css(tensor_complex(a, b), level), building only the two
-    boundaries the code reads."""
-    return css_at_level(a.length + b.length, partial(_total_boundary, a, b), level)
+    """The CSS code of tensor_complex(a, b) at the given homology level:
+    h_x = d_level and h_z = d_{level+1}^T, building only those two maps."""
+    length = a.length + b.length
+    if not 1 <= level <= length - 1:
+        raise ValueError(f"level must be in 1..{length - 1}, got {level}")
+    return CssCode(_total_boundary(a, b, level), transpose(_total_boundary(a, b, level + 1)))
 
 
 def _total_boundary(a: ChainComplex, b: ChainComplex, total: int) -> BinMatrix:

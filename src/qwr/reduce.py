@@ -68,10 +68,11 @@ def copy_code(q: CssCode) -> tuple[CssCode, CopyMap]:
 
 @dataclass(frozen=True)
 class GaugeMap:
-    """Provenance of gauge_code: row splits, chain qubits, Z-row patches."""
+    """Provenance of gauge_code: the rows each X row splits into, the chain
+    qubits each Z row gains, and the new X check matrix.  Chain qubit i of a
+    split row is the one bit its rows i and i + 1 share."""
 
     split_rows: dict[int, tuple[int, ...]]
-    new_qubits: dict[int, tuple[int, ...]]
     z_patch: dict[int, tuple[int, ...]]
     h_x_out: BinMatrix
 
@@ -123,7 +124,7 @@ def gauge_code(q: CssCode) -> tuple[CssCode, GaugeMap]:
             z_patch[zr] = tuple(sorted(patch))
     h_x_out = BinMatrix(x_rows, next_col)
     code = CssCode(h_x_out, BinMatrix(z_rows, next_col))
-    return code, GaugeMap(split_rows, new_qubits, z_patch, h_x_out)
+    return code, GaugeMap(split_rows, z_patch, h_x_out)
 
 
 @dataclass(frozen=True)
@@ -152,10 +153,6 @@ class BalanceMap:
     @property
     def n_a(self) -> int:
         return self.n * self.n_c
-
-    @property
-    def n_b(self) -> int:
-        return self.n_x * self.n_checks
 
     @property
     def n_zt(self) -> int:
@@ -241,15 +238,15 @@ def choose_heights(q_thick: CssCode, bm: BalanceMap, heights: list[int]) -> CssC
 class HeightsResult:
     heights: list[int]
     achieved_max: int
-    meets_target: bool
 
 
 def greedy_heights(q_thick: CssCode, bm: BalanceMap, target_w: int) -> HeightsResult:
     """Pick heights greedily to spread retained Z[T] rows across region A.
 
     Rows are processed in order; each takes the height minimizing the worst
-    per-qubit count over its support, lowest height winning ties.  When the
-    target cannot be met the achieved maximum is reported, never hidden.
+    per-qubit count over its support, lowest height winning ties.  The
+    target (>= 1) does not steer the choice; achieved_max reports the load
+    reached, above the target or not.
     """
     if target_w < 1:
         raise ValueError("target weight must be >= 1")
@@ -268,4 +265,4 @@ def greedy_heights(q_thick: CssCode, bm: BalanceMap, target_w: int) -> HeightsRe
         for qb in sup:
             counts[qb][best_h - 1] += 1
     achieved = max((c for row in counts for c in row), default=0)
-    return HeightsResult(heights, achieved, achieved <= target_w)
+    return HeightsResult(heights, achieved)

@@ -7,8 +7,22 @@ from bisect import insort
 from fractions import Fraction
 from itertools import combinations
 
-from qwr.codes import INF, ClassicalCode, CssCode
-from qwr.f2la import BinMatrix, add_pivot, kernel_basis, kron, mat_vec, rank, transpose, vstack
+from qwr.codes import INF, ChainComplex, ClassicalCode, CssCode
+from qwr.cone import _part_boundaries
+from qwr.f2la import (
+    BinMatrix,
+    Pivots,
+    add_pivot,
+    echelon,
+    kernel_basis,
+    kron,
+    mat_mul,
+    mat_vec,
+    rank,
+    reduce_vector,
+    transpose,
+    vstack,
+)
 from qwr.faultdist import FaultGenerator, HookAuditReport
 from qwr.hgp import DistancePrediction, _one_complex_distances, hgp
 from qwr.schedule import Schedule, Step, dual_schedule
@@ -93,7 +107,8 @@ def assert_gauge_lemma(q, qg, gm):
     assert qg.k == q.k
     assert qg.w_x == min(q.w_x, 3)
     split = [r for r, rows in gm.split_rows.items() if len(rows) > 1]
-    extra_qubits = sum(len(cols) for cols in gm.new_qubits.values())
+    chains = gauge_chain_qubits(gm)
+    extra_qubits = sum(len(cols) for cols in chains.values())
     assert qg.n == q.n + extra_qubits
     assert qg.n_x == q.n_x + sum(len(q.h_x.row_support(r)) - 1 for r in split)
     assert qg.n_z == q.n_z
@@ -109,7 +124,7 @@ def assert_gauge_lemma(q, qg, gm):
         mask = (1 << q.n) - 1
         assert acc & mask == q.h_x.rows[r]
         if len(rows) > 1:
-            for col in gm.new_qubits[r]:
+            for col in chains[r]:
                 count = sum((qg.h_x.rows[nr] >> col) & 1 for nr in rows)
                 assert count == 2
 
@@ -172,7 +187,7 @@ def soundness_lambda_bruteforce(parts) -> Fraction:
     solving per-cycle systems."""
     best = Fraction(1)
     for part in parts:
-        m1, m0 = part.boundary_1, part.boundary_0
+        m1, m0 = _part_boundaries(part)
         n_v = m1.ncols
         best_fill: dict[int, int] = {}
         for vbits in range(1 << n_v):
@@ -363,7 +378,7 @@ def reference_component_audit(bm, faults):
             if (g.residual >> idx) & 1 and idx < bm.n_a:
                 rows.add(idx // bm.n_c)
                 cols.add(idx % bm.n_c)
-        if g.step_basis == "X" or (g.row is not None and g.row < bm.n_zt):
+        if g.basis == "X" or (g.row is not None and g.row < bm.n_zt):
             bad = len(cols) > 1
         else:
             bad = len(rows) > 1
@@ -577,15 +592,15 @@ def reference_enumerate_faults(q, m, basis, dedup=True):
             rev.append(suffix)
         for k in range(1, len(s.order)):
             residual = rev[len(s.order) - 1 - k]
-            gens.append(FaultGenerator("hook", basis, residual, step=si, row=s.row, step_basis=s.basis, cut=k))
+            gens.append(FaultGenerator("hook", basis, residual, step=si, row=s.row, cut=k))
     if not dedup:
         return gens
     seen = {}
     for g in gens:
         old = seen.get(g.residual)
-        if old is None or g.origin < old.origin:
+        if old is None or fault_origin(g) < fault_origin(old):
             seen[g.residual] = g
-    return sorted(seen.values(), key=lambda g: g.origin)
+    return sorted(seen.values(), key=fault_origin)
 
 
 def reference_schedule_validate(m, q):
@@ -608,11 +623,10 @@ def reference_schedule_validate(m, q):
 def reference_hook_weight_audit(q, m):
     """hook_weight_audit building each step's suffix masks itself, as it did
     before faultdist._hook_residuals listed them for it and enumerate_faults."""
-    per_step, bound, violations = {}, {}, []
+    per_step, violations = {}, []
     for si, s in enumerate(m.steps):
         row = q.h(s.basis).rows[s.row]
         w = len(s.order)
-        bound[si] = w // 2
         worst = 0
         suffix = 0
         for qb in reversed(s.order[1:]):
@@ -620,9 +634,9 @@ def reference_hook_weight_audit(q, m):
             reduced = min(suffix.bit_count(), (suffix ^ row).bit_count())
             worst = max(worst, reduced)
         per_step[si] = worst
-        if worst > bound[si]:
+        if worst > w // 2:
             violations.append(si)
-    return HookAuditReport(per_step, bound, tuple(violations))
+    return HookAuditReport(per_step, tuple(violations))
 
 
 def reference_fundamental_cycles(n_vertices, edges):
@@ -716,3 +730,49 @@ def reference_kunneth_distance_predictor(spec):
             new_coh.append(min(lower_c * b_coh[1], same_c * b_coh[0]))
         d_hom, d_coh = new_hom, new_coh
     return DistancePrediction(d_coh[spec.level], d_hom[spec.level], exact)
+
+
+def gauge_chain_qubits(gm):
+    """Split X row -> its chain qubits, read off gauge_code's map: chain
+    qubit i is the one bit that rows i and i + 1 of the split share."""
+    rows = gm.h_x_out.rows
+    return {
+        r: tuple((rows[a] & rows[b]).bit_length() - 1 for a, b in zip(split, split[1:]))
+        for r, split in gm.split_rows.items()
+        if len(split) > 1
+    }
+
+
+def fault_origin(g):
+    """Sort key of a fault generator: data faults by qubit, then hooks by
+    (step, cut)."""
+    if g.kind == "data":
+        return (0, g.qubit, 0)
+    return (1, g.step, g.cut)
+
+
+# Checkers that only tests use, kept out of the library.
+def rowspace_contains(a: BinMatrix, v: int, pivots: Pivots | None = None) -> bool:
+    """True iff bit-vector v lies in the row span of a."""
+    if v >> a.ncols:
+        raise ValueError(f"vector has bits beyond column {a.ncols}")
+    if pivots is None:
+        pivots = echelon(a.rows)
+    return reduce_vector(v, pivots) == 0
+
+
+def quotient_dim(ker_of: BinMatrix, rs_of: BinMatrix) -> int:
+    """dim ker(ker_of) - rank(rs_of), checking rs(rs_of) <= ker(ker_of)."""
+    if ker_of.ncols != rs_of.ncols:
+        raise ValueError(f"column mismatch: {ker_of.shape} vs {rs_of.shape}")
+    prod = mat_mul(ker_of, transpose(rs_of))
+    if not prod.is_zero():
+        raise ValueError("row space is not contained in the kernel (non-CSS pair)")
+    return ker_of.ncols - rank(ker_of) - rank(rs_of)
+
+
+def complex_to_css(c: ChainComplex, level: int) -> CssCode:
+    """CSS code at homology level a: h_x = d_a, h_z = d_{a+1}^T."""
+    if not 1 <= level <= c.length - 1:
+        raise ValueError(f"level must be in 1..{c.length - 1}, got {level}")
+    return CssCode(c.boundary(level), transpose(c.boundary(level + 1)))

@@ -11,7 +11,6 @@ from qwr.codes import (
     ClassicalCode,
     CssCode,
     classical_distance,
-    complex_to_css,
     css_distance,
     css_search,
     css_to_complex,
@@ -24,10 +23,10 @@ from qwr.codes import (
     steane_code,
     surface_code_2x3,
 )
-from qwr.f2la import BinMatrix, mat_mul, mat_vec, quotient_dim, rank, transpose
+from qwr.f2la import BinMatrix, mat_mul, mat_vec, rank, transpose
 from qwr.hgp import hgp
 
-from helpers import random_css
+from helpers import complex_to_css, quotient_dim, random_css
 
 
 class TestRepetition:
@@ -125,6 +124,10 @@ class TestComplexes:
     def test_nonvanishing_composition_rejected(self):
         with pytest.raises(ValueError, match="composition"):
             ChainComplex((BinMatrix.identity(2), BinMatrix.identity(2)))
+
+    def test_map_free_complex_rejected(self):
+        with pytest.raises(ValueError, match="at least one boundary map"):
+            ChainComplex(())
 
 
 class TestLogicalBasis:

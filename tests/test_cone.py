@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from qwr import cone
 from qwr.codes import CapExceeded, ClassicalCode, CssCode, css_distance, ring_face_code, steane_code, surface_code_2x3
 from qwr.cone import (
+    ConeComplexPart,
+    _part_boundaries,
     build_cone_parts,
     cellulate,
     cone_code,
@@ -47,19 +49,22 @@ class TestBuildParts:
     def test_minus_cells_match_homology(self):
         _, parts, _, _ = hexagon_parts()
         part = parts[0]
-        pre_h0 = part.boundary_1.nrows - rank(part.boundary_1)
+        b1, _ = _part_boundaries(part)
+        pre_h0 = b1.nrows - rank(b1)
         assert len(part.minus_one_cells) == pre_h0
 
     def test_composition_vanishes(self):
         _, parts, _, _ = hexagon_parts()
         for part in parts:
-            assert mat_mul(part.boundary_0, part.boundary_1).is_zero()
+            b1, b0 = _part_boundaries(part)
+            assert mat_mul(b0, b1).is_zero()
 
     def test_h0_trivial_after_augmentation(self):
         _, parts, _, _ = hexagon_parts()
         for part in parts:
             n_edges = len(part.zero_cells)
-            assert n_edges - rank(part.boundary_0) == rank(part.boundary_1)
+            b1, b0 = _part_boundaries(part)
+            assert n_edges - rank(b0) == rank(b1)
 
     def test_disconnected_kept_direct(self):
         # two triangles sharing no vertex under one weight-6 Z row
@@ -98,11 +103,7 @@ class TestConeCode:
     def test_chain_map_validated(self):
         r, parts, f, _ = hexagon_parts()
         broken = parts[0].zero_cells[:-1] + ((2, parts[0].zero_cells[-1][1], parts[0].zero_cells[-1][2]),)
-        from qwr.cone import ConeComplexPart, _part_boundaries
-
-        b1, b0 = _part_boundaries(parts[0].one_cells, broken, parts[0].minus_one_cells)
-        bad = ConeComplexPart(parts[0].parent_z_row, parts[0].one_cells, broken,
-                              parts[0].minus_one_cells, b1, b0)
+        bad = ConeComplexPart(parts[0].parent_z_row, parts[0].one_cells, broken, parts[0].minus_one_cells)
         with pytest.raises(ValueError, match="chain-map"):
             cone_code(r, (bad,), f)
 
@@ -118,9 +119,10 @@ class TestCellulate:
         cparts = cellulate(parts)
         part = cparts[0]
         assert all(len(c) <= 4 for c in part.minus_one_cells)
-        assert mat_mul(part.boundary_0, part.boundary_1).is_zero()
+        b1, b0 = _part_boundaries(part)
+        assert mat_mul(b0, b1).is_zero()
         # homology unchanged: H0 still trivial, cycle ranks consistent
-        assert len(part.zero_cells) - rank(part.boundary_0) == rank(part.boundary_1)
+        assert len(part.zero_cells) - rank(b0) == rank(b1)
 
     def test_octagon_split(self):
         r = ring_face_code(8)
@@ -167,7 +169,7 @@ class TestThickenCone:
 class TestSoundness:
     def test_singleton_ratio(self):
         # a 3-cycle filled only by single vertices: lambda = min(1, |u|/|v|)
-        r = ring_face_code(3, dangler_vertices=(0, 1))
+        r = ring_face_code(3)
         parts, f, _ = build_cone_parts(r, weight_threshold=2)
         lam = soundness_lambda(parts)
         assert lam == soundness_lambda_bruteforce(parts)

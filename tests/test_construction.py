@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwr.codes import (
-    complex_to_css,
     css_to_complex,
     hamming_7_4,
     logical_basis,
@@ -27,6 +26,7 @@ from qwr.reduce import balance_x, balance_z
 from qwr.schedule import Schedule, Step, baseline_schedule, carry, enumerate_random_schedules
 
 from helpers import (
+    complex_to_css,
     corpus,
     random_classical,
     reference_enumerate_faults,

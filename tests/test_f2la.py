@@ -7,15 +7,13 @@ from qwr.f2la import (
     kron,
     mat_mul,
     mat_vec,
-    quotient_dim,
     rank,
-    rowspace_contains,
     solve,
     transpose,
     vstack,
 )
 
-from helpers import hstack
+from helpers import hstack, quotient_dim, rowspace_contains
 
 
 def mat(rows):

@@ -59,7 +59,7 @@ class TestEnumerateFaults:
         q = steane_code()
         m = baseline_schedule(q, 0)
         gens = enumerate_faults(q, m, "Z", dedup=False)
-        assert all(g.step_basis in (None, "Z") for g in gens)
+        assert all(m.steps[g.step].basis == "Z" for g in gens if g.kind == "hook")
 
 
 class TestEffectiveDistance:
@@ -176,8 +176,8 @@ class TestComponentAudit:
         st, bm = thicken(steane_code(), 3)
         a, b0 = bm.a_qubit, 1 << bm.n_a  # a(row, col) indexes a region-A bit; b0 is the first region-B bit
 
-        def hook(residual, step_basis, row):
-            return FaultGenerator("hook", step_basis, residual, step=0, row=row, step_basis=step_basis, cut=1)
+        def hook(residual, basis, row):
+            return FaultGenerator("hook", basis, residual, step=0, row=row, cut=1)
 
         zb = bm.zb_row(0, 0)
         two_cols = (1 << a(0, 0)) | (1 << a(0, 2))

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qwr.codes import CssCode, hamming_7_4, logical_basis, logical_signatures, repetition_code
 from qwr.cone import build_cone_parts, cellulate, cone_code, thicken_cone
-from qwr.f2la import BinMatrix, echelon, kernel_basis, mat_vec, reduce_vector, rowspace_contains, rref, solve, transpose
+from qwr.f2la import BinMatrix, echelon, kernel_basis, mat_vec, reduce_vector, rref, solve, transpose
 from qwr.hgp import hgp
 from qwr.reduce import copy_code, gauge_code, thicken
 
@@ -21,6 +21,7 @@ from helpers import (
     reference_reduce_vector,
     reference_rref,
     reference_solve,
+    rowspace_contains,
 )
 
 

@@ -4,14 +4,12 @@ import pytest
 
 from qwr.codes import (
     INF,
-    ChainComplex,
     ClassicalCode,
     css_distance,
-    css_to_complex,
     hamming_7_4,
     repetition_code,
 )
-from qwr.f2la import BinMatrix, quotient_dim
+from qwr.f2la import BinMatrix
 from qwr.hgp import (
     ProductSpec,
     higher_dim_hgp,
@@ -22,7 +20,7 @@ from qwr.hgp import (
 )
 from qwr.reduce import thicken
 
-from helpers import random_classical, reference_kunneth_distance_predictor
+from helpers import quotient_dim, random_classical, reference_kunneth_distance_predictor
 
 
 class TestTensorComplex:
@@ -32,11 +30,6 @@ class TestTensorComplex:
         # (dim level 0, dim level 1, dim level 2): checks x bits, qubits, bits x checks
         assert t.dims == (2 * 3, 3 * 3 + 2 * 2, 3 * 2)
         assert t.dim(1) == 13
-
-    def test_unit_factor(self):
-        a = css_to_complex(hgp(repetition_code(2), repetition_code(2)))
-        unit = ChainComplex((), dims=(1,))
-        assert tensor_complex(a, unit).boundaries == a.boundaries
 
     def test_associativity_up_to_regrouping(self):
         # The two fold orders list each level's basis differently (the left

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     corpus,
+    gauge_chain_qubits,
     random_hgp,
     reference_balanced_schedule,
     reference_cone_code,
@@ -87,8 +88,7 @@ def test_chain_map_messages_match_reference():
             xr, qa, qb = part.zero_cells[t]
             wrong = rng.choice([None] + [r for r in range(q.n_x) if r != xr])
             zero_cells = part.zero_cells[:t] + ((wrong, qa, qb),) + part.zero_cells[t + 1:]
-            bad = ConeComplexPart(part.parent_z_row, part.one_cells, zero_cells, part.minus_one_cells,
-                                  part.boundary_1, part.boundary_0)
+            bad = ConeComplexPart(part.parent_z_row, part.one_cells, zero_cells, part.minus_one_cells)
             broken = parts[:i] + (bad,) + parts[i + 1:]
             with pytest.raises(ValueError, match="chain-map") as got:
                 cone_code(q, broken, f)
@@ -123,6 +123,6 @@ def test_gauge_patches_match_reference():
     for q in CONE_CODES + corpus(12, 40):
         for code in (q, copy_code(q)[0]):
             qg, gm = gauge_code(code)
-            z_rows, z_patch = reference_gauge_patches(code, gm.new_qubits)
+            z_rows, z_patch = reference_gauge_patches(code, gauge_chain_qubits(gm))
             assert list(qg.h_z.rows) == z_rows
             assert gm.z_patch == z_patch
