@@ -8,9 +8,10 @@ schedule through every stage.  For every stage it prints the best-of-N
 perf_counter time, in milliseconds, of rank, kernel_basis and solve on both
 check matrices, of logical_signatures over the unit vectors in both bases,
 of component_weight_audit over the hook faults (thickened stage only), of
-enumerate_faults in both bases, of Schedule.validate, and of the product
-construction that builds the stage (input: hgp; thicken and thicken_cone:
-reduce.thicken; "-" elsewhere).
+enumerate_faults in both bases, of Schedule.validate, and of the
+construction that builds the stage (input: hgp; copy: copy_code; gauge:
+gauge_code; cone: cone_code on the cellulated parts; thicken and
+thicken_cone: reduce.thicken).
 
     PYTHONPATH=src python scripts/gf2_layers.py [--seed S] [--repeat N]
 """
@@ -20,10 +21,11 @@ import random
 import time
 
 from qwr.codes import ClassicalCode, CssCode, logical_signatures
+from qwr.cone import build_cone_parts, cellulate, cone_code
 from qwr.f2la import BinMatrix, kernel_basis, mat_vec, rank, solve
 from qwr.faultdist import component_weight_audit, enumerate_faults
 from qwr.hgp import hgp
-from qwr.reduce import thicken
+from qwr.reduce import copy_code, gauge_code, thicken
 from qwr.schedule import baseline_schedule, carry
 
 LAYERS = (
@@ -47,8 +49,8 @@ def regular_classical(rng: random.Random, n: int, r: int, row_weight: int) -> Cl
 
 
 def build_chain(seed: int) -> list[tuple]:
-    """(stage, code, schedule, audit arguments or None, product build or None)
-    for each stage of the chain."""
+    """(stage, code, schedule, audit arguments or None, stage build) for each
+    stage of the chain."""
     rng = random.Random(seed)
     c1, c2 = regular_classical(rng, 8, 5, 4), regular_classical(rng, 8, 5, 4)
     q = hgp(c1, c2)
@@ -59,12 +61,14 @@ def build_chain(seed: int) -> list[tuple]:
     faults = enumerate_faults(qt, mt, "X") + enumerate_faults(qt, mt, "Z")
     qk, mk, _, _ = carry("cone", q, m)
     qkt, mkt, _, _ = carry("cone", q, m, cone_ell=2)
+    parts, fmap, _ = build_cone_parts(q)
+    parts = cellulate(parts)
     return [
         ("input", q, m, None, lambda: hgp(c1, c2)),
-        ("copy", qc, mc, None, None),
-        ("gauge", qg, mg, None, None),
+        ("copy", qc, mc, None, lambda: copy_code(q)),
+        ("gauge", qg, mg, None, lambda: gauge_code(qc)),
         ("thicken", qt, mt, [bm, faults], lambda: thicken(qg, 2)),
-        ("cone", qk, mk, None, None),
+        ("cone", qk, mk, None, lambda: cone_code(q, parts, fmap)),
         ("thicken_cone", qkt, mkt, None, lambda: thicken(qk.transposed(), 2)),
     ]
 
@@ -94,7 +98,7 @@ def layer_times(q: CssCode, m, audit, product, repeat: int, rng: random.Random) 
         None if audit is None else best_of(repeat, lambda _: component_weight_audit(q, *audit)),
         best_of(repeat, lambda _: [enumerate_faults(q, m, b) for b in "XZ"]),
         best_of(repeat, lambda _: m.validate(q)),
-        None if product is None else best_of(repeat, lambda _: product()),
+        best_of(repeat, lambda _: product()),
     ]
 
 

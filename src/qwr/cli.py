@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                         type=lambda text: [t for t in text.split(",") if t],
                         help="comma-separated transform list")
     shared.add_argument("--ell", type=_positive_int, default=2, help="thickening length")
-    shared.add_argument("--heights", help="greedy:<w> or explicit:<csv>")
+    shared.add_argument("--heights", help="greedy:<w> (w is only checked to be >= 1) or explicit:<csv>")
     shared.add_argument("--classical", dest="classical_path", metavar="CLASSICAL",
                         help="classical check matrix for balancing")
     shared.add_argument("--cone-threshold", type=_positive_int, default=5)

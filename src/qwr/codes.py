@@ -97,8 +97,6 @@ def classical_distance(code: ClassicalCode) -> int | float:
     MITM_PROBE_FACTOR * MITM_TABLE_CAP."""
     basis = kernel_basis(code.h)
     k = basis.nrows
-    if k == 0:
-        return INF
     walk_cap = MITM_PROBE_FACTOR * MITM_TABLE_CAP
     if 1 << k > walk_cap:
         raise CapExceeded(f"the 2^{k} codewords exceed the walk cap {walk_cap}")

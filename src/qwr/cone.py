@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import ClassVar
 
 from .codes import MITM_PROBE_FACTOR, MITM_TABLE_CAP, CapExceeded, CssCode, _span
-from .f2la import BinMatrix, bit_indices, kernel_basis, solve, transpose
+from .f2la import BinMatrix, bit_indices, kernel_basis, mat_mul, solve, transpose
 from .reduce import choose_heights, greedy_heights, thicken
 
 
@@ -51,15 +51,14 @@ class ChainMapF:
     cycle_basis: ClassVar[str] = "spanning-tree fundamental cycles"
 
     def validate(self, h_x: BinMatrix, parts: tuple[ConeComplexPart, ...]) -> None:
-        """Check f.d_B == d_A.f on every 1-cell, as a matrix identity."""
+        """Check f.d_B == d_A.f on every 1-cell, as a matrix identity: row p
+        of d_1^T.F0, where row t of F0 is the X row of 0-cell t (zero for a
+        chord), is column one_cells[p] of h_x."""
         cols = transpose(h_x).rows
         for part in parts:
-            acc = dict.fromkeys(part.one_cells, 0)
-            for xr, qa, qb in part.zero_cells:
-                if xr is not None:
-                    acc[qa] ^= 1 << xr
-                    acc[qb] ^= 1 << xr
-            for qubit, v in acc.items():
+            f0 = BinMatrix([0 if xr is None else 1 << xr for xr, _, _ in part.zero_cells], h_x.nrows)
+            image = mat_mul(transpose(_part_boundaries(part)[0]), f0).rows
+            for qubit, v in zip(part.one_cells, image):
                 if v != cols[qubit]:
                     raise ValueError(
                         f"chain-map condition fails at qubit {qubit} of part for Z row {part.parent_z_row}"
@@ -256,10 +255,6 @@ def thicken_cone(q_cone: CssCode, length: int) -> CssCode:
 
 def thicken_cone_detail(q_cone: CssCode, length: int):
     """thicken_cone plus the dual BalanceMap and chosen heights (for schedules)."""
-    if length < 1:
-        raise ValueError("thickening length must be >= 1")
-    if length == 1:
-        return q_cone, None, None
     dual = q_cone.transposed()
     thick, bm = thicken(dual, length)
     hr = greedy_heights(thick, bm, 1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .codes import ClassicalCode, CssCode, css_to_complex, repetition_code
-from .f2la import BinMatrix
+from .f2la import BinMatrix, bit_indices, kron, mat_mul, transpose
 from .hgp import one_complex, product_css
 
 
@@ -31,9 +31,9 @@ def copy_code(q: CssCode) -> tuple[CssCode, CopyMap]:
     """Concatenate every qubit with a [q_X, 1, q_X] repetition code.
 
     Each X row's support on qubit i moves to one of the q_X copies of i
-    (greedy lowest free copy, rows processed top-down); q_X - 1 gluing X
-    checks per qubit link the copies, and every Z row is replicated across
-    all copies.
+    (greedy lowest free copy, rows processed top-down).  Below those rows
+    come the gluing checks kron(I_n, H_rep(q_X)), q_X - 1 per qubit, and the
+    Z rows are kron(h_z, 1...1), each replicated across all copies.
     """
     q_x = q.q_x
     if q_x < 1:
@@ -50,20 +50,11 @@ def copy_code(q: CssCode) -> tuple[CssCode, CopyMap]:
             assigned[(r, i)] = j
             v |= 1 << (i * q_x + j)
         x_rows.append(v)
-    glue = []
-    for i in range(n):
-        for j in range(q_x - 1):
-            glue.append((len(x_rows), i, j))
-            x_rows.append((1 << (i * q_x + j)) | (1 << (i * q_x + j + 1)))
-    group_mask = (1 << q_x) - 1
-    z_rows = []
-    for r in range(q.n_z):
-        v = 0
-        for i in q.h_z.row_support(r):
-            v |= group_mask << (i * q_x)
-        z_rows.append(v)
-    code = CssCode(BinMatrix(x_rows, n * q_x), BinMatrix(z_rows, n * q_x))
-    return code, CopyMap(q_x, assigned, tuple(glue))
+    glue = kron(BinMatrix.identity(n), repetition_code(q_x).h)
+    glue_rows = tuple((q.n_x + g, g // (q_x - 1), g % (q_x - 1)) for g in range(glue.nrows))
+    h_z = kron(q.h_z, BinMatrix([(1 << q_x) - 1], q_x))
+    code = CssCode(BinMatrix(x_rows + list(glue.rows), n * q_x), h_z)
+    return code, CopyMap(q_x, assigned, glue_rows)
 
 
 @dataclass(frozen=True)
@@ -80,50 +71,32 @@ class GaugeMap:
 def gauge_code(q: CssCode) -> tuple[CssCode, GaugeMap]:
     """Split every X row of weight > 3 into a chain of weight <= 3 rows.
 
-    A weight-w row becomes w rows over w-1 new qubits, linked repetition-code
-    style with support qubits taken in ascending column order.  Z rows are
-    repaired by the prefix rule: the i-th chain qubit is toggled into a Z row
-    exactly when the row overlaps the first i original support qubits oddly.
+    A weight-w row becomes w rows over w-1 new qubits: row i of the chain is
+    row i of H_rep(w)^T on the new qubits plus the row's i-th support qubit
+    (ascending column order).  Z rows are repaired by the prefix rule, one
+    product h_z . P^T: row c of P is the original support before chain qubit
+    c, so c joins a Z row exactly when the row overlaps that prefix oddly.
     """
-    next_col = q.n
     x_rows: list[int] = []
     split_rows: dict[int, tuple[int, ...]] = {}
-    new_qubits: dict[int, tuple[int, ...]] = {}
-    for r in range(q.n_x):
-        sup = q.h_x.row_support(r)
-        w = len(sup)
-        if w <= 3:
-            split_rows[r] = (len(x_rows),)
-            x_rows.append(q.h_x.rows[r])
-            continue
-        cols = tuple(range(next_col, next_col + w - 1))
-        next_col += w - 1
-        new_qubits[r] = cols
+    prefixes: list[int] = []  # row c of P, for chain qubit n + c
+    for r, v in enumerate(q.h_x.rows):
+        sup = bit_indices(v)
         first = len(x_rows)
-        x_rows.append((1 << sup[0]) | (1 << cols[0]))
-        for i in range(1, w - 1):
-            x_rows.append((1 << cols[i - 1]) | (1 << sup[i]) | (1 << cols[i]))
-        x_rows.append((1 << cols[w - 2]) | (1 << sup[w - 1]))
+        if len(sup) <= 3:
+            x_rows.append(v)
+        else:
+            shift = q.n + len(prefixes)
+            chain = transpose(repetition_code(len(sup)).h).rows
+            x_rows += [c << shift | 1 << s for c, s in zip(chain, sup)]
+            prefixes += [v & ((1 << s) - 1) for s in sup[1:]]
         split_rows[r] = tuple(range(first, len(x_rows)))
-    z_rows: list[int] = []
-    z_patch: dict[int, tuple[int, ...]] = {}
-    split = [(q.h_x.row_support(r), cols) for r, cols in new_qubits.items()]
-    for zr in range(q.n_z):
-        zv = q.h_z.rows[zr]
-        patch = []
-        for sup, cols in split:
-            running = 0
-            for i in range(1, len(sup)):
-                running ^= (zv >> sup[i - 1]) & 1
-                if running:
-                    patch.append(cols[i - 1])
-        for c in patch:
-            zv |= 1 << c
-        z_rows.append(zv)
-        if patch:
-            z_patch[zr] = tuple(sorted(patch))
-    h_x_out = BinMatrix(x_rows, next_col)
-    code = CssCode(h_x_out, BinMatrix(z_rows, next_col))
+    n_out = q.n + len(prefixes)
+    patches = mat_mul(q.h_z, transpose(BinMatrix(prefixes, q.n))).rows
+    z_rows = [zv | p << q.n for zv, p in zip(q.h_z.rows, patches)]
+    z_patch = {zr: tuple(q.n + c for c in bit_indices(p)) for zr, p in enumerate(patches) if p}
+    h_x_out = BinMatrix(x_rows, n_out)
+    code = CssCode(h_x_out, BinMatrix(z_rows, n_out))
     return code, GaugeMap(split_rows, z_patch, h_x_out)
 
 
@@ -209,6 +182,8 @@ def thicken(q: CssCode, length: int) -> tuple[CssCode, BalanceMap]:
 
 
 def _require_repetition(bm: BalanceMap) -> None:
+    if bm.dual:
+        raise ValueError("choosing heights requires a thickened code, not a balance_z map")
     rep = repetition_code(bm.n_c).h
     if bm.k_c != 1 or bm.h_c != rep:
         raise ValueError("choosing heights requires a thickened code (repetition factor)")

@@ -25,6 +25,7 @@ from qwr.f2la import (
 )
 from qwr.faultdist import FaultGenerator, HookAuditReport
 from qwr.hgp import DistancePrediction, _one_complex_distances, hgp
+from qwr.reduce import CopyMap, GaugeMap
 from qwr.schedule import Schedule, Step, dual_schedule
 
 
@@ -556,6 +557,66 @@ def reference_gauge_patches(q, new_qubits):
         if patch:
             z_patch[zr] = tuple(sorted(patch))
     return z_rows, z_patch
+
+
+def reference_copy_code(q):
+    """copy_code with its gluing checks and Z replicas set bit by bit, as
+    copy_code once built them."""
+    q_x = q.q_x
+    if q_x < 1:
+        raise ValueError("copy_code needs q_X >= 1 (some qubit in an X check)")
+    claimed = [0] * q.n
+    assigned = {}
+    x_rows = []
+    for r in range(q.n_x):
+        v = 0
+        for i in q.h_x.row_support(r):
+            j = claimed[i]
+            claimed[i] += 1
+            assigned[(r, i)] = j
+            v |= 1 << (i * q_x + j)
+        x_rows.append(v)
+    glue = []
+    for i in range(q.n):
+        for j in range(q_x - 1):
+            glue.append((len(x_rows), i, j))
+            x_rows.append((1 << (i * q_x + j)) | (1 << (i * q_x + j + 1)))
+    z_rows = []
+    for r in range(q.n_z):
+        v = 0
+        for i in q.h_z.row_support(r):
+            v |= ((1 << q_x) - 1) << (i * q_x)
+        z_rows.append(v)
+    code = CssCode(BinMatrix(x_rows, q.n * q_x), BinMatrix(z_rows, q.n * q_x))
+    return code, CopyMap(q_x, assigned, tuple(glue))
+
+
+def reference_gauge_code(q):
+    """gauge_code with each split row's chain laid out one bit at a time, as
+    gauge_code once did, and the Z repair of reference_gauge_patches."""
+    next_col = q.n
+    x_rows = []
+    split_rows = {}
+    new_qubits = {}
+    for r in range(q.n_x):
+        sup = q.h_x.row_support(r)
+        w = len(sup)
+        if w <= 3:
+            split_rows[r] = (len(x_rows),)
+            x_rows.append(q.h_x.rows[r])
+            continue
+        cols = tuple(range(next_col, next_col + w - 1))
+        next_col += w - 1
+        new_qubits[r] = cols
+        first = len(x_rows)
+        x_rows.append((1 << sup[0]) | (1 << cols[0]))
+        for i in range(1, w - 1):
+            x_rows.append((1 << cols[i - 1]) | (1 << sup[i]) | (1 << cols[i]))
+        x_rows.append((1 << cols[w - 2]) | (1 << sup[w - 1]))
+        split_rows[r] = tuple(range(first, len(x_rows)))
+    z_rows, z_patch = reference_gauge_patches(q, new_qubits)
+    h_x_out = BinMatrix(x_rows, next_col)
+    return CssCode(h_x_out, BinMatrix(z_rows, next_col)), GaugeMap(split_rows, z_patch, h_x_out)
 
 
 def reference_logical_basis_full(q, basis):

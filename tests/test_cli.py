@@ -256,6 +256,12 @@ class TestMainEntry:
         hx, hz = steane_files
         assert main(["transform", "bogus", "--hx", hx, "--hz", hz]) == 1
 
+    def test_unknown_subcommand_exit_one(self, steane_files, capsys):
+        hx, hz = steane_files
+        assert main(["bogus", "--hx", hx, "--hz", hz]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
     def test_missing_file_exit_one(self, capsys):
         assert main(["info", "--hx", "/nonexistent", "--hz", "/nonexistent"]) == 1
 
@@ -283,6 +289,8 @@ class TestMainEntry:
             ["--heights", "greedy:0"],
             ["--heights", "greedy:w"],
             ["--heights", "explicit:1,a,2"],
+            ["--heights", "bogus"],
+            ["--schedule", "bogus"],
         ],
     )
     def test_bad_flag_value_exit_one(self, steane_files, flags, capsys):
@@ -314,6 +322,7 @@ class TestMainEntry:
             ("hx.alist", REP3_ALIST[:-4] + "1 3\n"),
             ("hx.alist", "x 2\n2 2\n1 2 1\n2 2\n"),
             ("hx.alist", "-1 1\n0\n0\n0\n"),
+            ("hx.alist", "2 1\n1 2\n1 2\n1 1\n1\n"),  # one column line of the header's 2, no row line
         ],
     )
     def test_malformed_matrix_file_exit_one(self, steane_files, tmp_path, capsys, name, text):
@@ -329,6 +338,14 @@ class TestMainEntry:
         sched.write_text("X 1 : 1 2 3 4\nY 2 : 2 3\n")
         assert main(["faultdist", "--hx", hx, "--hz", hz, "--schedule", f"file:{sched}"]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_schedule_non_integer_index_exit_one(self, steane_files, tmp_path, capsys):
+        hx, hz = steane_files
+        sched = tmp_path / "m.schedule"
+        sched.write_text("X 1 : 1 2 3 4\nX 2 : 2 x\n")
+        assert main(["faultdist", "--hx", hx, "--hz", hz, "--schedule", f"file:{sched}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "line 2: invalid literal for int()" in err
 
     def test_schedule_not_covering_code_exit_two(self, steane_files, tmp_path, capsys):
         hx, hz = steane_files
@@ -468,9 +485,8 @@ class TestTooling:
                               "enumerate_faults", "validate", "product"]
         assert all(len(cells) == 9 for cells in rows.values())
         assert rows["thicken"][5] != "-" and rows["copy"][5] == "-"
-        # every stage carries a schedule; only hgp and the thickenings are product builds
-        assert all("-" not in cells[6:8] for cells in rows.values())
-        assert [stage for stage, cells in rows.items() if cells[8] != "-"] == ["input", "thicken", "thicken_cone"]
+        # every stage carries a schedule and times the construction that builds it
+        assert all("-" not in cells[6:9] for cells in rows.values())
 
     def test_search_costs_script(self):
         res = self.run("scripts/search_costs.py", "--repeat", "1")

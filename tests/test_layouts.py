@@ -1,7 +1,7 @@
-"""The cone, balanced-schedule and gauge-patch layouts against the scanning
-constructions kept in tests/helpers.py: equal matrices, equal chain-map
-messages and equal schedule text, with and without cellulation, at
-schedule seeds 0 and 3."""
+"""The copy, gauge, cone, balanced-schedule and gauge-patch layouts against
+the scanning constructions kept in tests/helpers.py: equal matrices and
+maps, equal chain-map messages and equal schedule text, with and without
+cellulation, at schedule seeds 0 and 3."""
 
 import random
 
@@ -14,6 +14,8 @@ from helpers import (
     reference_balanced_schedule,
     reference_cone_code,
     reference_cone_schedule,
+    reference_copy_code,
+    reference_gauge_code,
     reference_gauge_patches,
 )
 from qwr.codes import hamming_7_4, repetition_code, ring_face_code, steane_code, surface_code_2x3
@@ -126,3 +128,9 @@ def test_gauge_patches_match_reference():
             z_rows, z_patch = reference_gauge_patches(code, gauge_chain_qubits(gm))
             assert list(qg.h_z.rows) == z_rows
             assert gm.z_patch == z_patch
+            assert (qg, gm) == reference_gauge_code(code)
+
+
+def test_copy_layout_matches_reference():
+    for q in CONE_CODES + corpus(12, 40):
+        assert copy_code(q) == reference_copy_code(q)

@@ -221,6 +221,15 @@ class TestChooseHeights:
         with pytest.raises(ValueError, match="repetition"):
             choose_heights(qb, bm, [1, 2, 3])
 
+    @pytest.mark.parametrize("q", [steane_code(), surface_code_2x3()], ids=["steane", "surface"])
+    def test_balance_z_map_rejected(self, q):
+        # a balance_z map describes the transposed layout, which neither reads
+        qb, bm = balance_z(q, repetition_code(3))
+        with pytest.raises(ValueError, match="balance_z"):
+            greedy_heights(qb, bm, 1)
+        with pytest.raises(ValueError, match="balance_z"):
+            choose_heights(qb, bm, [1] * bm.n_z)
+
 
 class TestGreedyHeights:
     def test_extreme_spread(self):
