@@ -32,6 +32,8 @@ def main():
     survey("hgp(rep3,rep3)", hgp(repetition_code(3), repetition_code(3)))
     d3, _ = higher_dim_hgp(ProductSpec((repetition_code(2),) * 3, level=1))
     survey("rep2 x rep2 x rep2", d3)
+    d4, _ = higher_dim_hgp(ProductSpec((repetition_code(2),) * 4, level=2))
+    survey("rep2^4 at level 2", d4)
 
 
 if __name__ == "__main__":

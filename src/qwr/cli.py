@@ -29,6 +29,13 @@ class UsageError(ValueError):
     """Bad flags or a malformed input file: exit code 1."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, its subcommands too, raising UsageError instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def parse_matrix_file(path: str) -> BinMatrix:
     """Read an mtxf2 matrix; malformed lines and bad indices name their line."""
     with open(path, "r", encoding="utf-8") as f:
@@ -325,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out", help="write the JSON report here instead of stdout")
     shared.add_argument("--out-prefix", help="write transformed matrices/schedule files")
 
-    p = argparse.ArgumentParser(prog="qwr", description=__doc__, exit_on_error=False)
+    p = _Parser(prog="qwr", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("info", parents=[shared], help="code parameters and exact distances")
     names = argparse.ArgumentParser(add_help=False)  # so usage errors list `names` first
@@ -344,11 +351,11 @@ def PipelineConfig(**opts) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_parser().parse_args(argv)
-    except argparse.ArgumentError as e:
+    except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except SystemExit as e:
-        return 1 if e.code not in (0, None) else 0
+    except SystemExit:  # --help
+        return 0
     # a new list: every parse shares the --transform default
     cfg.transforms = getattr(cfg, "names", []) + cfg.transforms
     # faultdist's defaults are set here: the subcommands share their option actions

@@ -57,7 +57,7 @@ class ChainMapF:
         cols = transpose(h_x).rows
         for part in parts:
             f0 = BinMatrix([0 if xr is None else 1 << xr for xr, _, _ in part.zero_cells], h_x.nrows)
-            image = mat_mul(transpose(_part_boundaries(part)[0]), f0).rows
+            image = mat_mul(transpose(_part_d1(part)), f0).rows
             for qubit, v in zip(part.one_cells, image):
                 if v != cols[qubit]:
                     raise ValueError(
@@ -67,12 +67,13 @@ class ChainMapF:
 
 def _part_boundaries(part: ConeComplexPart) -> tuple[BinMatrix, BinMatrix]:
     """(d_1, d_0) of a part: 0-cells x 1-cells, then -1-cells x 0-cells."""
+    return _part_d1(part), BinMatrix.from_support(part.minus_one_cells, len(part.zero_cells))
+
+
+def _part_d1(part: ConeComplexPart) -> BinMatrix:
+    """d_1 of a part, all that ChainMapF.validate reads."""
     pos = {qb: p for p, qb in enumerate(part.one_cells)}
-    b1 = BinMatrix.from_support(
-        [(pos[qa], pos[qb]) for _, qa, qb in part.zero_cells], len(part.one_cells)
-    )
-    b0 = BinMatrix.from_support(part.minus_one_cells, len(part.zero_cells))
-    return b1, b0
+    return BinMatrix.from_support([(pos[qa], pos[qb]) for _, qa, qb in part.zero_cells], len(part.one_cells))
 
 
 def _fundamental_cycles(n_vertices: int, edges: list[tuple[int, int]]) -> tuple[list[tuple[int, ...]], int]:

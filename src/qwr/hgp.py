@@ -1,12 +1,16 @@
-"""Hypergraph products and higher-dimensional products of 1-complexes.
+"""Hypergraph products and higher-dimensional products of chain complexes.
 
-The total complex of a tensor product orders each graded piece by
-descending degree of the left factor; reduce.balance_x is this product too.
+One total complex of a sequence of complexes gives every product code (hgp,
+higher_dim_hgp, reduce.balance_x/z).  Its degree-t basis is one block per
+tuple of factor degrees summing to t, in the order of _blocks: ascending
+degree of the last factor, then the same order on the rest.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from math import prod
 
 from .codes import INF, ChainComplex, ClassicalCode, CssCode, classical_distance
 from .f2la import BinMatrix, kron, rank, transpose
@@ -18,45 +22,54 @@ def one_complex(c: ClassicalCode, dualized: bool = False) -> ChainComplex:
 
 
 def tensor_complex(a: ChainComplex, b: ChainComplex) -> ChainComplex:
-    """Total complex of the double complex, no signs over GF(2)."""
-    return ChainComplex(tuple(_total_boundary(a, b, total) for total in range(a.length + b.length, 0, -1)))
+    """Total complex of the double complex of a and b."""
+    return ChainComplex(tuple(_total_boundary((a, b), total) for total in range(a.length + b.length, 0, -1)))
 
 
-def product_css(a: ChainComplex, b: ChainComplex, level: int) -> CssCode:
-    """The CSS code of tensor_complex(a, b) at the given homology level:
-    h_x = d_level and h_z = d_{level+1}^T, building only those two maps."""
-    length = a.length + b.length
+def product_css(complexes: Sequence[ChainComplex], level: int) -> CssCode:
+    """The CSS code of the complexes' total complex at the given homology
+    level: h_x = d_level and h_z = d_{level+1}^T, building only those two maps."""
+    length = sum(c.length for c in complexes)
     if not 1 <= level <= length - 1:
         raise ValueError(f"level must be in 1..{length - 1}, got {level}")
-    return CssCode(_total_boundary(a, b, level), transpose(_total_boundary(a, b, level + 1)))
+    return CssCode(_total_boundary(complexes, level), transpose(_total_boundary(complexes, level + 1)))
 
 
-def _total_boundary(a: ChainComplex, b: ChainComplex, total: int) -> BinMatrix:
-    """The total complex's map out of degree total.  Block (i, j) of a degree
-    maps by d_i x 1 to block (i - 1, j) and by 1 x d_j to block (i, j - 1);
-    blocks sit at their offsets by descending i."""
+def _blocks(complexes: Sequence[ChainComplex], total: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(degree per factor, size) of each block of degree total, in basis
+    order: ascending degree of the last factor, then this order on the rest.
+    A block's basis is the Kronecker product of the factors' bases."""
+    *rest, last = complexes
+    for d in range(max(0, total - sum(c.length for c in rest)), min(total, last.length) + 1):
+        for degrees, size in _blocks(rest, total - d) if rest else [((), 1)]:
+            yield degrees + (d,), size * last.dim(d)
 
-    def offsets(t: int) -> tuple[dict[tuple[int, int], int], int]:
-        out, at = {}, 0
-        for i in range(min(t, a.length), max(t - b.length, 0) - 1, -1):
-            out[(i, t - i)] = at
-            at += a.dim(i) * b.dim(t - i)
-        return out, at
 
-    (src, ncols), (dst, nrows) = offsets(total), offsets(total - 1)
-    rows = [0] * nrows
-    for (i, j), col in src.items():
-        parts = [(dst[(i - 1, j)], kron(a.boundary(i), BinMatrix.identity(b.dim(j))))] if i else []
-        parts += [(dst[(i, j - 1)], kron(BinMatrix.identity(a.dim(i)), b.boundary(j)))] if j else []
-        for at, m in parts:
-            for r, v in enumerate(m.rows, at):
-                rows[r] |= v << col
-    return BinMatrix(rows, ncols)
+def _total_boundary(complexes: Sequence[ChainComplex], total: int) -> BinMatrix:
+    """The total complex's map out of degree total.  Factor j of a block maps
+    by 1 x d_j x 1 to the block one degree lower in j: kron(d_j, 1) on the
+    factors from j on, copied once per index of the factors left of j."""
+    dst, nrows = {}, 0
+    for degrees, size in _blocks(complexes, total - 1):
+        dst[degrees], nrows = nrows, nrows + size
+    rows, col = [0] * nrows, 0
+    for degrees, size in _blocks(complexes, total):
+        dims = [c.dim(d) for c, d in zip(complexes, degrees)]
+        for j, d in enumerate(degrees):
+            if not d:
+                continue
+            m = kron(complexes[j].boundary(d), BinMatrix.identity(prod(dims[j + 1:])))
+            at = dst[degrees[:j] + (d - 1,) + degrees[j + 1:]]
+            for left in range(prod(dims[:j])):
+                for r, v in enumerate(m.rows, at + left * m.nrows):
+                    rows[r] |= v << (col + left * m.ncols)
+        col += size
+    return BinMatrix(rows, col)
 
 
 def hgp(c1: ClassicalCode, c2: ClassicalCode) -> CssCode:
     """Hypergraph product of two classical codes (second factor dualized)."""
-    return product_css(one_complex(c1), one_complex(c2, dualized=True), 1)
+    return product_css((one_complex(c1), one_complex(c2, dualized=True)), 1)
 
 
 @dataclass(frozen=True)
@@ -71,8 +84,7 @@ class ProductSpec:
         if not 1 <= self.level <= len(self.factors) - 1:
             raise ValueError(f"level must be in 1..{len(self.factors) - 1}")
         if not self.dualized:
-            flags = tuple(i + 1 > self.level for i in range(len(self.factors)))
-            object.__setattr__(self, "dualized", flags)
+            object.__setattr__(self, "dualized", tuple(i >= self.level for i in range(len(self.factors))))
         elif len(self.dualized) != len(self.factors):
             raise ValueError("one dualization flag per factor")
 
@@ -86,30 +98,9 @@ class ProductLayout:
 
 
 def higher_dim_hgp(spec: ProductSpec) -> tuple[CssCode, ProductLayout]:
-    """Iterated tensor product of 1-complexes, read off at the given level."""
+    """The total complex of the factors' 1-complexes, read off at the given level."""
     complexes = [one_complex(c, d) for c, d in zip(spec.factors, spec.dualized)]
-    prod = complexes[0]
-    for nxt in complexes[1:-1]:
-        prod = tensor_complex(prod, nxt)
-    code = product_css(prod, complexes[-1], spec.level)
-    layout = ProductLayout(spec.level, tuple(_level_blocks(complexes, spec.level)))
-    return code, layout
-
-
-def _level_blocks(complexes, level):
-    """Degree tuples (descending-left order) and sizes at one total degree."""
-
-    def rec(idx: int, remaining: int):
-        if idx == len(complexes) - 1:
-            if remaining <= complexes[idx].length:
-                yield (remaining,), complexes[idx].dim(remaining)
-            return
-        top = min(remaining, complexes[idx].length)
-        for d in range(top, -1, -1):
-            for tail, size in rec(idx + 1, remaining - d):
-                yield (d,) + tail, complexes[idx].dim(d) * size
-
-    return [(degrees, size) for degrees, size in rec(0, level)]
+    return product_css(complexes, spec.level), ProductLayout(spec.level, tuple(_blocks(complexes, spec.level)))
 
 
 @dataclass(frozen=True)

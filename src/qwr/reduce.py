@@ -164,7 +164,7 @@ def balance_x(q: CssCode, c: ClassicalCode) -> tuple[CssCode, BalanceMap]:
     """
     if not c.full_row_rank:
         raise ValueError("classical check matrix must have full row rank")
-    code = product_css(css_to_complex(q), one_complex(c, dualized=True), 1)
+    code = product_css((css_to_complex(q), one_complex(c, dualized=True)), 1)
     return code, BalanceMap(q.n, q.n_x, q.n_z, c.n, c.k, c.h, q.h_x, q.h_z)
 
 

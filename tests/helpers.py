@@ -832,6 +832,60 @@ def quotient_dim(ker_of: BinMatrix, rs_of: BinMatrix) -> int:
     return ker_of.ncols - rank(ker_of) - rank(rs_of)
 
 
+def reference_total_boundary(a: ChainComplex, b: ChainComplex, total: int) -> BinMatrix:
+    """The map out of degree total of the two-factor total complex.  Block
+    (i, j) of a degree maps by d_i x 1 to block (i - 1, j) and by 1 x d_j to
+    block (i, j - 1); blocks sit at their offsets by descending i."""
+
+    def offsets(t: int) -> tuple[dict[tuple[int, int], int], int]:
+        out, at = {}, 0
+        for i in range(min(t, a.length), max(t - b.length, 0) - 1, -1):
+            out[(i, t - i)] = at
+            at += a.dim(i) * b.dim(t - i)
+        return out, at
+
+    (src, ncols), (dst, nrows) = offsets(total), offsets(total - 1)
+    rows = [0] * nrows
+    for (i, j), col in src.items():
+        parts = [(dst[(i - 1, j)], kron(a.boundary(i), BinMatrix.identity(b.dim(j))))] if i else []
+        parts += [(dst[(i, j - 1)], kron(BinMatrix.identity(a.dim(i)), b.boundary(j)))] if j else []
+        for at, m in parts:
+            for r, v in enumerate(m.rows, at):
+                rows[r] |= v << col
+    return BinMatrix(rows, ncols)
+
+
+def reference_tensor_complex(a: ChainComplex, b: ChainComplex) -> ChainComplex:
+    return ChainComplex(tuple(reference_total_boundary(a, b, t) for t in range(a.length + b.length, 0, -1)))
+
+
+def reference_fold(complexes) -> ChainComplex:
+    """The total complex of several complexes, folded pairwise from the left."""
+    prod = complexes[0]
+    for nxt in complexes[1:]:
+        prod = reference_tensor_complex(prod, nxt)
+    return prod
+
+
+def reference_fold_degrees(complexes, total: int) -> list[tuple[int, ...]]:
+    """The degree per factor of each basis vector of reference_fold(complexes)
+    at the given total degree, in basis order."""
+    first = complexes[0]
+    degrees = {i: [(i,)] * first.dim(i) for i in range(first.length + 1)}
+    for c in complexes[1:]:
+        top = max(degrees)
+        degrees = {
+            t: [
+                left + (t - i,)
+                for i in range(min(t, top), max(t - c.length, 0) - 1, -1)
+                for left in degrees[i]
+                for _ in range(c.dim(t - i))
+            ]
+            for t in range(top + c.length + 1)
+        }
+    return degrees[total]
+
+
 def complex_to_css(c: ChainComplex, level: int) -> CssCode:
     """CSS code at homology level a: h_x = d_a, h_z = d_{a+1}^T."""
     if not 1 <= level <= c.length - 1:

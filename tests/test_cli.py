@@ -291,11 +291,16 @@ class TestMainEntry:
             ["--heights", "explicit:1,a,2"],
             ["--heights", "bogus"],
             ["--schedule", "bogus"],
+            ["--basis", "Q"],
+            pytest.param(None, id="missing_hx"),
         ],
     )
     def test_bad_flag_value_exit_one(self, steane_files, flags, capsys):
         hx, hz = steane_files
-        assert main(["transform", "thicken", "--hx", hx, "--hz", hz, "--basis", "X"] + flags) == 1
+        given = ["--hx", hx] + flags if flags is not None else []
+        assert main(["transform", "thicken", "--hz", hz, "--basis", "X"] + given) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "flags, reason",
@@ -519,3 +524,5 @@ class TestTooling:
         res = self.run("scripts/hgp_hook_survey.py", "2")
         assert res.returncode == 0, res.stderr
         assert "hgp(rep3,rep3)         d=(3,3)  worst effective over 2 schedules: (3,3)" in res.stdout
+        # the corollary past three factors: a 4-factor product keeps its distance
+        assert "rep2^4 at level 2      d=(4,4)  worst effective over 2 schedules: (4,4)" in res.stdout

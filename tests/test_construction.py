@@ -5,6 +5,7 @@ mask-based schedule validation, early-stopping logical bases and
 list-returning bit_indices."""
 
 import importlib.util
+import itertools
 import pathlib
 import random
 
@@ -30,12 +31,15 @@ from helpers import (
     corpus,
     random_classical,
     reference_enumerate_faults,
+    reference_fold,
+    reference_fold_degrees,
     reference_hook_weight_audit,
     reference_logical_basis_full,
     reference_schedule_validate,
+    reference_tensor_complex,
 )
 
-R2, R3, H7 = repetition_code(2), repetition_code(3), hamming_7_4()
+R2, R3, R4, H7 = repetition_code(2), repetition_code(3), repetition_code(4), hamming_7_4()
 
 
 def load_gf2_layers():
@@ -53,16 +57,30 @@ def stage_chain():
 
 
 def whole_complex_css(a, b, level):
-    return complex_to_css(tensor_complex(a, b), level)
+    return complex_to_css(reference_tensor_complex(a, b), level)
+
+
+def factor_complexes(spec):
+    return [one_complex(c, d) for c, d in zip(spec.factors, spec.dualized)]
 
 
 class TestProductCss:
+    """Product codes against the pairwise product of the reference, folded
+    from the left."""
+
     def test_hgp_on_random_factors(self):
         rng = random.Random(11)
         pairs = [(R2, R3), (H7, H7), (R3, H7)] + [(random_classical(rng), random_classical(rng)) for _ in range(20)]
         for c1, c2 in pairs:
             a, b = one_complex(c1), one_complex(c2, dualized=True)
-            assert product_css(a, b, 1) == whole_complex_css(a, b, 1) == hgp(c1, c2)
+            assert product_css((a, b), 1) == whole_complex_css(a, b, 1) == hgp(c1, c2)
+
+    def test_tensor_complex_on_corpus(self):
+        codes = corpus(37, 6) + [steane_code(), surface_code_2x3()]
+        for q, r in zip(codes, codes[1:]):
+            a = css_to_complex(q)
+            for b in (css_to_complex(r.transposed()), one_complex(H7)):
+                assert tensor_complex(a, b) == reference_tensor_complex(a, b)
 
     @pytest.mark.parametrize("classical", [R2, R3, H7], ids=["rep2", "rep3", "H7"])
     def test_balance_on_corpus(self, classical):
@@ -74,21 +92,34 @@ class TestProductCss:
 
     @pytest.mark.parametrize("factors", [
         (R2, R2, R2), (R3, H7, R2), (H7, R2, R3), (R2, R2, R2, R2), (R2, R3, R2, H7),
-    ], ids=["r2r2r2", "r3h7r2", "h7r2r3", "r2r2r2r2", "r2r3r2h7"])
+        (R4, H7, R2, R3), (H7, R4, R3, R4), (R3, R2, H7, R4),
+    ], ids=["r2r2r2", "r3h7r2", "h7r2r3", "r2r2r2r2", "r2r3r2h7", "r4h7r2r3", "h7r4r3r4", "r3r2h7r4"])
     def test_higher_dim_every_level(self, factors):
         for level in range(1, len(factors)):
             spec = ProductSpec(factors, level)
-            complexes = [one_complex(c, d) for c, d in zip(spec.factors, spec.dualized)]
-            prod = complexes[0]
-            for nxt in complexes[1:]:
-                prod = tensor_complex(prod, nxt)
-            assert higher_dim_hgp(spec)[0] == complex_to_css(prod, level)
+            assert higher_dim_hgp(spec)[0] == complex_to_css(reference_fold(factor_complexes(spec)), level)
+
+    @pytest.mark.parametrize("n_factors", [2, 3, 4])
+    def test_layout_follows_qubit_order(self, n_factors):
+        """qubit_blocks lists each qubit's degree per factor in qubit order,
+        and every X check joins qubits one degree above its own in one factor."""
+        for factors in itertools.product((R2, R3, H7) if n_factors < 4 else (R2, R3, R4), repeat=n_factors):
+            for level in range(1, n_factors):
+                spec = ProductSpec(factors, level)
+                code, layout = higher_dim_hgp(spec)
+                complexes = factor_complexes(spec)
+                qubits = [degrees for degrees, size in layout.qubit_blocks for _ in range(size)]
+                assert qubits == reference_fold_degrees(complexes, level)
+                checks = reference_fold_degrees(complexes, level - 1)
+                for check, row in zip(checks, code.h_x.rows):
+                    for qb in bit_indices(row):
+                        assert sorted(a - b for a, b in zip(qubits[qb], check)) == [0] * (n_factors - 1) + [1]
 
     def test_level_out_of_range(self):
         a, b = one_complex(R2), one_complex(R3, dualized=True)
         for level in (0, 2):
             with pytest.raises(ValueError, match=r"level must be in 1\.\.1"):
-                product_css(a, b, level)
+                product_css((a, b), level)
 
 
 def carried_schedules():
@@ -116,6 +147,7 @@ class TestEnumerateFaults:
             for m in enumerate_random_schedules(q, 4, seed):  # 20 schedules in all
                 for basis in "XZ":
                     assert enumerate_faults(q, m, basis, dedup) == reference_enumerate_faults(q, m, basis, dedup)
+
 
     def test_stage_chain(self, stage_chain):
         for _, q, m, _, _ in stage_chain:
