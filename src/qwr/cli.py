@@ -140,9 +140,11 @@ def _dist_value(v) -> int | str:
 
 def run_pipeline(cfg: argparse.Namespace) -> dict:
     """Apply the configured transforms, derive schedules, compute distances.
-    cfg holds the options by dest, as main or PipelineConfig builds them."""
+    cfg holds the options by dest, as main or PipelineConfig builds them; the
+    transform names, --classical and --heights are checked before any runs."""
     t0 = time.monotonic()
     timing = {}
+    transforms = cfg.names + cfg.transforms
     hx = load_matrix(cfg.hx_path)
     hz = load_matrix(cfg.hz_path)
     code = CssCode(hx, hz)
@@ -166,16 +168,19 @@ def run_pipeline(cfg: argparse.Namespace) -> dict:
             raise UsageError(f"bad --schedule value {schedule_mode!r}")
         schedule.validate(code)
 
+    for name in transforms:
+        if name not in TRANSFORMS:
+            raise UsageError(f"unknown transform {name!r}")
+    balances = [name for name in transforms if name in BALANCES]
+    if balances and not cfg.classical_path:
+        raise UsageError(f"{balances[0]} needs --classical <file>")
+    classical = ClassicalCode(load_matrix(cfg.classical_path)) if balances else None
+    heights = _heights_rule(cfg.heights) if cfg.heights else None
+
     t1 = time.monotonic()
     provenance = []
     prev = None
-    heights = functools.partial(_resolve_heights, cfg.heights) if cfg.heights else None
-    for name in cfg.transforms:
-        if name not in TRANSFORMS:
-            raise UsageError(f"unknown transform {name!r}")
-        if name in BALANCES and not cfg.classical_path:
-            raise UsageError(f"{name} needs --classical <file>")
-        classical = ClassicalCode(load_matrix(cfg.classical_path)) if name in BALANCES else None
+    for name in transforms:
         code, schedule, prev, note = carry(
             name, code, schedule, prev, ell=cfg.ell, heights=heights, classical=classical,
             cone_threshold=cfg.cone_threshold, cone_ell=cfg.cone_ell,
@@ -217,16 +222,23 @@ def run_pipeline(cfg: argparse.Namespace) -> dict:
     return report
 
 
-def _resolve_heights(spec: str, q_thick: CssCode, bm) -> list[int]:
+def _heights_rule(spec: str):
+    """thicken's heights(thickened code, BalanceMap) for a --heights value,
+    whose syntax is checked here, before any transform runs."""
     if spec.startswith("greedy:"):
-        return greedy_heights(q_thick, bm, _spec_int(spec, minimum=1)).heights
+        target_w = _spec_int(spec, minimum=1)
+        return lambda q_thick, bm: greedy_heights(q_thick, bm, target_w).heights
     if spec.startswith("explicit:"):
         heights = _spec_ints(spec)
-        try:
-            kept_z_rows(bm, heights)
-        except ValueError as e:
-            raise UsageError(f"bad --heights value {spec!r}: {e}") from None
-        return heights
+
+        def fitted(q_thick, bm):
+            try:
+                kept_z_rows(bm, heights)
+            except ValueError as e:
+                raise UsageError(f"bad --heights value {spec!r}: {e}") from None
+            return heights
+
+        return fitted
     raise UsageError(f"bad --heights value {spec!r}")
 
 
@@ -311,34 +323,41 @@ def _emit(report: dict, out: str | None) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The qwr parser, built on first use and shared by every `main` call.
     Each option's dest is the name run_pipeline reads."""
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--hx", dest="hx_path", metavar="HX", required=True,
-                        help="X check matrix (mtxf2 or .alist)")
-    shared.add_argument("--hz", dest="hz_path", metavar="HZ", required=True,
-                        help="Z check matrix (mtxf2 or .alist)")
-    shared.add_argument("--transform", dest="transforms", metavar="TRANSFORM", default=[],
-                        type=lambda text: [t for t in text.split(",") if t],
-                        help="comma-separated transform list")
-    shared.add_argument("--ell", type=_positive_int, default=2, help="thickening length")
-    shared.add_argument("--heights", help="greedy:<w> (w is only checked to be >= 1) or explicit:<csv>")
-    shared.add_argument("--classical", dest="classical_path", metavar="CLASSICAL",
-                        help="classical check matrix for balancing")
-    shared.add_argument("--cone-threshold", type=_positive_int, default=5)
-    shared.add_argument("--cone-ell", type=_positive_int, default=1)
-    shared.add_argument("--schedule", help="seed:<n> | file:<path> | derived")
-    shared.add_argument("--basis", choices=["X", "Z", "both"], default="both")
-    shared.add_argument("--max-d", type=_positive_int)
-    shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--out", help="write the JSON report here instead of stdout")
-    shared.add_argument("--out-prefix", help="write transformed matrices/schedule files")
+
+    def options(**defaults) -> argparse.ArgumentParser:
+        """The options of one subcommand, built afresh so that its defaults stay its own."""
+        shared = argparse.ArgumentParser(add_help=False)
+        shared.add_argument("--hx", dest="hx_path", metavar="HX", required=True,
+                            help="X check matrix (mtxf2 or .alist)")
+        shared.add_argument("--hz", dest="hz_path", metavar="HZ", required=True,
+                            help="Z check matrix (mtxf2 or .alist)")
+        shared.add_argument("--transform", dest="transforms", metavar="TRANSFORM", default=[],
+                            type=lambda text: [t for t in text.split(",") if t],
+                            help="comma-separated transform list, run after the positional names")
+        shared.add_argument("--ell", type=_positive_int, default=2, help="thickening length")
+        shared.add_argument("--heights", help="greedy:<w> (w >= 1) or explicit:<csv>, checked before any transform")
+        shared.add_argument("--classical", dest="classical_path", metavar="CLASSICAL",
+                            help="classical check matrix for balancing")
+        shared.add_argument("--cone-threshold", type=_positive_int, default=5)
+        shared.add_argument("--cone-ell", type=_positive_int, default=1)
+        shared.add_argument("--schedule", help="seed:<n> | file:<path> | derived")
+        shared.add_argument("--basis", choices=["X", "Z", "both"], default="both")
+        shared.add_argument("--max-d", type=_positive_int)
+        shared.add_argument("--seed", type=int, default=0)
+        shared.add_argument("--out", help="write the JSON report here instead of stdout")
+        shared.add_argument("--out-prefix", help="write transformed matrices/schedule files")
+        shared.set_defaults(**defaults)
+        return shared
 
     p = _Parser(prog="qwr", description=__doc__)
+    p.set_defaults(names=[])
     sub = p.add_subparsers(dest="command", required=True)
-    sub.add_parser("info", parents=[shared], help="code parameters and exact distances")
+    sub.add_parser("info", parents=[options()], help="code parameters and exact distances")
     names = argparse.ArgumentParser(add_help=False)  # so usage errors list `names` first
     names.add_argument("names", nargs="+", help=" ".join(TRANSFORMS))
-    sub.add_parser("transform", parents=[names, shared], help="apply a transform pipeline")
-    sub.add_parser("faultdist", parents=[shared], help="effective distance under a schedule")
+    sub.add_parser("transform", parents=[names, options()], help="apply a transform pipeline")
+    faultdist_options = options(schedule="derived", max_d=DEFAULT_MAX_D)
+    sub.add_parser("faultdist", parents=[faultdist_options], help="effective distance under a schedule")
     return p
 
 
@@ -351,21 +370,9 @@ def PipelineConfig(**opts) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_parser().parse_args(argv)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
+        _emit(run_pipeline(cfg), cfg.out)
     except SystemExit:  # --help
         return 0
-    # a new list: every parse shares the --transform default
-    cfg.transforms = getattr(cfg, "names", []) + cfg.transforms
-    # faultdist's defaults are set here: the subcommands share their option actions
-    if cfg.command == "faultdist":
-        if cfg.schedule is None:
-            cfg.schedule = f"seed:{cfg.seed}"
-        if cfg.max_d is None:
-            cfg.max_d = DEFAULT_MAX_D
-    try:
-        _emit(run_pipeline(cfg), cfg.out)
     except (UsageError, OSError, UnicodeDecodeError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -98,11 +98,11 @@ def gauged_schedule(m: Schedule, gm: GaugeMap, cm: CopyMap | None = None) -> Sch
     """Adapt a copied-code schedule to the copied-and-gauged code.
 
     Each split X step becomes its chain of split rows, measured consecutively
-    with ascending gate order.  Z steps interleave the gauge qubits between
-    the two half-passes over the copy groups.
+    with ascending gate order.  Each Z step keeps its gate order and gains
+    its gauge qubits in ascending order: the first half after the first
+    len(order) // q_X * (q_X // 2) gates (the first half-pass of a
+    copied_schedule step; none without cm), the rest at the end.
     """
-    group = cm.q_x if cm is not None else 1
-    half = group // 2
     steps = []
     for s in m.steps:
         if s.basis == "X":
@@ -115,18 +115,10 @@ def gauged_schedule(m: Schedule, gm: GaugeMap, cm: CopyMap | None = None) -> Sch
                 for r in rows:
                     steps.append(Step("X", r, tuple(gm.h_x_out.row_support(r))))
         else:
-            groups = []
-            for qb in s.order:
-                g = qb // group
-                if g not in groups:
-                    groups.append(g)
-            new = sorted(gm.z_patch.get(s.row, ()))
+            new = tuple(sorted(gm.z_patch.get(s.row, ())))
+            cut = len(s.order) // cm.q_x * (cm.q_x // 2) if cm is not None else 0
             b_half = len(new) // 2
-            order = [g * group + j for g in groups for j in range(half)]
-            order += new[:b_half]
-            order += [g * group + j for g in groups for j in range(half, group)]
-            order += new[b_half:]
-            steps.append(Step("Z", s.row, tuple(order)))
+            steps.append(Step("Z", s.row, s.order[:cut] + new[:b_half] + s.order[cut:] + new[b_half:]))
     return Schedule(tuple(steps))
 
 

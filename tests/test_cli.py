@@ -303,6 +303,49 @@ class TestMainEntry:
         assert err.startswith("usage error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "heights", ["greedy:0", "greedy:w", "greedy:abc", "explicit:1,a,2", "explicit:1,a", "bogus", "bogus:1"]
+    )
+    @pytest.mark.parametrize("command", ["info", "transform copy", "faultdist"])
+    def test_bad_heights_exit_one_on_every_subcommand(self, steane_files, command, heights, capsys):
+        """--heights is checked before any transform runs, thicken or not."""
+        hx, hz = steane_files
+        assert main(command.split() + ["--hx", hx, "--hz", hz, "--heights", heights]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [("copy bogus", "unknown transform 'bogus'"), ("copy balance_x", "balance_x needs --classical <file>")],
+    )
+    def test_bad_transform_list_runs_no_transform(self, steane_files, names, message, monkeypatch, capsys):
+        hx, hz = steane_files
+        calls, carry = [], cli.carry
+
+        def spy(name, *args, **kw):
+            calls.append(name)
+            return carry(name, *args, **kw)
+
+        monkeypatch.setattr(cli, "carry", spy)
+        assert main(["transform", *names.split(), "--hx", hx, "--hz", hz]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_faultdist_defaults(self, steane_files, seed, capsys):
+        """faultdist alone means --schedule derived (= seed:<seed>) and --max-d 6;
+        the other subcommands keep no schedule."""
+        hx, hz = steane_files
+        reports = []
+        for flags in [[], ["--schedule", f"seed:{seed}", "--max-d", "6"]]:
+            assert main(["faultdist", "--hx", hx, "--hz", hz, "--seed", str(seed)] + flags) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+            reports[-1].pop("timing_s")
+        assert reports[0] == reports[1]
+        assert reports[0]["distances"]["effective_X"]["bound"] == 6
+        assert main(["info", "--hx", hx, "--hz", hz]) == 0
+        assert sorted(json.loads(capsys.readouterr().out)["distances"]) == ["code_X", "code_Z"]
+
+    @pytest.mark.parametrize(
         "flags, reason",
         [
             (["--ell", "3", "--heights", "explicit:0,1,2"], "height 0 out of range 1..3"),

@@ -15,6 +15,8 @@ from qwr.schedule import (
     gauged_schedule,
     parse_schedule,
     prune_z_steps,
+    Schedule,
+    Step,
 )
 
 from helpers import corpus
@@ -131,6 +133,37 @@ class TestGaugedSchedule:
         copies_first = z.order[: 2 * 2]
         assert all(qb < 8 for qb in copies_first)
         assert z.order[4 : 4 + b // 2] == patch[: b // 2]
+
+    def test_keeps_given_z_order(self):
+        """A hand-ordered Z step keeps its order; the first half of its gauge
+        qubits goes in after the first half-pass over the copy groups."""
+        q = steane_code()
+        qc, cm = copy_code(q)
+        qg, gm = gauge_code(qc)
+        m = copied_schedule(baseline_schedule(q, 0), cm)
+        z = next(s for s in m.steps if s.basis == "Z" and gm.z_patch.get(s.row))
+        cut = len(z.order) // cm.q_x * (cm.q_x // 2)
+        order = z.order[:cut] + z.order[cut:cut + 2][::-1] + z.order[cut + 2:]  # one group's second half reversed
+        assert order != z.order and sorted(order) == sorted(z.order)
+        m = Schedule(tuple(Step("Z", s.row, order) if s is z else s for s in m.steps))
+        mg = gauged_schedule(m, gm, cm)
+        mg.validate(qg)
+        patch = gm.z_patch[z.row]
+        b = len(patch) // 2
+        assert next(s for s in mg.steps if s.basis == "Z" and s.row == z.row).order == (
+            order[:cut] + patch[:b] + order[cut:] + patch[b:]
+        )
+
+    def test_without_copy_map_first_half_leads(self):
+        q = steane_code()
+        qg, gm = gauge_code(q)
+        m = baseline_schedule(q, 3)
+        mg = gauged_schedule(m, gm)
+        mg.validate(qg)
+        for s, g in zip([s for s in m.steps if s.basis == "Z"], [s for s in mg.steps if s.basis == "Z"]):
+            patch = gm.z_patch.get(s.row, ())
+            b = len(patch) // 2
+            assert g.order == patch[:b] + s.order + patch[b:]
 
     def test_no_split_matches_copied(self):
         # all rows at weight <= 3 already
