@@ -18,10 +18,10 @@ With --faults it times the effective-distance search instead: Steane and
 surface 2x3, each carried through copy -> gauge -> thicken(2) with the
 seed-0 baseline schedule, in both bases at max_d 5, then surface 2x3 Z at
 max_d 6, the one case that hits on a connected level and so runs the
-witness pass.  Per case it prints the fault generators, the distance, the
-level that answered (max_d when the distance is inf), the same work counts
-and the best-of-N time of faultdist.effective_distance (generators given,
-so fault enumeration is not timed).
+witness pass.  Per case it prints the fault generators, then the distance,
+the level that answered (max_d when the distance is inf) and the same work
+counts from the record of faultdist.effective_distance, and its best-of-N
+time (generators given, so fault enumeration is not timed).
 
     PYTHONPATH=src python scripts/search_costs.py [--repeat N] [--faults]
 """
@@ -107,12 +107,10 @@ def fault_costs(repeat: int) -> None:
     for name, basis, max_d in FAULT_CASES:
         q, m = carried[name]
         gens = enumerate_faults(q, m, basis)
-        sigs, k = logical_signatures(q, basis, [g.residual for g in gens])
-        found = min_logical_search(sigs, k, max_d)
         best = float("inf")
         for _ in range(repeat):
             t0 = time.perf_counter()
-            effective_distance(q, m, basis, max_d, generators=gens)
+            found = effective_distance(q, m, basis, max_d, generators=gens)
             best = min(best, time.perf_counter() - t0)
         print(f"{name:<11}{basis:>1}{len(gens):>6}{found.distance:>5}{found.level:>6}{found.probes:>10}"
               f"{found.table_entries:>15}{1e3 * best:>10.2f}")
@@ -136,7 +134,7 @@ def main(argv=None) -> None:
         if found is None:
             found = capped_search(q, basis)
         print(f"{name:<8}{level:>2} {basis:>1}{q.n:>5}{dim:>5}{d:>3}  {route:<10}{found.level:>5}"
-              f"{found.probes:>10}{found.table_entries:>15}{ms:>10.2f}  {found.cap_side or '-'}")
+              f"{found.probes:>10}{found.table_entries:>15}{ms:>10.2f}  {found.stop[0] if found.stop else '-'}")
 
 
 if __name__ == "__main__":

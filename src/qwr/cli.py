@@ -12,6 +12,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -272,30 +273,25 @@ def _positive_int(text: str) -> int:
 def _compute_distances(code: CssCode, schedule: Schedule | None, bases, max_d: int | None) -> dict:
     """Entries in sorted key order; with a schedule but no max_d the
     effective distances are labelled skipped."""
-    entries = {f"code_{b}": _code_distance_entry(code, b) for b in bases}
+    entries = {f"code_{b}": _entry(css_search, code, b) for b in bases}
     if schedule is None:
         return entries
     if max_d is None:
         skipped = {"value": None, "method": "skipped", "bound": "no --max-d given"}
         return entries | {f"effective_{b}": dict(skipped) for b in bases}
-    return entries | {f"effective_{b}": _effective_entry(code, schedule, b, max_d) for b in bases}
+    return entries | {f"effective_{b}": _entry(effective_distance, code, schedule, b, max_d, bound=max_d)
+                      for b in bases}
 
 
-def _code_distance_entry(code: CssCode, basis: str) -> dict:
+def _entry(search, *args, bound=None) -> dict:
+    """The report entry of the Search that search(*args) returns, under the
+    given bound; skipped, with the cap's message as bound, when a cap stops it."""
     try:
-        found = css_search(code, basis)
-        return {"value": _dist_value(found.distance), "method": found.route, "bound": None}
+        found = search(*args)
     except CapExceeded as e:
         return {"value": None, "method": "skipped", "bound": str(e)}
-
-
-def _effective_entry(code: CssCode, schedule: Schedule, basis: str, max_d: int) -> dict:
-    try:
-        res = effective_distance(code, schedule, basis, max_d)
-    except CapExceeded as e:
-        return {"value": None, "method": "skipped", "bound": str(e)}
-    entry = {"value": _dist_value(res.distance), "method": "mitm", "bound": res.exact_up_to}
-    if res.witness is not None:
+    entry = {"value": _dist_value(found.distance), "method": found.route, "bound": bound}
+    if found.witness is not None:
         entry["witness"] = [
             {
                 "kind": g.kind,
@@ -305,7 +301,7 @@ def _effective_entry(code: CssCode, schedule: Schedule, basis: str, max_d: int) 
                 "cut": g.cut,
                 "residual": [j + 1 for j in bit_indices(g.residual)],
             }
-            for g in res.witness
+            for g in found.witness
         ]
     return entry
 
@@ -316,7 +312,7 @@ def _emit(report: dict, out: str | None) -> None:
         with open(out, "w", encoding="utf-8") as f:
             f.write(text + "\n")
     else:
-        print(text)
+        print(text, flush=True)  # a closed stdout raises here, inside main
 
 
 @functools.cache
@@ -331,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="X check matrix (mtxf2 or .alist)")
         shared.add_argument("--hz", dest="hz_path", metavar="HZ", required=True,
                             help="Z check matrix (mtxf2 or .alist)")
-        shared.add_argument("--transform", dest="transforms", metavar="TRANSFORM", default=[],
+        shared.add_argument("--transform", dest="transforms", metavar="TRANSFORM", default=[], action="extend",
                             type=lambda text: [t for t in text.split(",") if t],
-                            help="comma-separated transform list, run after the positional names")
+                            help="comma-separated transform list, run after the positional names; repeats add")
         shared.add_argument("--ell", type=_positive_int, default=2, help="thickening length")
         shared.add_argument("--heights", help="greedy:<w> (w >= 1) or explicit:<csv>, checked before any transform")
         shared.add_argument("--classical", dest="classical_path", metavar="CLASSICAL",
@@ -372,6 +368,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg = build_parser().parse_args(argv)
         _emit(run_pipeline(cfg), cfg.out)
     except SystemExit:  # --help
+        return 0
+    except BrokenPipeError:  # the reader closed stdout (`| head`): quiet the exit flush too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (UsageError, OSError, UnicodeDecodeError) as e:
         print(f"usage error: {e}", file=sys.stderr)

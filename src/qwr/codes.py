@@ -4,7 +4,8 @@ Distances are exact at desk scale, and every exponential search works
 within one budget set by table_cap: it holds at most table_cap items and
 walks or enumerates at most W = MITM_PROBE_FACTOR * table_cap.  One
 meet-in-the-middle kernel serves the code and effective distances and stops
-at the level where either limit would be exceeded.  When the 2^dim vectors
+at the level where either limit would be exceeded; Search, the record that
+every exact search returns, names both.  When the 2^dim vectors
 of the logical space fit in W, css_search caps the kernel's work at 2^dim
 and, when it stops there, hands over to an exact enumeration of that space,
 above ten rows by Brouwer-Zimmermann over disjoint information sets, which
@@ -303,7 +304,7 @@ def css_search(q: CssCode, basis: str, table_cap: int = MITM_TABLE_CAP) -> Searc
         )
     stabs = [row for _, row in q.stab_pivots(basis).items()]
     distance = exhaustive_min_weight(logical_basis(q, basis).rows, stabs, found.level)
-    return found._replace(distance=distance, route="exhaustive", cap_count=0)
+    return found._replace(distance=distance, route="exhaustive")
 
 
 # -- the exact search kernel ---------------------------------------------
@@ -313,28 +314,33 @@ LOW_STAB_ROWS = 10  # up to this many rows the exhaustive route is one XOR-table
 
 
 class Search(NamedTuple):
-    """distance is None when a cap stopped the search at level `level`;
-    cap_side then names the capped side, "table" or "walk", and cap_count is
-    that level's subset count on it.  witness holds the sorted signature
-    indices of one minimum set.  probes counts table lookups, the witness
-    pass's included: one per subset probed against a full table, one per
-    holder of the anchor bit when a subset is probed through the anchor
-    (against a table one size short, or as the small side of an odd
-    connected level).  The partner walk that completes the witness is not
-    counted.  table_entries counts the subsets put into tables.  route is
-    "mitm" from the kernel, "exhaustive" when css_search enumerated the
-    logical space (exhaustive_min_weight); the counts and cap_side are then
-    the kernel's, up to the level where it stopped, and cap_count is 0.
-    (A NamedTuple: small searches build one per call, and it builds faster
-    than a frozen dataclass.)"""
+    """The result of every exact search: the kernel's, css_search's, and
+    faultdist's.  distance is None when a cap stopped the search at level
+    `level`; stop then holds that level's count on the capped side, ("table",
+    entries) or ("walk", subsets).  An inf distance was searched up to `level`.
+    witness holds one minimum set: sorted signature indices, or fault
+    generators from faultdist.  probes counts table lookups, the witness pass's
+    included: one per subset probed against a full table, one per holder of the
+    anchor bit when a subset is probed through the anchor (against a table one
+    size short, or as the small side of an odd connected level).  The partner
+    walk that completes the witness is not counted.  table_entries counts the
+    subsets put into tables.  route is "mitm" from the kernel, "oracle" from
+    faultdist's brute force, "exhaustive" when css_search enumerated the
+    logical space (exhaustive_min_weight); the counts and stop are then the
+    kernel's, up to the level where it stopped.  (A NamedTuple: small searches
+    build one per call, and it builds faster than a frozen dataclass.)"""
     distance: int | float | None
-    witness: tuple[int, ...] | None
+    witness: tuple | None
     route: str
     level: int = 0
-    cap_count: int = 0
     probes: int = 0
     table_entries: int = 0
-    cap_side: str | None = None
+    stop: tuple[str, int] | None = None
+
+    @property
+    def exact_up_to(self) -> int:
+        """level: no logical weighs less (none up to it, for an inf distance)."""
+        return self.level
 
 
 def min_logical_search(
@@ -433,8 +439,8 @@ def min_logical_search(
     for t in range(1, top + 1):
         small, big = t // 2, t - t // 2
         if capped(t, spent):
-            side, over = ("table", comb(n, small)) if comb(n, small) > table_cap else ("walk", comb(n, big))
-            return Search(None, None, "mitm", t, over, probes, entries, side)
+            stop = ("table", comb(n, small)) if comb(n, small) > table_cap else ("walk", comb(n, big))
+            return Search(None, None, "mitm", t, probes, entries, stop)
         spent += comb(n, big)
         nxt = big > small and t < top and not capped(t + 1, spent)  # level t + 1 needs size big
         connected = _connected_pays(n, big)

@@ -6,8 +6,9 @@ which spreads to the suffix of the step's gate order; _hook_residuals lists
 those suffixes once, for enumerate_faults and for hook_weight_audit.  The
 effective distance is the least number of generators whose XOR is a
 nontrivial logical; codes.min_logical_search finds it on (stabilizer
-syndrome, logical pairing) signatures, both linear in the residual.  A plain
-combination-enumeration oracle double-checks the search in tests.
+syndrome, logical pairing) signatures, both linear in the residual.
+effective_distance returns its codes.Search with generators as the witness,
+as does the plain combination-enumeration oracle that checks it in tests.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .codes import INF, MITM_PROBE_FACTOR, MITM_TABLE_CAP, CapExceeded, CssCode, logical_signatures, min_logical_search
+from .codes import (
+    INF, MITM_PROBE_FACTOR, MITM_TABLE_CAP, CapExceeded, CssCode, Search, logical_signatures, min_logical_search,
+)
 from .reduce import BalanceMap
 from .schedule import Schedule
 
@@ -35,13 +38,6 @@ class FaultGenerator(NamedTuple):
     step: int | None = None
     row: int | None = None
     cut: int | None = None
-
-
-@dataclass(frozen=True)
-class FaultSearchResult:
-    distance: int | float
-    witness: tuple[FaultGenerator, ...] | None
-    exact_up_to: int
 
 
 def enumerate_faults(q: CssCode, m: Schedule, basis: str, dedup: bool = True) -> list[FaultGenerator]:
@@ -85,35 +81,34 @@ def effective_distance(
     max_d: int = DEFAULT_MAX_D,
     generators: list[FaultGenerator] | None = None,
     table_cap: int = MITM_TABLE_CAP,
-) -> FaultSearchResult:
+) -> Search:
     """Exact effective distance up to max_d, else the infinite sentinel.
 
     Runs codes.min_logical_search over the generators' signatures; a match at
     the first feasible t is a weight-t witness since lower levels were
     exhausted first.  As in css_search, a level whose table side exceeds
     table_cap, or whose probe side exceeds MITM_PROBE_FACTOR * table_cap,
-    raises CapExceeded naming that side (the kernel's Search.cap_side).
+    raises CapExceeded naming that side (the kernel's Search.stop).
     """
     if max_d < 1:
         raise ValueError("max_d must be >= 1")
     if q.k == 0:
-        return FaultSearchResult(INF, None, max_d)
+        return Search(INF, None, "mitm", max_d)
     gens = enumerate_faults(q, m, basis) if generators is None else generators
     sigs, k = logical_signatures(q, basis, [g.residual for g in gens])
     found = min_logical_search(sigs, k, max_d, table_cap)
     t = found.level
     if found.distance is None:
-        if found.cap_side == "table":
-            need = f"meet-in-the-middle table for t={t} needs {found.cap_count} entries"
+        side, count = found.stop
+        if side == "table":
+            need = f"meet-in-the-middle table for t={t} needs {count} entries"
         else:
-            need = (f"meet-in-the-middle probes for t={t} need {found.cap_count} subsets, "
-                    f"over {MITM_PROBE_FACTOR} x table_cap")
+            need = f"meet-in-the-middle probes for t={t} need {count} subsets, over {MITM_PROBE_FACTOR} x table_cap"
         raise CapExceeded(f"{need}; lower max_d or raise table_cap")
-    witness = None if found.witness is None else tuple(gens[i] for i in found.witness)
     # overlapping halves cannot match at the first feasible t: the cancelled
     # XOR would have matched two levels earlier
-    assert witness is None or len(witness) == t
-    return FaultSearchResult(found.distance, witness, max_d)
+    assert found.witness is None or len(found.witness) == t
+    return found._replace(witness=None if found.witness is None else tuple(gens[i] for i in found.witness))
 
 
 def oracle_effective_distance(
@@ -122,7 +117,7 @@ def oracle_effective_distance(
     basis: str,
     max_d: int = DEFAULT_MAX_D,
     generators: list[FaultGenerator] | None = None,
-) -> FaultSearchResult:
+) -> Search:
     """Brute force over all generator subsets of size <= max_d; test use only."""
     gens = enumerate_faults(q, m, basis) if generators is None else generators
     n = len(gens)
@@ -135,11 +130,11 @@ def oracle_effective_distance(
             for i in subset:
                 v ^= gens[i].residual
             if q.is_logical(v, basis):
-                return FaultSearchResult(t, tuple(gens[i] for i in subset), max_d)
-    return FaultSearchResult(INF, None, max_d)
+                return Search(t, tuple(gens[i] for i in subset), "oracle", t)
+    return Search(INF, None, "oracle", max_d)
 
 
-def witness_is_valid(q: CssCode, basis: str, result: FaultSearchResult) -> bool:
+def witness_is_valid(q: CssCode, basis: str, result: Search) -> bool:
     """Re-verify a finite search result independently of the search."""
     if result.witness is None:
         return result.distance == INF

@@ -252,6 +252,13 @@ class TestMainEntry:
         out = json.loads(capsys.readouterr().out)
         assert out["code"]["n"] == 7
 
+    def test_repeated_transform_flags_add_up(self, steane_files, capsys):
+        hx, hz = steane_files
+        assert main(["info", "--hx", hx, "--hz", hz, "--transform", "copy", "--transform", "gauge"]) == 0
+        assert [t["transform"] for t in json.loads(capsys.readouterr().out)["transforms"]] == ["copy", "gauge"]
+        assert main(["info", "--hx", hx, "--hz", hz]) == 0  # the shared parser's default stays empty
+        assert json.loads(capsys.readouterr().out)["transforms"] == []
+
     def test_usage_error_exit_one(self, steane_files, capsys):
         hx, hz = steane_files
         assert main(["transform", "bogus", "--hx", hx, "--hz", hz]) == 1
@@ -490,13 +497,24 @@ class TestMainEntry:
 class TestTooling:
     """The entry points as separate processes."""
 
-    def run(self, *args):
+    def env(self):
         env = dict(os.environ)
         src = str(pathlib.Path(qwr.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return env
+
+    def run(self, *args):
         return subprocess.run(
-            [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120, cwd=REPO
+            [sys.executable, *args], capture_output=True, text=True, env=self.env(), timeout=120, cwd=REPO
         )
+
+    def test_closed_stdout_exits_quietly(self, steane_files):
+        hx, hz = steane_files
+        proc = subprocess.Popen([sys.executable, "-m", "qwr.cli", "faultdist", "--hx", hx, "--hz", hz],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.env(), cwd=REPO)
+        proc.stdout.close()  # the reader is gone before the report is written, as when `| head` has exited
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
 
     def test_module_exit_codes(self, steane_files, tmp_path):
         hx, hz = steane_files

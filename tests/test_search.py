@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwr import codes
-from qwr.cli import _code_distance_entry
+from qwr.cli import _entry
 from qwr.codes import (
     INF,
     CapExceeded,
@@ -111,6 +111,21 @@ class TestKernelEquivalence:
                 assert res.distance == slow.distance
                 assert witness_is_valid(q, basis, res)
 
+    @pytest.mark.parametrize("build", [steane_code, surface_code_2x3])
+    @pytest.mark.parametrize("basis", ["X", "Z"])
+    def test_effective_distance_returns_the_kernel_record(self, build, basis):
+        # the same distance, level and work counts; the witness as generators
+        q, m = carried_thickening(build())
+        gens = enumerate_faults(q, m, basis)
+        sigs, k = logical_signatures(q, basis, [g.residual for g in gens])
+        kernel = min_logical_search(sigs, k, 5)
+        res = effective_distance(q, m, basis, 5, generators=gens)
+        assert (res.distance, res.level, res.probes, res.table_entries) == (
+            kernel.distance, kernel.level, kernel.probes, kernel.table_entries)
+        witness = None if kernel.witness is None else tuple(gens[i] for i in kernel.witness)
+        assert res == kernel._replace(witness=witness)
+        assert witness_is_valid(q, basis, res)
+
     @settings(max_examples=300, deadline=None)
     @given(signature_lists(), st.integers(1, 5))
     def test_matches_reference_on_random_signatures(self, case, max_t):
@@ -129,7 +144,7 @@ class TestKernelEquivalence:
         sigs = [(1 << (i + 1)) for i in range(6)]  # independent syndromes: no logical
         found = min_logical_search(sigs, 1, 6, table_cap=10)
         assert found.distance is None and found.level == 4  # C(6, 2) = 15 > 10
-        assert found.cap_side == "table"
+        assert found.stop == ("table", 15)
         assert min_logical_search(sigs, 1, 3, table_cap=10).distance == INF
 
 
@@ -153,7 +168,7 @@ class TestExhaustiveRoute:
         # entries.  2,622 is the least table cap whose walk cap, 100 times
         # it, holds the 2^18 = 262,144 vectors of the logical space
         found = css_search(grid_code("r2r2h7", 1), "X", table_cap=2622)
-        assert (found.distance, found.route, found.level, found.cap_side) == (6, "exhaustive", 6, "table")
+        assert (found.distance, found.route, found.level, found.stop) == (6, "exhaustive", 6, ("table", 10_660))
 
 
 def spread_code(rng, dim: int, n: int, k0: bool = False) -> CssCode:
@@ -263,7 +278,7 @@ class TestRouteChoice:
         q = build()
         found = css_search(q, basis)
         assert (found.distance, found.route) == (distance, route), name
-        assert _code_distance_entry(q, basis) == {"value": distance, "method": route, "bound": None}
+        assert _entry(css_search, q, basis) == {"value": distance, "method": route, "bound": None}
 
 
 def connected_only(mp):
@@ -367,7 +382,7 @@ class TestDeduplication:
         distinct = len(set(sigs) - {0})
         assert distinct <= len(gens)
         found = min_logical_search(sigs, k, 4, table_cap=distinct - 1)
-        assert (found.distance, found.level, found.cap_count) == (None, 2, distinct)
+        assert (found.distance, found.level, found.stop) == (None, 2, ("table", distinct))
         with pytest.raises(CapExceeded, match=f"t=2 needs {distinct} entries"):
             effective_distance(q, baseline_schedule(q, 0), "X", 4, generators=doubled, table_cap=distinct - 1)
 
@@ -385,7 +400,7 @@ class TestBudget:
         # 101 independent syndromes: level 1 walks 101 > 100 x 1 subsets
         sigs = [(1 << (i + 1)) for i in range(101)]
         found = min_logical_search(sigs, 1, 3, table_cap=1)
-        assert (found.distance, found.level, found.cap_count, found.cap_side) == (None, 1, 101, "walk")
+        assert (found.distance, found.level, found.stop) == (None, 1, ("walk", 101))
         assert min_logical_search(sigs[:100], 1, 1, table_cap=1).distance == INF
 
 
@@ -537,8 +552,7 @@ class TestAnchoredRoute:
             css_search(q, "X", table_cap=100_000)
         sigs, k = logical_signatures(q, "X", [1 << j for j in range(q.n)])
         found = min_logical_search(sigs, k, q.n, 100_000, witness=False)
-        assert (found.distance, found.route, found.level, found.cap_count) == (None, "mitm", 6, comb(109, 3))
-        assert found.cap_side == "table"
+        assert (found.distance, found.route, found.level, found.stop) == (None, "mitm", 6, ("table", comb(109, 3)))
 
 
 def count_small_side(mp):
@@ -788,7 +802,8 @@ class TestLevelBound:
                 assert found[:4] == (INF, None, "mitm", max_t)
 
     def test_no_signatures(self):
-        assert min_logical_search([0, 0], 1, 10 ** 6) == (INF, None, "mitm", 10 ** 6, 0, 0, 0, None)
+        found = min_logical_search([0, 0], 1, 10 ** 6)
+        assert found == codes.Search(INF, None, "mitm", level=10 ** 6, probes=0, table_entries=0, stop=None)
 
 
 class TestWorkCap:
@@ -809,11 +824,11 @@ class TestWorkCap:
                 walked = list(accumulate(comb(n, u - u // 2) for u in range(1, reached + 1)))
                 for cap in {0, *(w - 1 for w in walked), *walked[-1:]}:
                     found = min_logical_search(sigs, k, 9, work_cap=cap)
-                    stop = next((t for t, w in enumerate(walked, 1) if w > cap), None)
-                    if stop is None:
+                    level = next((t for t, w in enumerate(walked, 1) if w > cap), None)
+                    if level is None:
                         assert found == full, (sigs, cap)
                     else:
-                        assert found[:5] == (None, None, "mitm", stop, comb(n, stop - stop // 2)), (sigs, cap)
-                        assert found.cap_side == "walk"
-                        stops.add(stop)
+                        walk = ("walk", comb(n, level - level // 2))
+                        assert found[:4] + (found.stop,) == (None, None, "mitm", level, walk), (sigs, cap)
+                        stops.add(level)
         assert stops >= {1, 2, 3, 4, 5, 6, 7}
