@@ -11,7 +11,10 @@ of component_weight_audit over the hook faults (thickened stage only), of
 enumerate_faults in both bases, of Schedule.validate, and of the
 construction that builds the stage (input: hgp; copy: copy_code; gauge:
 gauge_code; cone: cone_code on the cellulated parts; thicken and
-thicken_cone: reduce.thicken).
+thicken_cone: reduce.thicken), and of transpose on both check matrices.
+rank, kernel_basis, solve and transpose run on fresh copies of the matrices,
+made outside the timing: a matrix keeps its transpose once computed, so a
+copy reused across repeats would time a cache hit.
 
     PYTHONPATH=src python scripts/gf2_layers.py [--seed S] [--repeat N]
 """
@@ -22,7 +25,7 @@ import time
 
 from qwr.codes import ClassicalCode, CssCode, logical_signatures
 from qwr.cone import build_cone_parts, cellulate, cone_code
-from qwr.f2la import BinMatrix, kernel_basis, mat_vec, rank, solve
+from qwr.f2la import BinMatrix, kernel_basis, mat_vec, rank, solve, transpose
 from qwr.faultdist import component_weight_audit, enumerate_faults
 from qwr.hgp import hgp
 from qwr.reduce import copy_code, gauge_code, thicken
@@ -30,7 +33,7 @@ from qwr.schedule import baseline_schedule, carry
 
 LAYERS = (
     "rank", "kernel_basis", "solve", "logical_signatures", "component_weight_audit",
-    "enumerate_faults", "validate", "product",
+    "enumerate_faults", "validate", "product", "transpose",
 )
 
 
@@ -89,16 +92,21 @@ def layer_times(q: CssCode, m, audit, product, repeat: int, rng: random.Random) 
     mats = (q.h_x, q.h_z)
     rhs = [mat_vec(h, rng.getrandbits(q.n)) for h in mats]
     units = [1 << j for j in range(q.n)]
+
+    def copies():
+        return [BinMatrix(h.rows, h.ncols) for h in mats]
+
     return [
-        best_of(repeat, lambda _: [rank(h) for h in mats]),
-        best_of(repeat, lambda _: [kernel_basis(h) for h in mats]),
-        best_of(repeat, lambda _: [solve(h, b) for h, b in zip(mats, rhs)]),
+        best_of(repeat, lambda hs: [rank(h) for h in hs], copies),
+        best_of(repeat, lambda hs: [kernel_basis(h) for h in hs], copies),
+        best_of(repeat, lambda hs: [solve(h, b) for h, b in zip(hs, rhs)], copies),
         # a fresh CssCode per call, so no cached pivots carry over
         best_of(repeat, lambda c: [logical_signatures(c, b, units) for b in "XZ"], lambda: CssCode(*mats)),
         None if audit is None else best_of(repeat, lambda _: component_weight_audit(q, *audit)),
         best_of(repeat, lambda _: [enumerate_faults(q, m, b) for b in "XZ"]),
         best_of(repeat, lambda _: m.validate(q)),
         best_of(repeat, lambda _: product()),
+        best_of(repeat, lambda hs: [transpose(h) for h in hs], copies),
     ]
 
 

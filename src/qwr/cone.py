@@ -297,13 +297,14 @@ def _part_lambda(part: ConeComplexPart) -> Fraction:
     if None in fills:
         raise ValueError("0-cycle has no filling; zeroth homology is not trivial")
     span = _span(filler.rows)
-    best = Fraction(1)
+    # the least ratio so far as num/den (starting at 1), compared by cross-multiplying
+    num = den = 1
     u = v0 = 0
     for g in range(1, 1 << c):
         i = (g & -g).bit_length() - 1
         u ^= cyc.rows[i]
         v0 ^= fills[i]
-        lam = Fraction(u.bit_count(), min(map(int.bit_count, map(v0.__xor__, span))))
-        if lam < best:
-            best = lam
-    return best
+        w, fw = u.bit_count(), min(map(int.bit_count, map(v0.__xor__, span)))
+        if w * den < num * fw:
+            num, den = w, fw
+    return Fraction(num, den)

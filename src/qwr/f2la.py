@@ -4,7 +4,8 @@ Rows are Python ints used as bitsets (bit j of ``rows[i]`` is the entry at
 row i, column j), so row operations are single machine-level XORs of
 arbitrary-width words.  Elimination keys its pivot rows by pivot bit under
 one mask of all pivot columns, so reducing a vector costs one step per pivot
-it hits, not a test per pivot.  All functions are pure; matrices are immutable.
+it hits, not a test per pivot.  All functions are pure; matrices are immutable,
+and a matrix keeps its transpose once computed (the two link each other).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable, Sequence
 class BinMatrix:
     """Binary matrix with bit-packed rows.  0xc and rx0 shapes are valid."""
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("rows", "nrows", "ncols", "_t")
 
     def __init__(self, rows: Sequence[int], ncols: int):
         if ncols < 0:
@@ -28,6 +29,7 @@ class BinMatrix:
         self.rows = rows
         self.nrows = len(rows)
         self.ncols = ncols
+        self._t: BinMatrix | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -82,11 +84,7 @@ class BinMatrix:
         return [r.bit_count() for r in self.rows]
 
     def col_weights(self) -> list[int]:
-        w = [0] * self.ncols
-        for r in self.rows:
-            for j in bit_indices(r):
-                w[j] += 1
-        return w
+        return transpose(self).row_weights()
 
     def max_row_weight(self) -> int:
         return max((r.bit_count() for r in self.rows), default=0)
@@ -208,11 +206,17 @@ def mat_vec(a: BinMatrix, v: int) -> int:
 
 
 def transpose(a: BinMatrix) -> BinMatrix:
-    cols = [0] * a.ncols
-    for i, r in enumerate(a.rows):
-        for j in bit_indices(r):
-            cols[j] |= 1 << i
-    return BinMatrix(cols, a.nrows)
+    """a^T, built on the first call; a and a^T then keep each other, so
+    transpose(transpose(a)) is a."""
+    t = a._t
+    if t is None:
+        cols = [0] * a.ncols
+        for i, r in enumerate(a.rows):
+            for j in bit_indices(r):
+                cols[j] |= 1 << i
+        t = BinMatrix(cols, a.nrows)
+        t._t, a._t = a, t
+    return t
 
 
 def rref(a: BinMatrix) -> list[tuple[int, int]]:

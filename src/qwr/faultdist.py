@@ -49,7 +49,8 @@ def enumerate_faults(q: CssCode, m: Schedule, basis: str, dedup: bool = True) ->
     stabilizer and the empty suffix is trivial.  Duplicate residuals keep the
     lowest origin: data faults by qubit, then hooks by (step, cut).
     """
-    gens = [FaultGenerator("data", basis, 1 << qb, qubit=qb) for qb in range(q.n)]
+    # fields by position (kind, basis, residual, qubit, step, row, cut): keywords cost more
+    gens = [FaultGenerator("data", basis, 1 << qb, qb) for qb in range(q.n)]
     # generators come out by ascending origin, so the first of a residual is kept
     seen = {g.residual for g in gens} if dedup else set()
     for si, s in enumerate(m.steps):
@@ -60,7 +61,7 @@ def enumerate_faults(q: CssCode, m: Schedule, basis: str, dedup: bool = True) ->
                 continue
             if dedup:
                 seen.add(residual)
-            gens.append(FaultGenerator("hook", basis, residual, step=si, row=s.row, cut=k))
+            gens.append(FaultGenerator("hook", basis, residual, None, si, s.row, k))
     return gens
 
 

@@ -134,10 +134,11 @@ def balanced_schedule(m: Schedule, bm: BalanceMap) -> Schedule:
         return dual_schedule(inner)
     hc_cols = transpose(bm.h_c)
     hx_cols = transpose(bm.h_x_pre)
+    n_c = bm.n_c
     steps = []
     for s in m.steps:
-        for col in range(bm.n_c):
-            a_part = tuple(bm.a_qubit(i, col) for i in s.order)
+        for col in range(n_c):
+            a_part = tuple(i * n_c + col for i in s.order)  # bm.a_qubit(i, col), inlined
             if s.basis == "X":
                 b_part = tuple(bm.b_qubit(s.row, c) for c in hc_cols.row_support(col))
                 steps.append(Step("X", bm.x_row(s.row, col), a_part + b_part))
@@ -146,7 +147,7 @@ def balanced_schedule(m: Schedule, bm: BalanceMap) -> Schedule:
     for qb in range(bm.n):
         x_rows = hx_cols.row_support(qb)
         for c in range(bm.n_c - bm.k_c):
-            sup = [bm.a_qubit(qb, j) for j in bm.h_c.row_support(c)]
+            sup = [qb * n_c + j for j in bm.h_c.row_support(c)]
             sup += [bm.b_qubit(x, c) for x in x_rows]
             steps.append(Step("Z", bm.zb_row(qb, c), tuple(sorted(sup))))
     return Schedule(tuple(steps))

@@ -7,7 +7,7 @@ from bisect import insort
 from fractions import Fraction
 from itertools import combinations
 
-from qwr.codes import INF, ChainComplex, ClassicalCode, CssCode
+from qwr.codes import INF, ChainComplex, ClassicalCode, CssCode, _span
 from qwr.cone import _part_boundaries
 from qwr.f2la import (
     BinMatrix,
@@ -20,6 +20,7 @@ from qwr.f2la import (
     mat_vec,
     rank,
     reduce_vector,
+    solve,
     transpose,
     vstack,
 )
@@ -202,6 +203,25 @@ def soundness_lambda_bruteforce(parts) -> Fraction:
             lam = Fraction(u.bit_count(), fill)
             if lam < best:
                 best = lam
+    return best
+
+
+def reference_part_lambda(part) -> Fraction:
+    """cone._part_lambda's walk with a Fraction per cycle, as it was before the
+    walk compared integer ratios; the caps are left to the caller."""
+    m1, m0 = _part_boundaries(part)
+    cyc, filler = kernel_basis(m0), kernel_basis(m1)
+    fills = [solve(m1, u) for u in cyc.rows]
+    span = _span(filler.rows)
+    best = Fraction(1)
+    u = v0 = 0
+    for g in range(1, 1 << cyc.nrows):
+        i = (g & -g).bit_length() - 1
+        u ^= cyc.rows[i]
+        v0 ^= fills[i]
+        lam = Fraction(u.bit_count(), min(map(int.bit_count, map(v0.__xor__, span))))
+        if lam < best:
+            best = lam
     return best
 
 

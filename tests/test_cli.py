@@ -548,11 +548,11 @@ class TestTooling:
         assert rows["input"][0] == "89" and rows["thicken"][0] == "1679"
         header = res.stdout.splitlines()[1].split()
         assert header[2:] == ["rank", "kernel_basis", "solve", "logical_signatures", "component_weight_audit",
-                              "enumerate_faults", "validate", "product"]
-        assert all(len(cells) == 9 for cells in rows.values())
+                              "enumerate_faults", "validate", "product", "transpose"]
+        assert all(len(cells) == 10 for cells in rows.values())
         assert rows["thicken"][5] != "-" and rows["copy"][5] == "-"
         # every stage carries a schedule and times the construction that builds it
-        assert all("-" not in cells[6:9] for cells in rows.values())
+        assert all("-" not in cells[6:10] for cells in rows.values())
 
     def test_search_costs_script(self):
         res = self.run("scripts/search_costs.py", "--repeat", "1")

@@ -20,7 +20,14 @@ from qwr.cone import (
 from qwr.f2la import BinMatrix, mat_mul, rank
 from qwr.hgp import hgp
 
-from helpers import corpus, reference_fundamental_cycles, reference_walk_cycle, soundness_lambda_bruteforce
+from helpers import (
+    corpus,
+    reference_fundamental_cycles,
+    reference_part_lambda,
+    reference_walk_cycle,
+    soundness_lambda_bruteforce,
+)
+from test_construction import load_gf2_layers
 
 
 def hexagon_parts():
@@ -243,6 +250,19 @@ CYCLE_CODES += corpus(11, 50) + seeded_5x8_hgps()
 # multigraphs on 1..9 vertices: parallel edges, self-loops, isolated vertices and several components
 multigraphs = st.integers(1, 9).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14)))
+
+
+class TestPartLambda:
+    def test_matches_the_fraction_walk(self):
+        # the integer-ratio walk gives the reference's Fraction on every part
+        # of the cycle corpus and of the transform_build input, raw and
+        # cellulated, at each threshold (712 parts, none over the budget)
+        stage_input = load_gf2_layers().build_chain(0)[0][1]
+        for q in CYCLE_CODES + [stage_input]:
+            for threshold in (3, 5):
+                parts = build_cone_parts(q, threshold)[0]
+                for part in parts + cellulate(parts):
+                    assert soundness_lambda((part,)) == reference_part_lambda(part)
 
 
 class TestCycleLoops:

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qwr.codes import CssCode
 from qwr.f2la import (
     BinMatrix,
     kernel_basis,
@@ -21,11 +22,10 @@ def mat(rows):
 
 
 @st.composite
-def bin_matrices(draw, max_rows=6, max_cols=7):
+def bin_matrices(draw, max_rows=6, max_cols=7, no_cols=False):
+    """Random matrices; 0 x c shapes always, r x 0 ones only with no_cols."""
     r = draw(st.integers(0, max_rows))
-    c = draw(st.integers(0 if r == 0 else 1, max_cols))
-    if c == 0:
-        return BinMatrix([], 0)
+    c = draw(st.integers(0 if r == 0 or no_cols else 1, max_cols))
     rows = draw(st.lists(st.integers(0, (1 << c) - 1), min_size=r, max_size=r))
     return BinMatrix(rows, c)
 
@@ -64,6 +64,44 @@ class TestRowChecks:
         assert BinMatrix.from_rows([[1, 0, 3], [2, 1, 1]]) == BinMatrix([0b101, 0b110], 3)
         with pytest.raises(ValueError, match="^ragged row: expected 3 entries, got 2$"):
             BinMatrix.from_rows([[1, 0, 1], [1, 0]])
+
+
+class TestTransposeCache:
+    @settings(max_examples=100, deadline=None)
+    @given(bin_matrices(no_cols=True))
+    def test_transpose_matches_the_lists(self, a):
+        lists = a.to_lists()
+        t = transpose(a)
+        assert t.shape == (a.ncols, a.nrows)
+        assert t.to_lists() == [[row[j] for row in lists] for j in range(a.ncols)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(bin_matrices(no_cols=True))
+    def test_transpose_twice_is_the_matrix(self, a):
+        assert transpose(transpose(a)) is a
+        assert transpose(a) is transpose(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(bin_matrices(no_cols=True))
+    def test_cached_transpose_keeps_equality_and_hash(self, a):
+        t = transpose(a)
+        for m in (a, t):
+            copy = BinMatrix(m.rows, m.ncols)
+            assert m == copy and hash(m) == hash(copy)
+
+    @settings(max_examples=100, deadline=None)
+    @given(bin_matrices(no_cols=True))
+    def test_col_weights_count_each_column(self, a):
+        lists = a.to_lists()
+        assert a.col_weights() == [sum(row[j] for row in lists) for j in range(a.ncols)]
+
+    def test_commutation_check_uses_a_cached_transpose(self):
+        # X row 0 meets Z row 1 on qubit 1 only; the transpose of h_z exists first
+        h_x = mat([[1, 1, 0, 0], [0, 0, 1, 0]])
+        h_z = mat([[1, 1, 0, 0], [0, 1, 1, 0]])
+        transpose(h_z)
+        with pytest.raises(ValueError, match=r"^stabilizers anticommute: X row 0 vs Z row 1$"):
+            CssCode(h_x, h_z)
 
 
 class TestMatMul:
