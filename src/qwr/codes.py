@@ -15,10 +15,11 @@ codewords under the same test.  The kernel
 searches one item per distinct nonzero signature and, on wide levels,
 probes only subsets connected through shared syndrome bits.  Such a level
 builds no table for the next ones: they meet a table one size short through
-an anchor, the lowest syndrome bit of the probe, whose holders supply the
-missing item, and fill the full table only once the anchor's extra lookups
-have cost as much.  An odd connected level that holds the full table walks
-its smaller half through the same anchor.  Infinite distance is the float
+an anchor, the rarest set bit of the probe's syndrome, whose holders supply
+the missing item, and fill the full table only once the anchor's extra
+lookups have cost as much.  An odd connected level that holds the full
+table walks its smaller half through the same anchor; an even one is
+answered by it, walked only when it hits.  Infinite distance is the float
 ``inf`` sentinel so that ``min()`` treats it as absorbing.
 """
 
@@ -322,13 +323,14 @@ class Search(NamedTuple):
     generators from faultdist.  probes counts table lookups, the witness pass's
     included: one per subset probed against a full table, one per holder of the
     anchor bit when a subset is probed through the anchor (against a table one
-    size short, or as the small side of an odd connected level).  The partner
-    walk that completes the witness is not counted.  table_entries counts the
-    subsets put into tables.  route is "mitm" from the kernel, "oracle" from
-    faultdist's brute force, "exhaustive" when css_search enumerated the
-    logical space (exhaustive_min_weight); the counts and stop are then the
-    kernel's, up to the level where it stopped.  (A NamedTuple: small searches
-    build one per call, and it builds faster than a frozen dataclass.)"""
+    size short, or as the small side of an odd connected level); none on an
+    even level its table answers.  The partner walk that completes the
+    witness is not counted.  table_entries counts the subsets put into
+    tables.  route is "mitm" from the kernel, "oracle" from faultdist's brute
+    force, "exhaustive" when css_search enumerated the logical space
+    (exhaustive_min_weight); the counts and stop are then the kernel's, up to
+    the level where it stopped.  (A NamedTuple: small searches build one per
+    call, and it builds faster than a frozen dataclass.)"""
     distance: int | float | None
     witness: tuple | None
     route: str
@@ -367,10 +369,19 @@ def min_logical_search(
     complement is in the table.  Otherwise the lex walk probes every subset
     and fills the size-(s+1) table on the way.
 
+    An even level t = 2s that starts with the full size-s table hits iff
+    the table holds MULTI, and is walked (for the witness) only then, its
+    comb(n, s) subsets still charged to the walk budget.  A walked A is in
+    the table under syn(A), so it hits only a MULTI bucket, whose two
+    s-subsets XOR to a logical of weight <= 2s, so exactly 2s as no lower
+    level hit: disjoint, they make a minimum set S, which holds a walked
+    s-subset (connected on a connected level) whose complement shares its bucket.
+
     A connected level fills no table, so a later level can find the table
     one size short.  It then probes each walked subset A through an anchor:
-    for each signature b holding sigma, the lowest set bit of syn(A), it
-    looks up syn(A) ^ syn(b) with pairing pair(A) ^ pair(b).  The same
+    for each signature b holding sigma, the set bit of syn(A) with the
+    fewest holders (any set bit would do; ties go to the lowest), it looks
+    up syn(A) ^ syn(b) with pairing pair(A) ^ pair(b).  The same
     subsets hit as against the full table, because every level below t was
     searched with no hit: a hitting A has syn(A) != 0, any floor(t/2)-set
     matching it holds a holder of sigma, and an anchored match that
@@ -389,8 +400,8 @@ def min_logical_search(
     A lookup (A, b) with b not in A is the lookup of the connected
     (s+1)-set A + {b}, which at most s + 1 choices of A give, so these are
     at most s + 1 times the lookups of the (s+1)-walk; the holders inside A
-    (at most s) never hit.  Thickened Steane Z level 5 takes 70,759 lookups
-    over 4,141 pairs instead of 132,763.
+    (at most s) never hit.  Thickened Steane Z level 5 takes 38,546 lookups
+    over 4,141 pairs where the connected 3-subsets took 132,763.
 
     The witness is the lex-first hitting ceil(t/2)-subset A* plus its
     lex-first partner, which _probe finds by walking the floor(t/2)-subsets
@@ -442,6 +453,8 @@ def min_logical_search(
             stop = ("table", comb(n, small)) if comb(n, small) > table_cap else ("walk", comb(n, big))
             return Search(None, None, "mitm", t, probes, entries, stop)
         spent += comb(n, big)
+        if size == small == big and MULTI not in table.values():
+            continue  # an even level the full table answers: no two s-subsets pair into a logical
         nxt = big > small and t < top and not capped(t + 1, spent)  # level t + 1 needs size big
         connected = _connected_pays(n, big)
         if nbr is None and (connected or size < small):
@@ -538,20 +551,22 @@ def _esu(syn, pair, nbr, m, chosen, ext, closed, above, s, p):
 def _adjacency(syn, pair):
     """The signature x syndrome-bit incidence, built once: per signature, the
     mask of the other signatures whose syndromes share a bit with it (the
-    connected walk's neighbours); and per syndrome-bit mask 1 << b, the
-    (syn, pair) of the signatures holding bit b, by ascending index (the
-    anchor's holders)."""
+    connected walk's neighbours); and the anchors (low, holders): with the
+    syndrome bits relabelled by ascending holder count (ties by bit), low[i]
+    is syn[i] relabelled, and holders[1 << r] the (syn, pair) of the holders
+    of bit r, by ascending index."""
     held: dict[int, list[int]] = {}
     for i, s in enumerate(syn):
         for b in bit_indices(s):
             held.setdefault(b, []).append(i)
-    nbr = [0] * len(syn)
-    for idx in held.values():
+    nbr, low, holders = [0] * len(syn), [0] * len(syn), {}
+    for r, (_, idx) in enumerate(sorted(held.items(), key=lambda e: (len(e[1]), e[0]))):
         m = sum(1 << i for i in idx)
         for i in idx:
             nbr[i] |= m
-    anchors = {1 << b: [(syn[i], pair[i]) for i in idx] for b, idx in held.items()}
-    return [m & ~(1 << i) for i, m in enumerate(nbr)], anchors
+            low[i] |= 1 << r
+        holders[1 << r] = [(syn[i], pair[i]) for i in idx]
+    return [m & ~(1 << i) for i, m in enumerate(nbr)], (low, holders)
 
 
 def _probe(syn, pair, table, walk, grow):
@@ -579,21 +594,26 @@ def _probe(syn, pair, table, walk, grow):
 def _anchored_probe(syn, pair, table, anchors, walk, budget):
     """_probe against a table one size short: a walked subset with syndrome
     x != 0 and pairing p looks up x ^ s with pairing p ^ q for each (s, q)
-    in anchors[x & -x], the signatures holding x's lowest bit.  Returns the
+    in holders[y & -y], the holders of x's rarest bit (y: the XOR of low
+    over the subset; anchors = _adjacency's (low, holders)).  Returns the
     first hitting subset or None; the number of lookups; the extra lookups,
     beyond the one per walked subset that the full table would take; and,
     once the extra lookups exceed budget (checked after each group of the
     walk), the rest of the walk, else None."""
     get = table.get
+    low, holders = anchors
     count = walked = 0
     for prefix, cands, ps, pp in walk:
         walked += len(cands)
+        lp = 0
+        for j in prefix:
+            lp ^= low[j]
         for i in cands:
-            x = ps ^ syn[i]
-            if not x:
+            y = lp ^ low[i]
+            if not y:
                 continue
-            p = pp ^ pair[i]
-            held = anchors[x & -x]
+            x, p = ps ^ syn[i], pp ^ pair[i]
+            held = holders[y & -y]
             count += len(held)
             for s, q in held:
                 e = get(x ^ s)

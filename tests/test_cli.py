@@ -574,12 +574,12 @@ class TestTooling:
         assert [row[:2] for row in rows] == [
             ["steane", "X"], ["steane", "Z"], ["surface2x3", "X"], ["surface2x3", "Z"], ["surface2x3", "Z"]]
         # thickened Steane Z exhausts max_d 5; level 5 walks its pairs through the anchor
-        assert rows[1][2:] == ["234", "inf", "5", "110161", "19701"]
+        assert rows[1][2:] == ["234", "inf", "5", "58247", "19701"]
         assert rows[0][3:5] == rows[2][3:5] == ["4", "4"]
         # thickened surface Z exhausts max_d 5 with the table it holds at max_d 6
-        assert rows[3] == ["surface2x3", "Z", "100", "inf", "5", "12311", "3081"]
+        assert rows[3] == ["surface2x3", "Z", "100", "inf", "5", "7835", "3081"]
         # the last row, surface Z at max_d 6, hits after a connected level: its witness pass fills no table
-        assert res.stdout.splitlines()[-1].split()[:7] == ["surface2x3", "Z", "100", "6", "6", "31179", "3081"]
+        assert res.stdout.splitlines()[-1].split()[:7] == ["surface2x3", "Z", "100", "6", "6", "22426", "3081"]
 
     def test_hgp_hook_survey_script(self):
         res = self.run("scripts/hgp_hook_survey.py", "2")

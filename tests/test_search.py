@@ -32,7 +32,8 @@ from qwr.codes import (
 )
 from qwr.f2la import BinMatrix, kernel_basis, mat_vec, rank
 from qwr.faultdist import effective_distance, enumerate_faults, oracle_effective_distance, witness_is_valid
-from qwr.hgp import ProductSpec, higher_dim_hgp, kunneth_distance_predictor
+from qwr.hgp import ProductSpec, hgp, higher_dim_hgp, kunneth_distance_predictor
+from qwr.reduce import balance_x, copy_code, gauge_code
 from qwr.schedule import baseline_schedule, carry
 
 from helpers import (
@@ -554,6 +555,41 @@ class TestAnchoredRoute:
         found = min_logical_search(sigs, k, q.n, 100_000, witness=False)
         assert (found.distance, found.route, found.level, found.stop) == (None, "mitm", 6, ("table", comb(109, 3)))
 
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_anchor_takes_the_bit_with_the_fewest_holders(self, seed):
+        # each walked subset with syndrome x != 0 is looked up through the
+        # holders of a set bit of x that no set bit of x undercuts, the
+        # lowest such bit on a tie
+        rng = random.Random(seed)
+        width = rng.randint(5, 9)
+        syn = [sum(1 << b for b in rng.sample(range(width), rng.randint(1, 3))) for _ in range(12)]
+        pair = [rng.randrange(4) for _ in syn]
+        _, anchors = codes._adjacency(syn, pair)
+        fanned = 0
+        for r in range(1, 5):
+            for prefix, cands, ps, pp in codes._lex_walk(syn, pair, r):
+                for i in cands:
+                    x, table = ps ^ syn[i], Lookups()
+                    codes._anchored_probe(syn, pair, table, anchors, one_subset(prefix, i, ps, pp), INF)
+                    used = sorted(key ^ x for key in table.seen)
+                    holders = [sorted(h for h in syn if h >> b & 1) for b in range(width) if x >> b & 1]
+                    fewest = min(map(len, holders), default=0)
+                    assert used == next((h for h in holders if len(h) == fewest), [])
+                    fanned += bool(x) and len(used) < len(holders[0])  # rarer than the lowest bit
+        assert fanned > 100
+
+    def test_copied_balanced_gauged_rep3_square_stops_where_it_did(self):
+        # copy -> balance_x(rep3) -> gauge on hgp(rep3, rep3), X: n = 221, 159
+        # distinct signatures with 4-14 holders per syndrome bit.  The kernel
+        # still stops at level 8 on its table side; anchored on the lowest
+        # syndrome bit it made 1,137,690 lookups by then
+        q = gauge_code(balance_x(copy_code(hgp(repetition_code(3), repetition_code(3)))[0], repetition_code(3))[0])[0]
+        sigs, k = logical_signatures(q, "X", [1 << j for j in range(q.n)])
+        found = min_logical_search(sigs, k, q.n, witness=False)
+        assert (q.n, len(set(sigs) - {0})) == (221, 159)
+        assert (found.distance, found.level, found.stop) == (None, 8, ("table", comb(159, 4)))
+        assert found.probes < 1_137_690
+
 
 def count_small_side(mp):
     """Count the odd connected levels that walk their small side through the
@@ -575,6 +611,18 @@ def count_small_side(mp):
 def one_subset(prefix, i, ps, pp):
     """A walk of the single subset prefix + (i,)."""
     return iter([(prefix, [i], ps, pp)])
+
+
+class Lookups(dict):
+    """An empty table that records the syndromes looked up in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def get(self, key, default=None):
+        self.seen.append(key)
+        return default
 
 
 def planted_cycle(rng):
@@ -647,14 +695,14 @@ class TestSmallSideRoute:
 
     def test_thickened_steane_level_5_walks_pairs(self):
         # Z at max_d 5 ends inf.  Level 5 walks the 4,141 connected pairs
-        # through the anchor against the size-2 table: 70,759 lookups where
+        # through the anchor against the size-2 table: 38,546 lookups where
         # the connected 3-subsets took 132,763
         q, m = carried_thickening(steane_code())
         sigs, k = logical_signatures(q, "Z", [g.residual for g in enumerate_faults(q, m, "Z")])
         found = min_logical_search(sigs, k, 5)
         assert (found.distance, found.level) == (INF, 5)
-        assert (found.probes, found.table_entries) == (110_161, 19_701) == (
-            min_logical_search(sigs, k, 4).probes + 70_759, comb(198, 1) + comb(198, 2))
+        assert (found.probes, found.table_entries) == (58_247, 19_701) == (
+            min_logical_search(sigs, k, 4).probes + 38_546, comb(198, 1) + comb(198, 2))
         uniq = list(dict.fromkeys(s for s in sigs if s))
         syn, pair = [s >> k for s in uniq], [s & ((1 << k) - 1) for s in uniq]
         nbr, _ = codes._adjacency(syn, pair)
@@ -785,6 +833,65 @@ class TestWitnessPass:
                 assert tables[-1] == {reduce(xor, (syn[i] for i in hitter)): reduce(xor, (pair[i] for i in hitter))}
                 checked += 1
         assert checked > 100
+
+
+def even_levels_read_the_table(sigs, k, max_t):
+    """On each even level t = 2s <= max_t that no lighter logical precedes,
+    check that walking every s-subset, or every connected one, against the
+    full size-s table hits iff the table holds MULTI, iff the least logical
+    weighs 2s.  Returns the levels checked and those that hit."""
+    distance = reference_min_logical(sigs, k, max_t)[0]
+    _, syn, pair = deduplicated(sigs, k)
+    nbr, _ = codes._adjacency(syn, pair)
+    levels = hits = 0
+    for s in range(1, max_t // 2 + 1):
+        if distance < 2 * s:
+            break
+        table = codes._fill(syn, pair, s)
+        multi = codes.MULTI in table.values()
+        for walk in (codes._lex_walk(syn, pair, s), codes._connected_walk(syn, pair, nbr, s)):
+            assert (codes._probe(syn, pair, table, walk, False)[0] is not None) == multi == (distance == 2 * s)
+        levels, hits = levels + 1, hits + multi
+    return levels, hits
+
+
+class TestEvenLevel:
+    def test_multi_bucket_decides_the_level(self):
+        rng = random.Random(71)
+        levels = hits = 0
+        for draw in [seeded_signatures] * 200 + [planted_cycle] * 100:
+            sigs, k = draw(rng)
+            more, hit = even_levels_read_the_table(sigs, k, 8)
+            levels, hits = levels + more, hits + hit
+        assert levels > 400 and hits > 50
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=wide_signature_lists(), max_t=st.integers(2, 8))
+    def test_multi_bucket_decides_the_level_on_random_signatures(self, case, max_t):
+        even_levels_read_the_table(*case, max_t)
+
+    @pytest.mark.parametrize("force", [lex_only, connected_only, odd_connected])
+    def test_levels_answered_by_the_table(self, force):
+        # an even level t that starts with the full table and does not hit
+        # makes no lookups: the search up to t probes as much as the search up
+        # to t - 1.  Connected levels leave the table one size short, so under
+        # connected_only every even level is probed through the anchor
+        rng = random.Random(73)
+        answered = even_hits = 0
+        with pytest.MonkeyPatch.context() as mp:
+            force(mp)
+            for draw in [seeded_signatures] * 200 + [planted_cycle] * 100:
+                sigs, k = draw(rng)
+                n = len(set(sigs) - {0})
+                for t in range(2, min(n, 9) + 1, 2):
+                    below, found = min_logical_search(sigs, k, t - 1), min_logical_search(sigs, k, t)
+                    if below.distance != INF:
+                        break
+                    assert (found.distance, found.witness) == reference_min_logical(sigs, k, t), sigs
+                    answered += found.distance == INF and found.probes == below.probes
+                    even_hits += found.distance == t
+        assert even_hits > 50
+        assert answered == 0 if force is connected_only else answered > 50
 
 
 class TestLevelBound:
