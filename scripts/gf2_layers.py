@@ -13,8 +13,9 @@ construction that builds the stage (input: hgp; copy: copy_code; gauge:
 gauge_code; cone: cone_code on the cellulated parts; thicken and
 thicken_cone: reduce.thicken), and of transpose on both check matrices.
 rank, kernel_basis, solve and transpose run on fresh copies of the matrices,
-made outside the timing: a matrix keeps its transpose once computed, so a
-copy reused across repeats would time a cache hit.
+made outside the timing, and logical_signatures on a fresh CssCode of such
+copies: a matrix keeps its transpose once computed and a code its pivots, so
+a copy reused across repeats would time a cache hit.
 
     PYTHONPATH=src python scripts/gf2_layers.py [--seed S] [--repeat N]
 """
@@ -100,8 +101,8 @@ def layer_times(q: CssCode, m, audit, product, repeat: int, rng: random.Random) 
         best_of(repeat, lambda hs: [rank(h) for h in hs], copies),
         best_of(repeat, lambda hs: [kernel_basis(h) for h in hs], copies),
         best_of(repeat, lambda hs: [solve(h, b) for h, b in zip(hs, rhs)], copies),
-        # a fresh CssCode per call, so no cached pivots carry over
-        best_of(repeat, lambda c: [logical_signatures(c, b, units) for b in "XZ"], lambda: CssCode(*mats)),
+        # a fresh CssCode on fresh copies per call, so no cached pivots or transposes carry over
+        best_of(repeat, lambda c: [logical_signatures(c, b, units) for b in "XZ"], lambda: CssCode(*copies())),
         None if audit is None else best_of(repeat, lambda _: component_weight_audit(q, *audit)),
         best_of(repeat, lambda _: [enumerate_faults(q, m, b) for b in "XZ"]),
         best_of(repeat, lambda _: m.validate(q)),

@@ -32,7 +32,7 @@ from functools import cached_property, reduce
 from itertools import islice
 from math import comb
 from operator import or_
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .f2la import (
     BinMatrix,
@@ -41,6 +41,7 @@ from .f2la import (
     bit_indices,
     echelon,
     kernel_basis,
+    kernel_vectors,
     mat_mul,
     mat_vec,
     rank,
@@ -238,16 +239,18 @@ def css_to_complex(q: CssCode) -> ChainComplex:
 def logical_basis(q: CssCode, basis: str) -> BinMatrix:
     """k rows spanning the logical classes of the given basis.
 
-    Representatives live in ker(opposite H) outside rs(same H); each one is
-    greedily weight-reduced by stabilizer rows, so the result is deterministic
-    for a fixed row order.
+    Representatives are the first k kernel vectors of the opposite checks
+    outside rs(same H), read off the opposite echelon that k already needs
+    one free column at a time (f2la.kernel_vectors): only pivot rows whose
+    pivot lies below free column j count, since no row has a bit below its
+    pivot.  Each is greedily weight-reduced by stabilizer rows, so the row
+    order fixes the result.
     """
     same = q.h(basis)
-    opp = q.h("Z" if basis == "X" else "X")
-    ker = kernel_basis(opp)
     pivots = q.stab_pivots(basis).copy()
-    # once k representatives are in, the pivots span ker(opp): no later vector adds one
-    reps = list(islice((v for v in ker.rows if add_pivot(pivots, v)), q.k))
+    ker = kernel_vectors(q.stab_pivots("Z" if basis == "X" else "X"), q.n)
+    # once k representatives are in, the pivots span the kernel: no later vector adds one
+    reps = list(islice((v for v in ker if add_pivot(pivots, v)), q.k))
     out = []
     for v in reps:
         improved = True
@@ -677,15 +680,19 @@ def _bz_min_weight(rows, lams, floor: int) -> int | float:
     of that bound and floor.
     """
     dim = len(rows)
-    mats = _information_sets(rows, lams)
-    done = [0] * len(mats)  # levels enumerated per matrix
+    sets = _information_sets(rows, lams)
+    mats, done = [], []  # the matrices built so far; levels enumerated per matrix
     best = INF
 
     def stop() -> int:
-        return max(floor, sum(max(0, d + 1 - (dim - r)) for d, (_, _, r) in zip(done, mats)))
+        return max(floor, sum(max(0, d + 1 - (dim - r)) for d, (*_, r) in zip(done, mats)))
 
     for w in range(1, dim + 1):
-        for j, (rs, ls, r) in enumerate(mats):
+        # the next pass is built once level w can reach it
+        while (not mats or w >= mats[-1][2]) and (m := next(sets, None)):
+            mats.append(m)
+            done.append(0)
+        for j, (rs, ls, _, r) in enumerate(mats):
             if w < dim - r:
                 continue
             tails = [rs[i:] for i in range(dim)]
@@ -711,14 +718,16 @@ def _column_order(cols: list[int]) -> list[int]:
     return random.Random(BZ_SEED).sample(cols, len(cols))
 
 
-def _information_sets(rows, lams) -> list[tuple[list[int], list[int], int]]:
-    """Systematic forms (rows, lams, r) of the dim independent rows on
-    disjoint information sets.  Each Gauss-Jordan pass takes its pivots from
-    the columns no earlier pass used, in one seeded column order, r of them;
-    a pass with r < dim completes its pivots on used columns.  Passes go on
-    until one finds no unused pivot."""
+def _information_sets(rows, lams) -> Iterator[tuple[list[int], list[int], int, int]]:
+    """Systematic forms (rows, lams, join, r) of the dim independent rows on
+    disjoint information sets, one pass per next().  Each Gauss-Jordan pass
+    takes its pivots from the columns no earlier pass used, in one seeded
+    column order, r of them, so r never grows; a pass with r < dim completes
+    its pivots on used columns.  Passes stop at one with no unused pivot.
+    join is the least level at which a later pass can run in
+    _bz_min_weight: it pivots on at most min(r, unused columns) of them."""
     order = _column_order(bit_indices(reduce(or_, rows, 0)))
-    used, mats = 0, []
+    used = 0
     while True:
         rs, ls, free, fresh = list(rows), list(lams), list(range(len(rows))), 0
         for new in (True, False):
@@ -739,9 +748,10 @@ def _information_sets(rows, lams) -> list[tuple[list[int], list[int], int]]:
                 if new:
                     fresh |= bit
         if not fresh:
-            return mats
-        mats.append((rs, ls, fresh.bit_count()))
+            return
         used |= fresh
+        r = fresh.bit_count()
+        yield rs, ls, len(rows) - min(r, len(order) - used.bit_count()), r
 
 
 # -- named desk-scale instances --------------------------------------

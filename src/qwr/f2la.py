@@ -4,13 +4,15 @@ Rows are Python ints used as bitsets (bit j of ``rows[i]`` is the entry at
 row i, column j), so row operations are single machine-level XORs of
 arbitrary-width words.  Elimination keys its pivot rows by pivot bit under
 one mask of all pivot columns, so reducing a vector costs one step per pivot
-it hits, not a test per pivot.  All functions are pure; matrices are immutable,
-and a matrix keeps its transpose once computed (the two link each other).
+it hits, not a test per pivot, and kernel_vectors reads kernel vectors off
+those pivots one free column at a time.  All functions are pure; matrices
+are immutable, and a matrix keeps its transpose once computed (the two link
+each other).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class BinMatrix:
@@ -178,6 +180,29 @@ def reduce_vector(v: int, pivots: Pivots) -> int:
     return v
 
 
+def kernel_vectors(pivots: Pivots, ncols: int) -> Iterator[int]:
+    """Right-kernel basis of the pivots' matrix, lazily, one vector per free
+    column j, ascending: the kernel vector whose only free bit is j.  From
+    x = e_j, each pivot row below j, highest first, sets its pivot bit when
+    parity(row & x) is 1; no row has a bit below its pivot, so those
+    parities are kept in one mask and a set pivot p flips them for the rows
+    holding bit p."""
+    holders = [0] * ncols  # holders[c]: pivot bits below c whose row has bit c
+    for j in range(ncols):
+        x = 1 << j
+        row = pivots.rows.get(x)
+        if row is not None:
+            for c in bit_indices(row ^ x):
+                holders[c] |= x
+            continue
+        odd = holders[j]  # rows still to visit whose parity(row & x) is 1
+        while odd:
+            p = odd.bit_length() - 1
+            x |= 1 << p
+            odd ^= 1 << p ^ holders[p]
+        yield x
+
+
 def rank(a: BinMatrix) -> int:
     """Rank over GF(2); the input is not modified."""
     return len(echelon(a.rows).rows)
@@ -219,30 +244,10 @@ def transpose(a: BinMatrix) -> BinMatrix:
     return t
 
 
-def rref(a: BinMatrix) -> list[tuple[int, int]]:
-    """Fully reduced echelon pivots of a, by ascending pivot column; from the
-    highest pivot down, each row is reduced by the rows already done."""
-    pivots = echelon(a.rows)
-    done = Pivots()
-    for low in sorted(pivots.rows, reverse=True):
-        add_pivot(done, pivots.rows[low])
-    return done.items()
-
-
 def kernel_basis(a: BinMatrix) -> BinMatrix:
-    """Basis of the right kernel {v : a.v = 0}, one vector per matrix row.
-
-    Row count is always ncols - rank(a); rows are ordered by their free
-    column, which makes the basis reproducible.  Each reduced row sets its
-    pivot bit in the vector of every free column it holds.
-    """
-    vecs = [1 << j for j in range(a.ncols)]
-    pivot_mask = 0
-    for pc, row in rref(a):
-        pivot_mask |= 1 << pc
-        for free in bit_indices(row ^ (1 << pc)):
-            vecs[free] |= 1 << pc
-    return BinMatrix([v for j, v in enumerate(vecs) if not (pivot_mask >> j) & 1], a.ncols)
+    """Basis of the right kernel {v : a.v = 0}: ncols - rank(a) rows, one per
+    free column, in ascending order (kernel_vectors on a's echelon)."""
+    return BinMatrix(list(kernel_vectors(echelon(a.rows), a.ncols)), a.ncols)
 
 
 def solve(a: BinMatrix, b: int) -> int | None:
