@@ -161,11 +161,7 @@ class CssCode:
 
     def h(self, basis: str) -> BinMatrix:
         """Stabilizer matrix of the given basis ('X' or 'Z')."""
-        if basis == "X":
-            return self.h_x
-        if basis == "Z":
-            return self.h_z
-        raise ValueError(f"basis must be 'X' or 'Z', got {basis!r}")
+        return self.h_z if opposite(basis) == "X" else self.h_x
 
     @cached_property
     def x_pivots(self) -> Pivots:
@@ -176,12 +172,11 @@ class CssCode:
         return echelon(self.h_z.rows)
 
     def stab_pivots(self, basis: str) -> Pivots:
-        return self.x_pivots if basis == "X" else self.z_pivots
+        return self.z_pivots if opposite(basis) == "X" else self.x_pivots
 
     def is_logical(self, v: int, basis: str) -> bool:
         """True iff v is a nontrivial logical operator of the given basis."""
-        opp = self.h_z if basis == "X" else self.h_x
-        if mat_vec(opp, v) != 0:
+        if mat_vec(self.h(opposite(basis)), v) != 0:
             return False
         return reduce_vector(v, self.stab_pivots(basis)) != 0
 
@@ -236,6 +231,14 @@ def css_to_complex(q: CssCode) -> ChainComplex:
     return ChainComplex((transpose(q.h_z), q.h_x))
 
 
+def opposite(basis: str) -> str:
+    """The other CSS basis.  CssCode.h, stab_pivots and every path that flips
+    a basis check it here, so a basis other than 'X' or 'Z' raises ValueError."""
+    if basis not in ("X", "Z"):
+        raise ValueError(f"basis must be 'X' or 'Z', got {basis!r}")
+    return "Z" if basis == "X" else "X"
+
+
 def logical_basis(q: CssCode, basis: str) -> BinMatrix:
     """k rows spanning the logical classes of the given basis.
 
@@ -243,25 +246,14 @@ def logical_basis(q: CssCode, basis: str) -> BinMatrix:
     outside rs(same H), read off the opposite echelon that k already needs
     one free column at a time (f2la.kernel_vectors): only pivot rows whose
     pivot lies below free column j count, since no row has a bit below its
-    pivot.  Each is greedily weight-reduced by stabilizer rows, so the row
-    order fixes the result.
+    pivot.  They are used as they come, not weight-reduced: every caller
+    reads only their classes (signatures, and the span that css_search
+    enumerates), which stabilizers leave unchanged.
     """
-    same = q.h(basis)
     pivots = q.stab_pivots(basis).copy()
-    ker = kernel_vectors(q.stab_pivots("Z" if basis == "X" else "X"), q.n)
+    ker = kernel_vectors(q.stab_pivots(opposite(basis)), q.n)
     # once k representatives are in, the pivots span the kernel: no later vector adds one
-    reps = list(islice((v for v in ker if add_pivot(pivots, v)), q.k))
-    out = []
-    for v in reps:
-        improved = True
-        while improved:
-            improved = False
-            for s in same.rows:
-                if (v ^ s).bit_count() < v.bit_count():
-                    v ^= s
-                    improved = True
-        out.append(v)
-    return BinMatrix(out, q.n)
+    return BinMatrix(list(islice((v for v in ker if add_pivot(pivots, v)), q.k)), q.n)
 
 
 def logical_signatures(q: CssCode, basis: str, vectors) -> tuple[list[int], int]:
@@ -269,7 +261,7 @@ def logical_signatures(q: CssCode, basis: str, vectors) -> tuple[list[int], int]
     check matrix and logical basis: an XOR of vectors is a nontrivial logical
     iff its syndrome is zero and its pairing is not.  A signature is the
     XOR of the packed signature columns over the vector's bits."""
-    opp_basis = "Z" if basis == "X" else "X"
+    opp_basis = opposite(basis)
     pair_rows = logical_basis(q, opp_basis)
     cols = transpose(vstack(pair_rows, q.h(opp_basis)))
     return list(mat_mul(BinMatrix(vectors, q.n), cols).rows), pair_rows.nrows
@@ -292,10 +284,11 @@ def css_search(q: CssCode, basis: str, table_cap: int = MITM_TABLE_CAP) -> Searc
     LOW_STAB_ROWS rows), stopping at weight t.  When 2^dim > W, a stopped
     kernel raises CapExceeded naming 2^dim, W and t.
     """
+    stabs = q.stab_pivots(basis).rows.values()  # neither enumeration depends on row order
     if q.k == 0:
         return Search(INF, None, "exhaustive")
     sigs, k = logical_signatures(q, basis, [1 << j for j in range(q.n)])
-    dim = q.k + (q.rank_x if basis == "X" else q.rank_z)
+    dim = q.k + len(stabs)
     walk_cap = MITM_PROBE_FACTOR * table_cap
     work_cap = 1 << dim if 1 << dim <= walk_cap else INF
     found = min_logical_search(sigs, k, q.n, table_cap, work_cap, witness=False)
@@ -306,7 +299,6 @@ def css_search(q: CssCode, basis: str, table_cap: int = MITM_TABLE_CAP) -> Searc
             f"no logical below weight {found.level}, where the search stopped; the 2^{dim} vectors of the "
             f"logical space exceed the walk cap {walk_cap} ({MITM_PROBE_FACTOR} x table_cap)"
         )
-    stabs = [row for _, row in q.stab_pivots(basis).items()]
     distance = exhaustive_min_weight(logical_basis(q, basis).rows, stabs, found.level)
     return found._replace(distance=distance, route="exhaustive")
 

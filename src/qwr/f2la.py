@@ -141,10 +141,6 @@ class Pivots:
     def copy(self) -> "Pivots":
         return Pivots(dict(self.rows), self.mask)
 
-    def items(self) -> list[tuple[int, int]]:
-        """(pivot_col, row) pairs sorted by pivot column."""
-        return [(low.bit_length() - 1, self.rows[low]) for low in sorted(self.rows)]
-
 
 def echelon(rows: Iterable[int]) -> Pivots:
     """Forward-eliminate rows into echelon pivots; each surviving row's pivot

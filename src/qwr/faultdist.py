@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 from .codes import (
     INF, MITM_PROBE_FACTOR, MITM_TABLE_CAP, CapExceeded, CssCode, Search, logical_signatures, min_logical_search,
+    opposite,
 )
 from .reduce import BalanceMap
 from .schedule import Schedule
@@ -49,6 +50,7 @@ def enumerate_faults(q: CssCode, m: Schedule, basis: str, dedup: bool = True) ->
     stabilizer and the empty suffix is trivial.  Duplicate residuals keep the
     lowest origin: data faults by qubit, then hooks by (step, cut).
     """
+    opposite(basis)  # raises unless basis is 'X' or 'Z': the data faults carry it
     # fields by position (kind, basis, residual, qubit, step, row, cut): keywords cost more
     gens = [FaultGenerator("data", basis, 1 << qb, qb) for qb in range(q.n)]
     # generators come out by ascending origin, so the first of a residual is kept
@@ -93,10 +95,10 @@ def effective_distance(
     """
     if max_d < 1:
         raise ValueError("max_d must be >= 1")
+    gens = enumerate_faults(q, m, basis) if generators is None else generators
+    sigs, k = logical_signatures(q, basis, [g.residual for g in gens])  # checks the basis, also for k = 0
     if q.k == 0:
         return Search(INF, None, "mitm", max_d)
-    gens = enumerate_faults(q, m, basis) if generators is None else generators
-    sigs, k = logical_signatures(q, basis, [g.residual for g in gens])
     found = min_logical_search(sigs, k, max_d, table_cap)
     t = found.level
     if found.distance is None:

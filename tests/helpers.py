@@ -358,6 +358,8 @@ def reference_solve(a, b):
 
 
 def reference_logical_basis(q, basis):
+    """k logical representatives, each greedily weight-reduced by stabilizer
+    rows, as codes.logical_basis built them before using them as they come."""
     same = q.h(basis)
     ker = reference_kernel_basis(q.h("Z" if basis == "X" else "X"))
     pivots = reference_echelon(same.rows)
@@ -375,11 +377,14 @@ def reference_logical_basis(q, basis):
     return BinMatrix(out, q.n)
 
 
-def reference_logical_signatures(q, basis, vectors):
-    """Two matrix-vector products per vector, as codes did before packing columns."""
+def reference_logical_signatures(q, basis, vectors, pair_rows=None):
+    """Two matrix-vector products per vector, as codes did before packing
+    columns; pairings against pair_rows, by default the weight-reduced
+    reference_logical_basis of the opposite basis."""
     opp_basis = "Z" if basis == "X" else "X"
     opp = q.h(opp_basis)
-    pair_rows = reference_logical_basis(q, opp_basis)
+    if pair_rows is None:
+        pair_rows = reference_logical_basis(q, opp_basis)
     k = pair_rows.nrows
     return [(mat_vec(opp, v) << k) | mat_vec(pair_rows, v) for v in vectors], k
 
@@ -641,22 +646,11 @@ def reference_gauge_code(q):
 
 def reference_logical_basis_full(q, basis):
     """logical_basis reducing every kernel vector against the stabilizer
-    pivots, as it did before stopping at k representatives."""
-    same = q.h(basis)
+    pivots, as it did before stopping at k representatives; the
+    representatives as they come, without weight reduction."""
     ker = kernel_basis(q.h("Z" if basis == "X" else "X"))
     pivots = q.stab_pivots(basis).copy()
-    reps = [v for v in ker.rows if add_pivot(pivots, v)]
-    out = []
-    for v in reps:
-        improved = True
-        while improved:
-            improved = False
-            for s in same.rows:
-                if (v ^ s).bit_count() < v.bit_count():
-                    v ^= s
-                    improved = True
-        out.append(v)
-    return BinMatrix(out, q.n)
+    return BinMatrix([v for v in ker.rows if add_pivot(pivots, v)], q.n)
 
 
 def reference_enumerate_faults(q, m, basis, dedup=True):

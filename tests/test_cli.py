@@ -284,6 +284,25 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [["info"], ["faultdist", "--max-d", "3"]])
+    def test_out_holds_the_printed_report(self, steane_files, tmp_path, capsys, command):
+        hx, hz = steane_files
+        argv = command + ["--hx", hx, "--hz", hz]
+        assert main(argv) == 0
+        printed = json.loads(capsys.readouterr().out)
+        path = tmp_path / "r.json"
+        assert main(argv + ["--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        written = json.loads(path.read_text(encoding="utf-8"))
+        printed.pop("timing_s")
+        written.pop("timing_s")
+        assert written == printed
+
+    @pytest.mark.parametrize("command", [[], ["info"], ["transform"], ["faultdist"]])
+    def test_help_exit_zero(self, capsys, command):
+        assert main(command + ["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: qwr")
+
     @pytest.mark.parametrize(
         "flags",
         [

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,3 +219,14 @@ class TestCodeInvariants:
         if q.k >= 1:
             assert css_distance(q, "X") >= 1
             assert css_distance(q, "Z") >= 1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ChainComplex((BinMatrix.zeros(2, 3), BinMatrix.zeros(2, 4))),
+     "adjacent dimension mismatch: (2, 4) after (2, 3)"),
+    (lambda: ChainComplex((BinMatrix.zeros(1, 1),)).boundary(0), "no boundary map at level 0"),
+    (lambda: ring_face_code(2), "ring length must be >= 3"),
+])
+def test_malformed_input_raises(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

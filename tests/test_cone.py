@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -309,3 +310,17 @@ class TestCycleLoops:
                 for walker in (cone._walk_cycle, reference_walk_cycle):
                     with pytest.raises(ValueError, match="not a simple closed walk"):
                         walker(part, cyc[1:])
+
+
+# two chords joining the same two qubits: the 0-cycle on one chord alone is
+# not a boundary, since d_1 gives both chords the same row
+UNFILLABLE = ConeComplexPart(0, (0, 1), ((None, 0, 1), (None, 0, 1)), ())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_cone_parts(steane_code(), 0), "weight threshold must be >= 1"),
+    (lambda: soundness_lambda((UNFILLABLE,)), "0-cycle has no filling; zeroth homology is not trivial"),
+])
+def test_malformed_input_raises(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

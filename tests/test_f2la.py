@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -278,3 +280,15 @@ def test_rowspace_membership_vs_solve(a, seed):
         if rng.random() < 0.5:
             v ^= r
     assert rowspace_contains(a, v)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: BinMatrix([], -1), "negative column count -1"),
+    (lambda: BinMatrix.from_rows([]), "ncols required for a matrix with no rows"),
+    (lambda: BinMatrix.from_support([[0, 3]], 3), "column index 3 out of range for 3 columns"),
+    (lambda: solve(BinMatrix.identity(2), 0b100), "right-hand side has bits beyond the row count"),
+    (lambda: vstack(BinMatrix.zeros(1, 2), BinMatrix.zeros(1, 3)), "column mismatch: (1, 2) vs (1, 3)"),
+])
+def test_malformed_input_raises(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,8 +1,9 @@
 import random
+import re
 
 import pytest
 
-from qwr.codes import INF, CssCode, css_distance, repetition_code, steane_code, surface_code_2x3
+from qwr.codes import INF, CapExceeded, CssCode, css_distance, css_search, repetition_code, steane_code, surface_code_2x3
 from qwr.f2la import BinMatrix
 from qwr.faultdist import (
     FaultGenerator,
@@ -223,3 +224,40 @@ class TestComponentAudit:
         qb, bm = balance_z(q, repetition_code(2))
         with pytest.raises(ValueError):
             component_weight_audit(qb, bm, [])
+
+
+def steane_case():
+    q = steane_code()
+    return q, baseline_schedule(q, 0)
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: effective_distance(*steane_case(), "X", 0), ValueError, "max_d must be >= 1"),
+    # 2^30 - 1 subsets of 30 generators: refused before any is enumerated
+    (lambda: oracle_effective_distance(*steane_case(), "X", 30, generators=[FaultGenerator("data", "X", 1, 0)] * 30),
+     CapExceeded, "1073741823 combinations exceed the oracle cap"),
+])
+def test_bad_requests_raise(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_witness_of_the_wrong_length_is_invalid():
+    q, m = steane_case()
+    found = effective_distance(q, m, "X", 3)
+    assert witness_is_valid(q, "X", found)
+    assert not witness_is_valid(q, "X", found._replace(witness=found.witness[:-1]))
+
+
+@pytest.mark.parametrize("basis", ["Y", "x"])
+@pytest.mark.parametrize("call", [
+    lambda q, m, basis: css_search(q, basis),
+    lambda q, m, basis: effective_distance(q, m, basis, 4),
+    lambda q, m, basis: enumerate_faults(q, m, basis),
+])
+@pytest.mark.parametrize("q", [surface_code_2x3(), CssCode(BinMatrix([0b11], 2), BinMatrix([0b11], 2))], ids=["k1", "k0"])
+def test_unknown_basis_raises(call, basis, q):
+    # not answered as either basis: data faults would carry the label and the search would flip it to 'Z'
+    message = f"basis must be 'X' or 'Z', got {basis!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(q, baseline_schedule(q, 0), basis)

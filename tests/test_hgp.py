@@ -196,3 +196,10 @@ class TestKunnethStep:
                         checked += 1
                         infinite += INF in (pred.d_x, pred.d_z)
         assert checked == 2 * (9 + 27 * 2 + 81 * 3) and 0 < infinite < checked
+
+
+@pytest.mark.parametrize("dualized", [(True,), (True, False, True)])
+def test_dualized_needs_one_flag_per_factor(dualized):
+    r3 = repetition_code(3)
+    with pytest.raises(ValueError, match="^one dualization flag per factor$"):
+        ProductSpec((r3, r3), 1, dualized)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -296,3 +297,19 @@ class TestCorpusAudit:
             assert css_distance(qt, "X") == 2 * css_distance(q, "X")
             assert css_distance(qt, "Z") == css_distance(q, "Z")
             done += 1
+
+
+def thickened_steane_heights(target_w):
+    qt, bm = thicken(steane_code(), 2)
+    return greedy_heights(qt, bm, target_w)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: copy_code(CssCode(BinMatrix.zeros(1, 2), BinMatrix.zeros(1, 2))),
+     "copy_code needs q_X >= 1 (some qubit in an X check)"),
+    (lambda: thicken(steane_code(), 0), "thickening length must be >= 1"),
+    (lambda: thickened_steane_heights(0), "target weight must be >= 1"),
+])
+def test_malformed_input_raises(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from qwr.codes import CssCode, repetition_code, ring_face_code, steane_code, surface_code_2x3
@@ -299,3 +301,20 @@ class TestInvariantsOnCorpus:
             cparts = cellulate(parts)
             qcone = cone_code(q, cparts, f)
             cone_schedule(m, cparts, f).validate(qcone)
+
+
+def schedule_past_the_map(build):
+    """A schedule whose one X step names row 99, adapted through the copy
+    (or copy-then-gauge) map of Steane."""
+    qc, cm = copy_code(steane_code())
+    m = Schedule((Step("X", 99, (0,)),))
+    return copied_schedule(m, cm) if build == "copy" else gauged_schedule(m, gauge_code(qc)[1], cm)
+
+
+@pytest.mark.parametrize("build, message", [
+    ("copy", "CopyMap does not cover X row 99: (99, 0)"),
+    ("gauge", "GaugeMap does not cover X row 99"),
+])
+def test_uncovered_rows_raise(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        schedule_past_the_map(build)

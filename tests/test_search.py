@@ -42,6 +42,8 @@ from helpers import (
     random_classical,
     random_css,
     reference_exhaustive_min_weight,
+    reference_logical_basis,
+    reference_logical_signatures,
     reference_min_logical,
 )
 
@@ -62,7 +64,7 @@ def kernel_search(q, basis):
 
 def enumerated_distance(q, basis):
     """The logical space enumerated from weight 1: css_search's exhaustive route alone."""
-    stabs = [row for _, row in q.stab_pivots(basis).items()]
+    stabs = q.stab_pivots(basis).rows.values()
     return exhaustive_min_weight(logical_basis(q, basis).rows, stabs)
 
 
@@ -149,6 +151,40 @@ class TestKernelEquivalence:
         assert min_logical_search(sigs, 1, 3, table_cap=10).distance == INF
 
 
+def assert_representatives_do_not_matter(q, basis, vectors, max_t, table_cap=codes.MITM_TABLE_CAP):
+    """Signatures against the weight-reduced reference basis and against
+    logical_basis share their syndromes and drive min_logical_search to
+    equal records, with and without the witness: the kernel reads the
+    pairing rows only through their classes."""
+    sigs, k = logical_signatures(q, basis, vectors)
+    ref, ref_k = reference_logical_signatures(q, basis, vectors)
+    assert ref_k == k and [s >> k for s in sigs] == [s >> k for s in ref]
+    for witness in (True, False):
+        assert (min_logical_search(sigs, k, max_t, table_cap, witness=witness)
+                == min_logical_search(ref, k, max_t, table_cap, witness=witness))
+
+
+class TestRepresentativeInvariance:
+    @pytest.mark.parametrize("seed, n_max, max_d", [(109, 8, 3), (113, 7, 4)])
+    def test_fault_corpora(self, seed, n_max, max_d):
+        for q, m, basis in fault_cases(seed, 25, n_max):
+            for dedup in (True, False):
+                gens = enumerate_faults(q, m, basis, dedup=dedup)
+                assert_representatives_do_not_matter(q, basis, [g.residual for g in gens], max_d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([codes.MITM_TABLE_CAP, 6]))
+    def test_random_codes(self, seed, table_cap):
+        # every level up to n on single-qubit supports, and with a cap that stops the search early;
+        # the exhaustive route enumerates the same span from either basis
+        q = random_css(random.Random(seed), n_max=16)
+        for basis in "XZ":
+            assert_representatives_do_not_matter(q, basis, [1 << j for j in range(q.n)], q.n, table_cap)
+            stabs = q.stab_pivots(basis).rows.values()
+            assert (exhaustive_min_weight(reference_logical_basis(q, basis).rows, stabs)
+                    == exhaustive_min_weight(logical_basis(q, basis).rows, stabs))
+
+
 class TestExhaustiveRoute:
     def test_agrees_with_mitm_on_corpus(self):
         for q in corpus(131, 30, n_max=10):
@@ -200,7 +236,7 @@ class TestBrouwerZimmermann:
             for n in short + [rng.randint(5 * dim // 2, 3 * dim)]:
                 q = spread_code(rng, dim, n)
                 logicals = list(logical_basis(q, "X").rows)
-                stabs = [row for _, row in q.x_pivots.items()]
+                stabs = list(q.x_pivots.rows.values())
                 assert len(logicals) + len(stabs) == dim
                 d = reference_exhaustive_min_weight(logicals, stabs)
                 if dim <= 16:
@@ -231,7 +267,7 @@ class TestBrouwerZimmermann:
         rng = random.Random(73)
         for dim in (11, 16, 22):
             q = spread_code(rng, dim, 2 * dim, k0=True)
-            stabs = [row for _, row in q.x_pivots.items()]
+            stabs = list(q.x_pivots.rows.values())
             assert (q.k, len(stabs)) == (0, dim)
             assert exhaustive_min_weight([], stabs) == INF == reference_exhaustive_min_weight([], stabs)
             assert css_search(q, "X").distance == INF
