@@ -9,10 +9,16 @@ that answered codes.css_search, the kernel's work counts (probes: table
 lookups; table_entries: subsets put into tables) and the best-of-N
 perf_counter time of css_search in milliseconds.  A class that exceeds a
 cap prints route "capped" with the level the cap stopped at.  The last
-column names the side that stopped the kernel, on capped classes and on
-those it handed over to enumeration: "table" (over table_cap entries) or
-"walk" (over the walk cap, 100 x table_cap subsets, or the 2^dim vectors
-of the logical space); "-" when the kernel answered.
+column names what stopped the kernel, on capped classes and on those it
+handed over to enumeration: "table" (over table_cap entries), "walk" (over
+the walk cap, 100 x table_cap subsets, or the 2^dim vectors of the logical
+space) or "connected" (its first connected level, where a logical space of
+at most 100 x table_cap vectors is enumerated instead); "-" when the kernel
+answered.
+
+With --spread it asks the X distance of seeded random codes whose logical
+space, of dimension dim = 20, 22, ..., 28, is spread over n = 3 dim qubits
+(spread_code, five per dim), and prints the same columns with k.
 
 With --faults it times the effective-distance search instead: Steane and
 surface 2x3, each carried through copy -> gauge -> thicken(2) with the
@@ -23,15 +29,19 @@ the level that answered (max_d when the distance is inf) and the same work
 counts from the record of faultdist.effective_distance, and its best-of-N
 time (generators given, so fault enumeration is not timed).
 
-    PYTHONPATH=src python scripts/search_costs.py [--repeat N] [--faults]
+    PYTHONPATH=src python scripts/search_costs.py [--repeat N] [--faults | --spread]
 """
 
 import argparse
+import random
 import time
+from functools import reduce
 from itertools import product
+from operator import xor
 
 from qwr.codes import (
     CapExceeded,
+    CssCode,
     css_search,
     hamming_7_4,
     logical_signatures,
@@ -40,6 +50,7 @@ from qwr.codes import (
     steane_code,
     surface_code_2x3,
 )
+from qwr.f2la import BinMatrix, kernel_basis, rank
 from qwr.faultdist import effective_distance, enumerate_faults
 from qwr.hgp import ProductSpec, higher_dim_hgp, kunneth_distance_predictor
 from qwr.schedule import baseline_schedule, carry
@@ -70,7 +81,7 @@ def capped_search(q, basis):
     """The kernel run of a css_search that no route fits (2^dim over the
     walk cap, so no work cap), for the level its cap stopped at, the side
     that stopped it and its counts."""
-    sigs, k = logical_signatures(q, basis, [1 << j for j in range(q.n)])
+    sigs, k = logical_signatures(q, basis)
     return min_logical_search(sigs, k, q.n, witness=False)
 
 
@@ -85,6 +96,40 @@ def timed_search(q, basis, repeat: int):
             found = None
         best = min(best, time.perf_counter() - t0)
     return found, 1e3 * best
+
+
+SPREAD_DIMS = range(20, 29, 2)
+SPREAD_PER_DIM = 5
+
+
+def spread_code(rng, dim: int, n: int, k0: bool = False) -> CssCode:
+    """Random CSS code on n qubits whose X logical space ker(h_z) has
+    dimension dim: n - dim random Z checks of full rank, and X checks drawn
+    from their kernel, all dim of them when k0 (so k = 0), else at least
+    dim - 12 (so a Gray-code pass over the logicals and all but ten checks
+    walks at most 2^(dim - 10) vectors)."""
+    while True:
+        hz = BinMatrix([rng.getrandbits(n) for _ in range(n - dim)], n)
+        if rank(hz) == n - dim:
+            break
+    ker = kernel_basis(hz).rows
+    hx = []
+    while rank(BinMatrix(hx, n)) < (dim if k0 else rng.randint(max(0, dim - 12), dim)):
+        hx.append(reduce(xor, (row for row in ker if rng.random() < 0.5), 0))
+    return CssCode(BinMatrix(hx or [0], n), hz)
+
+
+def spread_costs(repeat: int) -> None:
+    """One row per seeded spread code; see the module docstring."""
+    print(f"{'dim':>3}{'n':>5}{'k':>4}{'d':>4}  {'route':<10}{'level':>5}{'probes':>10}{'table_entries':>15}"
+          f"{'ms':>10}  cap")
+    rng = random.Random(0)
+    for dim in SPREAD_DIMS:
+        for _ in range(SPREAD_PER_DIM):
+            q = spread_code(rng, dim, 3 * dim)
+            found, ms = timed_search(q, "X", repeat)
+            print(f"{dim:>3}{q.n:>5}{q.k:>4}{found.distance:>4}  {found.route:<10}{found.level:>5}{found.probes:>10}"
+                  f"{found.table_entries:>15}{ms:>10.2f}  {found.stop[0] if found.stop else '-'}")
 
 
 FAULT_CODES = {"steane": steane_code, "surface2x3": surface_code_2x3}
@@ -119,12 +164,18 @@ def fault_costs(repeat: int) -> None:
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeat", type=int, default=5, help="calls per timing; the least is printed")
-    ap.add_argument("--faults", action="store_true",
-                    help=f"time effective searches on carried schedules at max_d {FAULT_MAX_D} (and surface Z at 6)")
+    runs = ap.add_mutually_exclusive_group()
+    runs.add_argument("--faults", action="store_true",
+                      help=f"time effective searches on carried schedules at max_d {FAULT_MAX_D} (and surface Z at 6)")
+    runs.add_argument("--spread", action="store_true",
+                      help="time the X distance of seeded random codes with dim 20-28 and n = 3 dim")
     args = ap.parse_args(argv)
     print(f"ms, best of {args.repeat} calls")
     if args.faults:
         fault_costs(args.repeat)
+        return
+    if args.spread:
+        spread_costs(args.repeat)
         return
     print(f"{'product':<8}{'L':>2} {'b':>1}{'n':>5}{'dim':>5}{'d':>3}  {'route':<10}{'level':>5}"
           f"{'probes':>10}{'table_entries':>15}{'ms':>10}  cap")

@@ -6,12 +6,12 @@ walks or enumerates at most W = MITM_PROBE_FACTOR * table_cap.  One
 meet-in-the-middle kernel serves the code and effective distances and stops
 at the level where either limit would be exceeded; Search, the record that
 every exact search returns, names both.  When the 2^dim vectors
-of the logical space fit in W, css_search caps the kernel's work at 2^dim
-and, when it stops there, hands over to an exact enumeration of that space,
-above ten rows by Brouwer-Zimmermann over disjoint information sets, which
-stops once its lower bound meets the best logical found; otherwise a
-stopped kernel raises CapExceeded.  classical_distance enumerates its 2^k
-codewords under the same test.  The kernel
+of the logical space fit in W, css_search runs the kernel's lex levels only
+and hands over to an exact enumeration of that space at its first connected
+level or a cap, above ten rows by Brouwer-Zimmermann over disjoint
+information sets, which stops once its lower bound meets the best logical
+found; otherwise a stopped kernel raises CapExceeded.  classical_distance
+enumerates its 2^k codewords under the same test.  The kernel
 searches one item per distinct nonzero signature and, on wide levels,
 probes only subsets connected through shared syndrome bits.  Such a level
 builds no table for the next ones: they meet a table one size short through
@@ -256,15 +256,16 @@ def logical_basis(q: CssCode, basis: str) -> BinMatrix:
     return BinMatrix(list(islice((v for v in ker if add_pivot(pivots, v)), q.k)), q.n)
 
 
-def logical_signatures(q: CssCode, basis: str, vectors) -> tuple[list[int], int]:
+def logical_signatures(q: CssCode, basis: str, vectors=None) -> tuple[list[int], int]:
     """Per-vector signatures (syndrome << k | pairing) against the opposite
     check matrix and logical basis: an XOR of vectors is a nontrivial logical
     iff its syndrome is zero and its pairing is not.  A signature is the
-    XOR of the packed signature columns over the vector's bits."""
+    XOR of the packed signature columns over the vector's bits; with no
+    vectors, the n columns themselves (the single qubits')."""
     opp_basis = opposite(basis)
     pair_rows = logical_basis(q, opp_basis)
     cols = transpose(vstack(pair_rows, q.h(opp_basis)))
-    return list(mat_mul(BinMatrix(vectors, q.n), cols).rows), pair_rows.nrows
+    return list(cols.rows if vectors is None else mat_mul(BinMatrix(vectors, q.n), cols).rows), pair_rows.nrows
 
 
 def css_distance(q: CssCode, basis: str, table_cap: int = MITM_TABLE_CAP) -> int | float:
@@ -279,7 +280,7 @@ def css_search(q: CssCode, basis: str, table_cap: int = MITM_TABLE_CAP) -> Searc
     table entries and walking at most W = MITM_PROBE_FACTOR * table_cap
     subsets.  When the 2^dim vectors of the logical space (dim = k +
     rank(same-basis checks)) fit in W, the kernel's walk is capped at 2^dim
-    instead, and once any cap stops the kernel at level t that space is
+    instead, and at level t, its first connected one or a cap, that space is
     enumerated (exhaustive_min_weight: by Brouwer-Zimmermann above
     LOW_STAB_ROWS rows), stopping at weight t.  When 2^dim > W, a stopped
     kernel raises CapExceeded naming 2^dim, W and t.
@@ -287,7 +288,7 @@ def css_search(q: CssCode, basis: str, table_cap: int = MITM_TABLE_CAP) -> Searc
     stabs = q.stab_pivots(basis).rows.values()  # neither enumeration depends on row order
     if q.k == 0:
         return Search(INF, None, "exhaustive")
-    sigs, k = logical_signatures(q, basis, [1 << j for j in range(q.n)])
+    sigs, k = logical_signatures(q, basis)
     dim = q.k + len(stabs)
     walk_cap = MITM_PROBE_FACTOR * table_cap
     work_cap = 1 << dim if 1 << dim <= walk_cap else INF
@@ -311,9 +312,10 @@ LOW_STAB_ROWS = 10  # up to this many rows the exhaustive route is one XOR-table
 
 class Search(NamedTuple):
     """The result of every exact search: the kernel's, css_search's, and
-    faultdist's.  distance is None when a cap stopped the search at level
-    `level`; stop then holds that level's count on the capped side, ("table",
-    entries) or ("walk", subsets).  An inf distance was searched up to `level`.
+    faultdist's.  distance is None when the kernel stopped at level `level`;
+    stop then holds that level's count on the side that stopped it: ("table",
+    entries) or ("walk", subsets) for a cap, ("connected", subsets) for the
+    hand-over of a finite work_cap.  An inf distance was searched up to `level`.
     witness holds one minimum set: sorted signature indices, or fault
     generators from faultdist.  probes counts table lookups, the witness pass's
     included: one per subset probed against a full table, one per holder of the
@@ -423,8 +425,10 @@ def min_logical_search(
     MITM_PROBE_FACTOR * table_cap subsets per level: a level is capped when
     its table side exceeds table_cap ("table"), or its walk side exceeds W
     or what is left of work_cap after the subsets walked so far ("walk"),
-    counting distinct signatures only.  The search stops at the first
-    capped level with distance None; no logical weighs less than that level.
+    counting distinct signatures only.  A finite work_cap, the cost of the
+    caller's enumeration, also stops it at its first connected level
+    ("connected"): enumerating beats walking one.  It stops with distance
+    None; no logical weighs less than that level.
     """
     distinct = dict.fromkeys(sigs)  # in order of first occurrence
     distinct.pop(0, None)
@@ -452,6 +456,8 @@ def min_logical_search(
             continue  # an even level the full table answers: no two s-subsets pair into a logical
         nxt = big > small and t < top and not capped(t + 1, spent)  # level t + 1 needs size big
         connected = _connected_pays(n, big)
+        if connected and work_cap < INF:  # css_search enumerates the logical space instead
+            return Search(None, None, "mitm", t, probes, entries, ("connected", comb(n, big)))
         if nbr is None and (connected or size < small):
             nbr, anchors = _adjacency(syn, pair)
         halve = connected and 0 < small == size < big  # odd level, full table: walk the small side, anchored

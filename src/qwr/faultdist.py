@@ -163,7 +163,10 @@ class HookAuditReport:
 
 
 def hook_weight_audit(q: CssCode, m: Schedule) -> HookAuditReport:
-    """Check every hook is equivalent to at most floor(w/2) data errors."""
+    """Check every hook is equivalent to at most floor(w/2) data errors.
+    After Schedule.validate every step scores floor(w/2) (cut k leaves w - k
+    qubits of the row, equivalent to the other k), so only a gate order
+    that is not its row's support can be flagged."""
     per_step: dict[int, int] = {}
     violations = []
     for si, s in enumerate(m.steps):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
 import random
 from bisect import insort
 from fractions import Fraction
@@ -28,6 +30,15 @@ from qwr.faultdist import FaultGenerator, HookAuditReport
 from qwr.hgp import DistancePrediction, _one_complex_distances, hgp
 from qwr.reduce import CopyMap, GaugeMap
 from qwr.schedule import Schedule, Step, dual_schedule
+
+
+def load_script(name: str):
+    """scripts/<name>.py as a module."""
+    path = pathlib.Path(__file__).parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_classical(rng: random.Random, n_min=3, n_max=6) -> ClassicalCode:

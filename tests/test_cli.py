@@ -584,6 +584,19 @@ class TestTooling:
         assert (route, level, entries, side) == ("mitm", "6", str(137 + comb(137, 2)), "-")
         assert by_case["r3r3h7", "1", "X"][:2] + by_case["r3r3h7", "1", "X"][4:] == ["capped", "8", "table"]
 
+    def test_search_costs_spread_script(self):
+        res = self.run("scripts/search_costs.py", "--spread", "--repeat", "1")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[1].split() == ["dim", "n", "k", "d", "route", "level", "probes",
+                                                      "table_entries", "ms", "cap"]
+        rows = [line.split() for line in res.stdout.splitlines()[2:]]
+        assert [(int(r[0]), int(r[1])) for r in rows] == [(dim, 3 * dim) for dim in range(20, 29, 2) for _ in range(5)]
+        # n = 3 dim: each hands over at level 5, the first with C(n, 3) > n^2; the
+        # distances match a kernel that walks connected levels to 9 or 10 first
+        assert all(r[4:6] + r[9:] == ["exhaustive", "5", "connected"] for r in rows)
+        assert [int(r[3]) for r in rows] == [11, 13, 11, 11, 13, 13, 13, 12, 13, 12, 15, 13, 15, 15, 13,
+                                             14, 16, 15, 15, 15, 16, 17, 15, 15, 15]
+
     def test_search_costs_faults_script(self):
         res = self.run("scripts/search_costs.py", "--faults", "--repeat", "1")
         assert res.returncode == 0, res.stderr

@@ -4,15 +4,14 @@ deduplicated as they are emitted, hook audits reading the same suffix masks,
 mask-based schedule validation, early-stopping logical bases and
 list-returning bit_indices."""
 
-import importlib.util
 import itertools
-import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwr.codes import (
+    CssCode,
     css_to_complex,
     hamming_7_4,
     logical_basis,
@@ -20,8 +19,8 @@ from qwr.codes import (
     steane_code,
     surface_code_2x3,
 )
-from qwr.f2la import bit_indices
-from qwr.faultdist import enumerate_faults, hook_weight_audit
+from qwr.f2la import BinMatrix, bit_indices
+from qwr.faultdist import HookAuditReport, enumerate_faults, hook_weight_audit
 from qwr.hgp import ProductSpec, higher_dim_hgp, hgp, one_complex, product_css, tensor_complex
 from qwr.reduce import balance_x, balance_z
 from qwr.schedule import Schedule, Step, baseline_schedule, carry, enumerate_random_schedules
@@ -29,6 +28,7 @@ from qwr.schedule import Schedule, Step, baseline_schedule, carry, enumerate_ran
 from helpers import (
     complex_to_css,
     corpus,
+    load_script,
     random_classical,
     reference_enumerate_faults,
     reference_fold,
@@ -44,11 +44,7 @@ R2, R3, R4, H7 = repetition_code(2), repetition_code(3), repetition_code(4), ham
 
 def load_gf2_layers():
     """scripts/gf2_layers.py, whose build_chain makes the transform_build stage codes."""
-    path = pathlib.Path(__file__).parent.parent / "scripts" / "gf2_layers.py"
-    spec = importlib.util.spec_from_file_location("gf2_layers", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script("gf2_layers")
 
 
 @pytest.fixture(scope="module")
@@ -155,17 +151,37 @@ class TestEnumerateFaults:
                 assert enumerate_faults(q, m, basis) == reference_enumerate_faults(q, m, basis)
 
 
+def audited_schedules(stage_chain):
+    """Carried, stage-chain and seeded random schedules with their codes."""
+    cases = carried_schedules() + [(q, m) for _, q, m, _, _ in stage_chain]
+    for seed, q in enumerate([steane_code(), surface_code_2x3(), hgp(R3, R3)] + corpus(41, 2)):
+        cases += [(q, m) for m in enumerate_random_schedules(q, 4, seed)]
+    return cases
+
+
 class TestHookAudit:
     def test_carried_random_and_stage_schedules(self, stage_chain):
-        cases = carried_schedules() + [(q, m) for _, q, m, _, _ in stage_chain]
-        for seed, q in enumerate([steane_code(), surface_code_2x3(), hgp(R3, R3)] + corpus(41, 2)):
-            cases += [(q, m) for m in enumerate_random_schedules(q, 4, seed)]
         worst = set()
-        for q, m in cases:
+        for q, m in audited_schedules(stage_chain):
             report = hook_weight_audit(q, m)
             assert report == reference_hook_weight_audit(q, m)
             worst.update(report.per_step_max.values())
         assert len(worst) > 5  # per-step maxima of many sizes
+
+    def test_valid_schedules_score_half_each_weight(self, stage_chain):
+        # a valid step's cut k leaves w - k qubits of its row, equivalent to
+        # the other k, so it scores floor(w/2) and is never flagged
+        for q, m in audited_schedules(stage_chain):
+            m.validate(q)
+            report = hook_weight_audit(q, m)
+            assert report.ok and report.per_step_max == {si: len(s.order) // 2 for si, s in enumerate(m.steps)}
+        # only a gate order that is not its row's support can be: row {0, 1}
+        # run as 0, 2, 3, 4 leaves hook {2, 3, 4}, whose XOR with the row weighs 5
+        q = CssCode(BinMatrix.from_support([(0, 1)], 5), BinMatrix([], 5))
+        off = Schedule((Step("X", 0, (0, 2, 3, 4)),))
+        with pytest.raises(ValueError, match="is not its support"):
+            off.validate(q)
+        assert hook_weight_audit(q, off) == HookAuditReport({0: 3}, (0,))
 
 
 def validate_message(validate, m, q):

@@ -89,7 +89,8 @@ def test_tall_elimination_matches_reference(a, seed):
 def assert_code_outputs_match(q: CssCode, rng: random.Random) -> None:
     """logical_basis holds the reference's representatives up to stabilizers,
     row for row (the reference weight-reduces them); the packed signatures
-    equal the reference's on the same pairing rows."""
+    equal the reference's on the same pairing rows, and with no vectors
+    those of the single qubits."""
     vectors = [1 << j for j in range(q.n)] + [rng.getrandbits(q.n) for _ in range(8)] + [0]
     for basis in "XZ":
         ours, ref = logical_basis(q, basis), reference_logical_basis(q, basis)
@@ -97,6 +98,8 @@ def assert_code_outputs_match(q: CssCode, rng: random.Random) -> None:
         assert all(rowspace_contains(q.h(basis), a ^ b) for a, b in zip(ours.rows, ref.rows))
         pair_rows = logical_basis(q, "Z" if basis == "X" else "X")
         assert logical_signatures(q, basis, vectors) == reference_logical_signatures(q, basis, vectors, pair_rows)
+        # no vectors: the single-qubit signatures, read off the signature columns
+        assert logical_signatures(q, basis) == logical_signatures(q, basis, vectors[:q.n])
 
 
 @settings(max_examples=40, deadline=None)

@@ -18,7 +18,6 @@ from qwr.cli import _entry
 from qwr.codes import (
     INF,
     CapExceeded,
-    CssCode,
     classical_distance,
     css_search,
     exhaustive_min_weight,
@@ -30,7 +29,7 @@ from qwr.codes import (
     steane_code,
     surface_code_2x3,
 )
-from qwr.f2la import BinMatrix, kernel_basis, mat_vec, rank
+from qwr.f2la import BinMatrix, kernel_basis, mat_vec
 from qwr.faultdist import effective_distance, enumerate_faults, oracle_effective_distance, witness_is_valid
 from qwr.hgp import ProductSpec, hgp, higher_dim_hgp, kunneth_distance_predictor
 from qwr.reduce import balance_x, copy_code, gauge_code
@@ -39,6 +38,7 @@ from qwr.schedule import baseline_schedule, carry
 from helpers import (
     brute_force_min_weight,
     corpus,
+    load_script,
     random_classical,
     random_css,
     reference_exhaustive_min_weight,
@@ -56,10 +56,11 @@ def grid_code(names: str, level: int):
     return higher_dim_hgp(spec)[0]
 
 
-def kernel_search(q, basis):
-    """The kernel alone on single-qubit supports: css_search with no work cap."""
-    sigs, k = logical_signatures(q, basis, [1 << j for j in range(q.n)])
-    return min_logical_search(sigs, k, q.n, witness=False)
+def kernel_search(q, basis, max_t=None):
+    """The kernel alone on single-qubit supports, up to level max_t (every
+    level by default): css_search with no work cap, so no hand-over."""
+    sigs, k = logical_signatures(q, basis)
+    return min_logical_search(sigs, k, max_t or q.n, witness=False)
 
 
 def enumerated_distance(q, basis):
@@ -201,27 +202,18 @@ class TestExhaustiveRoute:
             assert classical_distance(c) == min((v.bit_count() for v in words), default=INF)
 
     def test_cap_falls_back_to_exhaustive(self):
-        # n=41, dim 18, d=6: level 6 needs C(41, 3) = 10,660 > 2,622 table
-        # entries.  2,622 is the least table cap whose walk cap, 100 times
+        # n=80, dim 18, d=20: lex level 4 needs C(80, 2) = 3,160 > 2,622
+        # table entries, one level before the first connected one (C(80, 3)
+        # > 80^2).  2,622 is the least table cap whose walk cap, 100 times
         # it, holds the 2^18 = 262,144 vectors of the logical space
-        found = css_search(grid_code("r2r2h7", 1), "X", table_cap=2622)
-        assert (found.distance, found.route, found.level, found.stop) == (6, "exhaustive", 6, ("table", 10_660))
+        q = spread_code(random.Random(0), 18, 80)
+        found = css_search(q, "X", table_cap=2622)
+        assert (found.distance, found.route, found.level, found.stop) == (20, "exhaustive", 4, ("table", 3160))
+        assert css_search(q, "X")[2:] == ("exhaustive", 5, 3240, 3240, ("connected", comb(80, 3)))
 
 
-def spread_code(rng, dim: int, n: int, k0: bool = False) -> CssCode:
-    """Random CSS code on n qubits whose X logical space ker(h_z) has
-    dimension dim: n - dim random Z checks of full rank, and X checks drawn
-    from their kernel, all dim of them when k0 (so k = 0), else at least
-    dim - 12 (so the Gray-code reference walks at most 2^12 vectors)."""
-    while True:
-        hz = BinMatrix([rng.getrandbits(n) for _ in range(n - dim)], n)
-        if rank(hz) == n - dim:
-            break
-    ker = kernel_basis(hz).rows
-    hx = []
-    while rank(BinMatrix(hx, n)) < (dim if k0 else rng.randint(max(0, dim - 12), dim)):
-        hx.append(reduce(xor, (row for row in ker if rng.random() < 0.5), 0))
-    return CssCode(BinMatrix(hx or [0], n), hz)
+# random CSS codes whose X logical space, of a given dimension, is spread over n qubits
+spread_code = load_script("search_costs").spread_code
 
 
 class TestBrouwerZimmermann:
@@ -303,12 +295,17 @@ class TestBrouwerZimmermann:
 
 
 class TestRouteChoice:
+    # r3r3r3 hands over at its first connected level, 5, after 1,326 probes:
+    # 2.7-2.9 ms where walking connected levels 5-7 first took 9.5-10.4 ms.
+    # r2r3h7 hands over at level 5 and Brouwer-Zimmermann answers 6 from it:
+    # 1.04-1.11 ms against 1.11-1.16 ms for the kernel through level 6
+    # (medians and minima of 61 css_search calls, 2-vCPU VM, pinned CPU)
     @pytest.mark.parametrize(
         "name, build, basis, distance, route",
         [
             ("steane", steane_code, "X", 3, "exhaustive"),
             ("r3r3r3 level 1 (n=51, dim 19)", lambda: grid_code("r3r3r3", 1), "X", 9, "exhaustive"),
-            ("r2r3h7 level 2 (n=63, dim 22)", lambda: grid_code("r2r3h7", 2), "Z", 6, "mitm"),
+            ("r2r3h7 level 2 (n=63, dim 22)", lambda: grid_code("r2r3h7", 2), "Z", 6, "exhaustive"),
         ],
     )
     def test_cheaper_route_is_taken(self, name, build, basis, distance, route):
@@ -316,6 +313,19 @@ class TestRouteChoice:
         found = css_search(q, basis)
         assert (found.distance, found.route) == (distance, route), name
         assert _entry(css_search, q, basis) == {"value": distance, "method": route, "bound": None}
+
+    @pytest.mark.parametrize("dim, distance", [(20, 11), (24, 14)])
+    def test_spread_codes_hand_over_at_the_first_connected_level(self, dim, distance):
+        # n = 3 dim distinct single-qubit signatures: C(n, 2) <= n^2 < C(n, 3),
+        # so level 5 is the first connected one, well before the 2^dim work cap
+        q = spread_code(random.Random(0), dim, 3 * dim)
+        found = css_search(q, "X")
+        assert found[:4] + (found.stop,) == (distance, None, "exhaustive", 5, ("connected", comb(3 * dim, 3)))
+        assert kernel_search(q, "X", found.level).distance == INF  # none up to the hand-over level
+        assert enumerated_distance(q, "X") == distance  # from weight 1
+        if dim <= 22:  # the Gray-code reference walks 2^dim vectors: about 2 s at dim 24
+            logicals, stabs = list(logical_basis(q, "X").rows), list(q.x_pivots.rows.values())
+            assert reference_exhaustive_min_weight(logicals, stabs) == distance
 
 
 def connected_only(mp):
@@ -426,8 +436,10 @@ class TestDeduplication:
 
 class TestBudget:
     def test_logical_space_over_the_walk_cap_raises(self):
-        # the code of test_cap_falls_back_to_exhaustive one table entry lower:
-        # 2^18 vectors exceed 100 x 2,621, so the stopped kernel raises
+        # r2r2h7 level 1 X (n=41, dim 18, d=6) at the least table cap whose
+        # walk cap does not hold its 2^18 vectors, one entry short of 2,622: the
+        # kernel walks its connected level 5, stops at 6 (C(41, 3) = 10,660
+        # table entries) and raises
         message = ("no logical below weight 6, where the search stopped; the 2^18 vectors of the "
                    "logical space exceed the walk cap 262100 (100 x table_cap)")
         with pytest.raises(CapExceeded, match=f"^{re.escape(message)}$"):
@@ -954,7 +966,9 @@ class TestWorkCap:
     def test_stops_where_the_walked_subsets_exceed_the_cap(self, force):
         # with work_cap W the search either answers as without it or stops,
         # distance None, at the first level t whose walked subsets
-        # sum_{u <= t} C(n, ceil(u/2)) exceed W (n distinct nonzero signatures)
+        # sum_{u <= t} C(n, ceil(u/2)) exceed W (n distinct nonzero signatures),
+        # or, where no such level comes first, at its first connected level,
+        # where the caller's enumeration of cost W takes over
         rng = random.Random(67)
         stops = set()
         with pytest.MonkeyPatch.context() as mp:
@@ -965,13 +979,40 @@ class TestWorkCap:
                 full = min_logical_search(sigs, k, 9)
                 reached = min(9, n) if full.distance == INF else full.distance
                 walked = list(accumulate(comb(n, u - u // 2) for u in range(1, reached + 1)))
+                linked = next((t for t in range(1, reached + 1) if codes._connected_pays(n, t - t // 2)), None)
                 for cap in {0, *(w - 1 for w in walked), *walked[-1:]}:
                     found = min_logical_search(sigs, k, 9, work_cap=cap)
                     level = next((t for t, w in enumerate(walked, 1) if w > cap), None)
+                    side = "walk"
+                    if linked is not None and (level is None or linked < level):
+                        side, level = "connected", linked
                     if level is None:
                         assert found == full, (sigs, cap)
                     else:
-                        walk = ("walk", comb(n, level - level // 2))
-                        assert found[:4] + (found.stop,) == (None, None, "mitm", level, walk), (sigs, cap)
-                        stops.add(level)
-        assert stops >= {1, 2, 3, 4, 5, 6, 7}
+                        stop = (side, comb(n, level - level // 2))
+                        assert found[:4] + (found.stop,) == (None, None, "mitm", level, stop), (sigs, cap)
+                        stops.add((side, level))
+        if force is lex_only:
+            assert stops == {("walk", t) for t in range(1, 10)}
+        else:  # level 1 is connected: a cap below its n subsets stops it, else it hands over
+            assert stops == {("walk", 1), ("connected", 1)}
+
+    def test_hands_over_at_the_first_connected_level(self):
+        # unforced, the seeded signatures are first connected at level 5 or 7;
+        # under a work cap that never binds the search answers as without it
+        # below that level and hands over there
+        rng = random.Random(67)
+        stops = set()
+        for draw in [seeded_signatures] * 100 + [planted_cycle] * 50:
+            sigs, k = draw(rng)
+            n = len(set(sigs) - {0})
+            full = min_logical_search(sigs, k, 9)
+            linked = next((t for t in range(1, min(9, n) + 1) if comb(n, t - t // 2) > n * n), None)
+            found = min_logical_search(sigs, k, 9, work_cap=sum(comb(n, u - u // 2) for u in range(1, 10)))
+            if linked is None or full.distance < linked:
+                assert found == full, sigs
+            else:
+                stop = ("connected", comb(n, linked - linked // 2))
+                assert found[:4] + (found.stop,) == (None, None, "mitm", linked, stop), sigs
+                stops.add(linked)
+        assert stops == {5, 7}
