@@ -7,14 +7,12 @@ for each (n, dim, d) class, dim being the dimension of the logical space
 and d the Kunneth prediction.  For each class it prints the route and level
 that answered codes.css_search, the kernel's work counts (probes: table
 lookups; table_entries: subsets put into tables) and the best-of-N
-perf_counter time of css_search in milliseconds.  A class that exceeds a
-cap prints route "capped" with the level the cap stopped at.  The last
-column names what stopped the kernel, on capped classes and on those it
-handed over to enumeration: "table" (over table_cap entries), "walk" (over
-the walk cap, 100 x table_cap subsets, or the 2^dim vectors of the logical
-space) or "connected" (its first connected level, where a logical space of
-at most 100 x table_cap vectors is enumerated instead); "-" when the kernel
-answered.
+perf_counter time of css_search in milliseconds.  A class whose logical
+space of 2^dim vectors fits in the walk cap, 100 x table_cap, is enumerated
+instead: route "exhaustive", level d and no kernel counts.  A class that
+exceeds a cap prints route "capped" with the level the cap stopped at.  The
+last column names what stopped the kernel: "table" (over table_cap entries)
+or "walk" (over the walk cap); "-" when nothing did.
 
 With --spread it asks the X distance of seeded random codes whose logical
 space, of dimension dim = 20, 22, ..., 28, is spread over n = 3 dim qubits
@@ -79,7 +77,7 @@ def grid_classes():
 
 def capped_search(q, basis):
     """The kernel run of a css_search that no route fits (2^dim over the
-    walk cap, so no work cap), for the level its cap stopped at, the side
+    walk cap, so no enumeration), for the level its cap stopped at, the side
     that stopped it and its counts."""
     sigs, k = logical_signatures(q, basis)
     return min_logical_search(sigs, k, q.n, witness=False)

@@ -6,11 +6,10 @@ walks or enumerates at most W = MITM_PROBE_FACTOR * table_cap.  One
 meet-in-the-middle kernel serves the code and effective distances and stops
 at the level where either limit would be exceeded; Search, the record that
 every exact search returns, names both.  When the 2^dim vectors
-of the logical space fit in W, css_search runs the kernel's lex levels only
-and hands over to an exact enumeration of that space at its first connected
-level or a cap, above ten rows by Brouwer-Zimmermann over disjoint
-information sets, which stops once its lower bound meets the best logical
-found; otherwise a stopped kernel raises CapExceeded.  classical_distance
+of the logical space fit in W, css_search enumerates that space instead,
+above ten rows by Brouwer-Zimmermann over disjoint information sets, which
+stops once its lower bound meets the best logical found; otherwise it runs
+the kernel, and a stopped kernel raises CapExceeded.  classical_distance
 enumerates its 2^k codewords under the same test.  The kernel
 searches one item per distinct nonzero signature and, on wide levels,
 probes only subsets connected through shared syndrome bits.  Such a level
@@ -274,34 +273,26 @@ def css_distance(q: CssCode, basis: str, table_cap: int = MITM_TABLE_CAP) -> int
 
 
 def css_search(q: CssCode, basis: str, table_cap: int = MITM_TABLE_CAP) -> Search:
-    """css_distance with the route that answered it.
-
-    The kernel runs over single-qubit supports, holding at most table_cap
-    table entries and walking at most W = MITM_PROBE_FACTOR * table_cap
-    subsets.  When the 2^dim vectors of the logical space (dim = k +
-    rank(same-basis checks)) fit in W, the kernel's walk is capped at 2^dim
-    instead, and at level t, its first connected one or a cap, that space is
-    enumerated (exhaustive_min_weight: by Brouwer-Zimmermann above
-    LOW_STAB_ROWS rows), stopping at weight t.  When 2^dim > W, a stopped
-    kernel raises CapExceeded naming 2^dim, W and t.
-    """
-    stabs = q.stab_pivots(basis).rows.values()  # neither enumeration depends on row order
+    """css_distance with the route that answered it: when the 2^dim vectors
+    of the logical space (dim = k + rank(same-basis checks)) fit in W =
+    MITM_PROBE_FACTOR * table_cap, an enumeration of that space
+    (exhaustive_min_weight), else the kernel over single-qubit supports,
+    whose stop raises CapExceeded naming 2^dim, W and its level."""
+    stabs = q.stab_pivots(basis).rows.values()  # the enumeration does not depend on row order
     if q.k == 0:
         return Search(INF, None, "exhaustive")
-    sigs, k = logical_signatures(q, basis)
     dim = q.k + len(stabs)
     walk_cap = MITM_PROBE_FACTOR * table_cap
-    work_cap = 1 << dim if 1 << dim <= walk_cap else INF
-    found = min_logical_search(sigs, k, q.n, table_cap, work_cap, witness=False)
-    if found.distance is not None:
-        return found
-    if work_cap == INF:
+    if 1 << dim <= walk_cap:
+        distance = exhaustive_min_weight(logical_basis(q, basis).rows, stabs)
+        return Search(distance, None, "exhaustive", distance)
+    found = min_logical_search(*logical_signatures(q, basis), q.n, table_cap, witness=False)
+    if found.distance is None:
         raise CapExceeded(
             f"no logical below weight {found.level}, where the search stopped; the 2^{dim} vectors of the "
             f"logical space exceed the walk cap {walk_cap} ({MITM_PROBE_FACTOR} x table_cap)"
         )
-    distance = exhaustive_min_weight(logical_basis(q, basis).rows, stabs, found.level)
-    return found._replace(distance=distance, route="exhaustive")
+    return found
 
 
 # -- the exact search kernel ---------------------------------------------
@@ -314,8 +305,7 @@ class Search(NamedTuple):
     """The result of every exact search: the kernel's, css_search's, and
     faultdist's.  distance is None when the kernel stopped at level `level`;
     stop then holds that level's count on the side that stopped it: ("table",
-    entries) or ("walk", subsets) for a cap, ("connected", subsets) for the
-    hand-over of a finite work_cap.  An inf distance was searched up to `level`.
+    entries) or ("walk", subsets).  An inf distance was searched up to `level`.
     witness holds one minimum set: sorted signature indices, or fault
     generators from faultdist.  probes counts table lookups, the witness pass's
     included: one per subset probed against a full table, one per holder of the
@@ -325,9 +315,9 @@ class Search(NamedTuple):
     witness is not counted.  table_entries counts the subsets put into
     tables.  route is "mitm" from the kernel, "oracle" from faultdist's brute
     force, "exhaustive" when css_search enumerated the logical space
-    (exhaustive_min_weight); the counts and stop are then the kernel's, up to
-    the level where it stopped.  (A NamedTuple: small searches build one per
-    call, and it builds faster than a frozen dataclass.)"""
+    (exhaustive_min_weight): level is then the distance, and no work is
+    counted.  (A NamedTuple: small searches build one per call, and it
+    builds faster than a frozen dataclass.)"""
     distance: int | float | None
     witness: tuple | None
     route: str
@@ -343,8 +333,7 @@ class Search(NamedTuple):
 
 
 def min_logical_search(
-    sigs: list[int], k: int, max_t: int, table_cap: int = MITM_TABLE_CAP, work_cap: int | float = INF,
-    witness: bool = True,
+    sigs: list[int], k: int, max_t: int, table_cap: int = MITM_TABLE_CAP, witness: bool = True
 ) -> Search:
     """Fewest signatures (see logical_signatures) whose XOR is a logical.
 
@@ -424,10 +413,7 @@ def min_logical_search(
     The search holds at most table_cap entries and walks at most W =
     MITM_PROBE_FACTOR * table_cap subsets per level: a level is capped when
     its table side exceeds table_cap ("table"), or its walk side exceeds W
-    or what is left of work_cap after the subsets walked so far ("walk"),
-    counting distinct signatures only.  A finite work_cap, the cost of the
-    caller's enumeration, also stops it at its first connected level
-    ("connected"): enumerating beats walking one.  It stops with distance
+    ("walk"), counting distinct signatures only.  It stops with distance
     None; no logical weighs less than that level.
     """
     distinct = dict.fromkeys(sigs)  # in order of first occurrence
@@ -437,27 +423,22 @@ def min_logical_search(
     syn = [s >> k for s in uniq]
     pair = [s & ((1 << k) - 1) for s in uniq]
 
-    walk_cap = MITM_PROBE_FACTOR * table_cap
-
-    def capped(t: int, spent: int) -> bool:
-        return comb(n, t // 2) > table_cap or comb(n, t - t // 2) > min(walk_cap, work_cap - spent)
+    def capped(t: int) -> bool:
+        return comb(n, t // 2) > table_cap or comb(n, t - t // 2) > MITM_PROBE_FACTOR * table_cap
 
     table, size, rent = {0: 0}, 0, 0  # every size-subset; extra lookups anchored on it so far
     nbr = anchors = None  # built at the first level that walks connected subsets or anchors
-    spent = probes = entries = 0
+    probes = entries = 0
     top = min(max_t, n)  # a minimum set holds each distinct signature at most once
     for t in range(1, top + 1):
         small, big = t // 2, t - t // 2
-        if capped(t, spent):
+        if capped(t):
             stop = ("table", comb(n, small)) if comb(n, small) > table_cap else ("walk", comb(n, big))
             return Search(None, None, "mitm", t, probes, entries, stop)
-        spent += comb(n, big)
         if size == small == big and MULTI not in table.values():
             continue  # an even level the full table answers: no two s-subsets pair into a logical
-        nxt = big > small and t < top and not capped(t + 1, spent)  # level t + 1 needs size big
+        nxt = big > small and t < top and not capped(t + 1)  # level t + 1 needs size big
         connected = _connected_pays(n, big)
-        if connected and work_cap < INF:  # css_search enumerates the logical space instead
-            return Search(None, None, "mitm", t, probes, entries, ("connected", comb(n, big)))
         if nbr is None and (connected or size < small):
             nbr, anchors = _adjacency(syn, pair)
         halve = connected and 0 < small == size < big  # odd level, full table: walk the small side, anchored
@@ -633,20 +614,19 @@ def _fill(syn, pair, r):
     return _probe(syn, pair, {}, _lex_walk(syn, pair, r), True)[2]
 
 
-def exhaustive_min_weight(logicals, stabs, floor: int = 1) -> int | float:
+def exhaustive_min_weight(logicals, stabs) -> int | float:
     """Least weight of a combination of independent rows, logicals plus
     stabs, with at least one logical in it; inf when there are no logicals.
 
     Up to LOW_STAB_ROWS rows, each logical combination meets a precomputed
     XOR table of the stabilizer span.  Beyond that, Brouwer-Zimmermann
-    enumeration (see _bz_min_weight), which also stops once it meets floor,
-    a known lower bound.
+    enumeration (see _bz_min_weight).
     """
     if not logicals:
         return INF
     if len(logicals) + len(stabs) > LOW_STAB_ROWS:
         rows = list(logicals) + list(stabs)
-        return _bz_min_weight(rows, [1 << i for i in range(len(logicals))] + [0] * len(stabs), floor)
+        return _bz_min_weight(rows, [1 << i for i in range(len(logicals))] + [0] * len(stabs))
     table = _span(stabs)
     return min(min(map(int.bit_count, map(v.__xor__, table))) for v in _span(logicals)[1:])
 
@@ -659,7 +639,7 @@ def _span(rows) -> list[int]:
     return span
 
 
-def _bz_min_weight(rows, lams, floor: int) -> int | float:
+def _bz_min_weight(rows, lams) -> int | float:
     """Brouwer-Zimmermann enumeration (Grassl, "Searching for linear codes
     with large minimum distance", 2006) of the dim independent rows: the
     least weight of a combination whose logical mask, the XOR of its rows'
@@ -674,8 +654,7 @@ def _bz_min_weight(rows, lams, floor: int) -> int | float:
     least sum_j max(0, done_j + 1 - (dim - r_j)).  Level w is run on each
     matrix whose term is positive after it (w >= dim - r_j); a partial
     matrix runs its lower levels first, since its term needs all of them.
-    The search stops once the best nontrivial weight is at most the larger
-    of that bound and floor.
+    The search stops once the best nontrivial weight is at most that bound.
     """
     dim = len(rows)
     sets = _information_sets(rows, lams)
@@ -683,7 +662,7 @@ def _bz_min_weight(rows, lams, floor: int) -> int | float:
     best = INF
 
     def stop() -> int:
-        return max(floor, sum(max(0, d + 1 - (dim - r)) for d, (*_, r) in zip(done, mats)))
+        return sum(max(0, d + 1 - (dim - r)) for d, (*_, r) in zip(done, mats))
 
     for w in range(1, dim + 1):
         # the next pass is built once level w can reach it

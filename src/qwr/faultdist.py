@@ -41,7 +41,7 @@ class FaultGenerator(NamedTuple):
     cut: int | None = None
 
 
-def enumerate_faults(q: CssCode, m: Schedule, basis: str, dedup: bool = True) -> list[FaultGenerator]:
+def enumerate_faults(q: CssCode, m: Schedule, basis: str) -> list[FaultGenerator]:
     """All fault generators with residuals of the given Pauli type.
 
     One data fault per qubit; one hook per cut position 1..w-1 of every step
@@ -54,17 +54,23 @@ def enumerate_faults(q: CssCode, m: Schedule, basis: str, dedup: bool = True) ->
     # fields by position (kind, basis, residual, qubit, step, row, cut): keywords cost more
     gens = [FaultGenerator("data", basis, 1 << qb, qb) for qb in range(q.n)]
     # generators come out by ascending origin, so the first of a residual is kept
-    seen = {g.residual for g in gens} if dedup else set()
+    seen = {g.residual for g in gens}
     for si, s in enumerate(m.steps):
         if s.basis != basis:
             continue
         for k, residual in enumerate(_hook_residuals(s.order), start=1):
-            if residual in seen:
-                continue
-            if dedup:
+            if residual not in seen:
                 seen.add(residual)
-            gens.append(FaultGenerator("hook", basis, residual, None, si, s.row, k))
+                gens.append(FaultGenerator("hook", basis, residual, None, si, s.row, k))
     return gens
+
+
+def _generators(q: CssCode, m: Schedule, basis: str, generators) -> list[FaultGenerator]:
+    """The given generators, once each is checked to be of the searched basis; else enumerate_faults'."""
+    for i, g in enumerate(generators or ()):
+        if g.basis != basis:
+            raise ValueError(f"generator {i} of a basis-{basis} search has basis {g.basis}: {g}")
+    return enumerate_faults(q, m, basis) if generators is None else generators
 
 
 def _hook_residuals(order) -> list[int]:
@@ -95,7 +101,7 @@ def effective_distance(
     """
     if max_d < 1:
         raise ValueError("max_d must be >= 1")
-    gens = enumerate_faults(q, m, basis) if generators is None else generators
+    gens = _generators(q, m, basis, generators)
     sigs, k = logical_signatures(q, basis, [g.residual for g in gens])  # checks the basis, also for k = 0
     if q.k == 0:
         return Search(INF, None, "mitm", max_d)
@@ -122,7 +128,7 @@ def oracle_effective_distance(
     generators: list[FaultGenerator] | None = None,
 ) -> Search:
     """Brute force over all generator subsets of size <= max_d; test use only."""
-    gens = enumerate_faults(q, m, basis) if generators is None else generators
+    gens = _generators(q, m, basis, generators)
     n = len(gens)
     total = sum(comb(n, t) for t in range(1, max_d + 1))
     if total > ORACLE_COMBO_CAP:

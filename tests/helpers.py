@@ -278,12 +278,11 @@ def reference_min_logical(sigs: list[int], k: int, max_t: int):
 
 # The Gray-code pass codes.exhaustive_min_weight made before it switched to
 # Brouwer-Zimmermann enumeration above ten rows, kept as its reference.
-def reference_exhaustive_min_weight(logicals, stabs, floor: int = 1) -> int | float:
+def reference_exhaustive_min_weight(logicals, stabs) -> int | float:
     """Least weight of a nonzero combination of logicals plus any of stabs.
 
     Gray code over the logical rows and all but the first ten stabilizer
-    rows; each vector meets a precomputed XOR table of those ten.  Stops
-    once the weight reaches floor, a known lower bound.
+    rows; each vector meets a precomputed XOR table of those ten.
     """
     table = [0]
     for row in stabs[:10]:
@@ -298,7 +297,7 @@ def reference_exhaustive_min_weight(logicals, stabs, floor: int = 1) -> int | fl
             lam ^= 1 << idx
         if lam:
             best = min(best, min(map(int.bit_count, map(v.__xor__, table))))
-            if best <= floor:
+            if best <= 1:
                 break
     return best
 

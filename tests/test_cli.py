@@ -591,9 +591,9 @@ class TestTooling:
                                                       "table_entries", "ms", "cap"]
         rows = [line.split() for line in res.stdout.splitlines()[2:]]
         assert [(int(r[0]), int(r[1])) for r in rows] == [(dim, 3 * dim) for dim in range(20, 29, 2) for _ in range(5)]
-        # n = 3 dim: each hands over at level 5, the first with C(n, 3) > n^2; the
-        # distances match a kernel that walks connected levels to 9 or 10 first
-        assert all(r[4:6] + r[9:] == ["exhaustive", "5", "connected"] for r in rows)
+        # 2^dim fits in the walk cap, so each logical space is enumerated: level d, no
+        # kernel work, no cap; the distances match a kernel that walks connected levels to 9 or 10 first
+        assert all(r[4:8] + r[9:] == ["exhaustive", r[3], "0", "0", "-"] for r in rows)
         assert [int(r[3]) for r in rows] == [11, 13, 11, 11, 13, 13, 13, 12, 13, 12, 15, 13, 15, 15, 13,
                                              14, 16, 15, 15, 15, 16, 17, 15, 15, 15]
 

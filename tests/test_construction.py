@@ -131,18 +131,16 @@ def carried_schedules():
 
 
 class TestEnumerateFaults:
-    @pytest.mark.parametrize("dedup", [True, False])
-    def test_carried_schedules(self, dedup):
+    def test_carried_schedules(self):
         for q, m in carried_schedules():
             for basis in "XZ":
-                assert enumerate_faults(q, m, basis, dedup) == reference_enumerate_faults(q, m, basis, dedup)
+                assert enumerate_faults(q, m, basis) == reference_enumerate_faults(q, m, basis)
 
-    @pytest.mark.parametrize("dedup", [True, False])
-    def test_random_schedules(self, dedup):
+    def test_random_schedules(self):
         for seed, q in enumerate([steane_code(), surface_code_2x3(), hgp(R3, R3)] + corpus(41, 2)):
             for m in enumerate_random_schedules(q, 4, seed):  # 20 schedules in all
                 for basis in "XZ":
-                    assert enumerate_faults(q, m, basis, dedup) == reference_enumerate_faults(q, m, basis, dedup)
+                    assert enumerate_faults(q, m, basis) == reference_enumerate_faults(q, m, basis)
 
 
     def test_stage_chain(self, stage_chain):

@@ -18,7 +18,7 @@ from qwr.hgp import hgp
 from qwr.reduce import thicken
 from qwr.schedule import Schedule, Step, balanced_schedule, baseline_schedule, enumerate_random_schedules
 
-from helpers import corpus, random_css, reference_component_audit
+from helpers import corpus, random_css, reference_component_audit, reference_enumerate_faults
 
 
 class TestEnumerateFaults:
@@ -27,7 +27,7 @@ class TestEnumerateFaults:
         hx = BinMatrix.from_rows([[1, 1, 1, 1, 1]])
         q = CssCode(hx, BinMatrix([], 5))
         m = Schedule((Step("X", 0, (0, 1, 2, 3, 4)),))
-        gens = enumerate_faults(q, m, "X", dedup=False)
+        gens = enumerate_faults(q, m, "X")
         hooks = [g for g in gens if g.kind == "hook"]
         cut2 = [g for g in hooks if g.cut == 2][0]
         assert cut2.residual == 0b11100
@@ -36,16 +36,19 @@ class TestEnumerateFaults:
         hx = BinMatrix.from_rows([[1, 1]])
         q = CssCode(hx, BinMatrix([], 2))
         m = Schedule((Step("X", 0, (0, 1)),))
-        hooks = [g for g in enumerate_faults(q, m, "X", dedup=False) if g.kind == "hook"]
+        hooks = [g for g in reference_enumerate_faults(q, m, "X", dedup=False) if g.kind == "hook"]
         assert len(hooks) == 1
         assert hooks[0].residual.bit_count() == 1
+        # that hook leaves a data fault's residual, so the fault list drops it
+        assert [g.kind for g in enumerate_faults(q, m, "X")] == ["data", "data"]
 
     def test_steane_seed0_count(self):
         q = steane_code()
         m = baseline_schedule(q, 0)
-        gens = enumerate_faults(q, m, "X", dedup=False)
+        every = reference_enumerate_faults(q, m, "X", dedup=False)
         expected = q.n + sum(len(s.order) - 1 for s in m.steps if s.basis == "X")
-        assert len(gens) == expected
+        assert len(every) == expected
+        assert len(enumerate_faults(q, m, "X")) == len({g.residual for g in every})
 
     def test_dedup_keeps_lowest_origin(self):
         q = steane_code()
@@ -59,7 +62,7 @@ class TestEnumerateFaults:
     def test_opposite_basis_steps_excluded(self):
         q = steane_code()
         m = baseline_schedule(q, 0)
-        gens = enumerate_faults(q, m, "Z", dedup=False)
+        gens = enumerate_faults(q, m, "Z")
         assert all(m.steps[g.step].basis == "Z" for g in gens if g.kind == "hook")
 
 
@@ -86,6 +89,21 @@ class TestEffectiveDistance:
         q = CssCode(BinMatrix([], 1), BinMatrix([], 1))
         m = baseline_schedule(q, 0)
         assert effective_distance(q, m, "X", 2).distance == 1
+
+    def test_generators_of_the_other_basis_raise(self):
+        # searched as X faults, the Z generators would answer 1 through a Z
+        # hook, though the X effective distance is 2
+        q = surface_code_2x3()
+        m = baseline_schedule(q, 0)
+        x_gens, z_gens = enumerate_faults(q, m, "X"), enumerate_faults(q, m, "Z")
+        for search in (effective_distance, oracle_effective_distance):
+            assert search(q, m, "X", 4, generators=x_gens).distance == 2
+            message = f"generator 0 of a basis-X search has basis Z: {z_gens[0]}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                search(q, m, "X", 4, generators=z_gens)
+            # the first mismatch is named, here after every X generator
+            with pytest.raises(ValueError, match=f"^generator {len(x_gens)} of a basis-X search has basis Z"):
+                search(q, m, "X", 4, generators=x_gens + z_gens[::-1])
 
     def test_upper_bounded_by_code_distance(self):
         for q in corpus(53, 8, n_max=9):
@@ -131,7 +149,7 @@ class TestOracleEquivalence:
             m = baseline_schedule(q, seed)
             for basis in ("X", "Z"):
                 deduped = enumerate_faults(q, m, basis)
-                full = enumerate_faults(q, m, basis, dedup=False)
+                full = reference_enumerate_faults(q, m, basis, dedup=False)
                 a = effective_distance(q, m, basis, 4, generators=deduped)
                 b = effective_distance(q, m, basis, 4, generators=full)
                 assert b.distance <= a.distance
@@ -169,7 +187,7 @@ class TestComponentAudit:
         s = surface_code_2x3()
         st, bm = thicken(s, 3)
         m = balanced_schedule(baseline_schedule(s, 5), bm)
-        faults = enumerate_faults(st, m, "X", dedup=False) + enumerate_faults(st, m, "Z", dedup=False)
+        faults = [g for basis in "XZ" for g in reference_enumerate_faults(st, m, basis, dedup=False)]
         rep = component_weight_audit(st, bm, faults)
         assert rep.ok and rep.checked > 0
 
@@ -203,11 +221,13 @@ class TestComponentAudit:
 
     @pytest.mark.parametrize("dedup", [False, True])
     def test_matches_per_bit_reference(self, dedup):
+        # every generator with its duplicates, or the fault list
+        faults_of = enumerate_faults if dedup else lambda q, m, basis: reference_enumerate_faults(q, m, basis, False)
         cases = [(surface_code_2x3(), 3), (steane_code(), 2), (hgp(repetition_code(3), repetition_code(3)), 2)]
         for q, ell in cases:
             qt, bm = thicken(q, ell)
             for m in [balanced_schedule(baseline_schedule(q, 5), bm)] + enumerate_random_schedules(qt, 2, seed=4):
-                faults = enumerate_faults(qt, m, "X", dedup=dedup) + enumerate_faults(qt, m, "Z", dedup=dedup)
+                faults = faults_of(qt, m, "X") + faults_of(qt, m, "Z")
                 rep = component_weight_audit(qt, bm, faults)
                 # a hook residual lies inside one check of the thickened code, so every schedule passes
                 assert rep.ok and (rep.checked, rep.violations) == reference_component_audit(bm, faults)

@@ -1,12 +1,12 @@
 """The exact search kernel against the original meet-in-the-middle search,
-the brute-force oracle, and css_search's exhaustive hand-over, whose
+the brute-force oracle, and css_search's exhaustive route, whose
 Brouwer-Zimmermann enumeration is checked against the Gray-code pass it
 replaced and against brute force."""
 
 import random
 import re
 from functools import reduce
-from itertools import accumulate, combinations, product
+from itertools import combinations, product
 from math import comb
 from operator import xor
 
@@ -41,6 +41,7 @@ from helpers import (
     load_script,
     random_classical,
     random_css,
+    reference_enumerate_faults,
     reference_exhaustive_min_weight,
     reference_logical_basis,
     reference_logical_signatures,
@@ -56,11 +57,11 @@ def grid_code(names: str, level: int):
     return higher_dim_hgp(spec)[0]
 
 
-def kernel_search(q, basis, max_t=None):
-    """The kernel alone on single-qubit supports, up to level max_t (every
-    level by default): css_search with no work cap, so no hand-over."""
+def kernel_search(q, basis):
+    """The kernel alone on single-qubit supports, every level, whatever the
+    size of the logical space."""
     sigs, k = logical_signatures(q, basis)
-    return min_logical_search(sigs, k, max_t or q.n, witness=False)
+    return min_logical_search(sigs, k, q.n, witness=False)
 
 
 def enumerated_distance(q, basis):
@@ -105,8 +106,8 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("seed, n_max, max_d", [(109, 8, 3), (113, 7, 4)])
     def test_matches_reference_and_oracle_on_corpus(self, seed, n_max, max_d):
         for q, m, basis in fault_cases(seed, 25, n_max):
-            for dedup in (True, False):
-                gens = enumerate_faults(q, m, basis, dedup=dedup)
+            # the deduplicated list, and every generator with its duplicates
+            for gens in (enumerate_faults(q, m, basis), reference_enumerate_faults(q, m, basis, dedup=False)):
                 sigs, k = logical_signatures(q, basis, [g.residual for g in gens])
                 found = min_logical_search(sigs, k, max_d)
                 assert (found.distance, found.witness) == reference_min_logical(sigs, k, max_d)
@@ -169,8 +170,7 @@ class TestRepresentativeInvariance:
     @pytest.mark.parametrize("seed, n_max, max_d", [(109, 8, 3), (113, 7, 4)])
     def test_fault_corpora(self, seed, n_max, max_d):
         for q, m, basis in fault_cases(seed, 25, n_max):
-            for dedup in (True, False):
-                gens = enumerate_faults(q, m, basis, dedup=dedup)
+            for gens in (enumerate_faults(q, m, basis), reference_enumerate_faults(q, m, basis, dedup=False)):
                 assert_representatives_do_not_matter(q, basis, [g.residual for g in gens], max_d)
 
     @settings(max_examples=60, deadline=None)
@@ -202,14 +202,17 @@ class TestExhaustiveRoute:
             assert classical_distance(c) == min((v.bit_count() for v in words), default=INF)
 
     def test_cap_falls_back_to_exhaustive(self):
-        # n=80, dim 18, d=20: lex level 4 needs C(80, 2) = 3,160 > 2,622
-        # table entries, one level before the first connected one (C(80, 3)
-        # > 80^2).  2,622 is the least table cap whose walk cap, 100 times
-        # it, holds the 2^18 = 262,144 vectors of the logical space
+        # n=80, dim 18, d=20: 2,622 is the least table cap whose walk cap,
+        # 100 times it, holds the 2^18 = 262,144 vectors of the logical
+        # space, so the space is enumerated and the kernel does not run.  One
+        # entry less and the kernel runs: lex level 4 needs C(80, 2) = 3,160
+        # > 2,621 table entries
         q = spread_code(random.Random(0), 18, 80)
-        found = css_search(q, "X", table_cap=2622)
-        assert (found.distance, found.route, found.level, found.stop) == (20, "exhaustive", 4, ("table", 3160))
-        assert css_search(q, "X")[2:] == ("exhaustive", 5, 3240, 3240, ("connected", comb(80, 3)))
+        assert css_search(q, "X", table_cap=2622) == codes.Search(20, None, "exhaustive", 20)
+        message = ("no logical below weight 4, where the search stopped; the 2^18 vectors of the "
+                   "logical space exceed the walk cap 262100 (100 x table_cap)")
+        with pytest.raises(CapExceeded, match=f"^{re.escape(message)}$"):
+            css_search(q, "X", table_cap=2621)
 
 
 # random CSS codes whose X logical space, of a given dimension, is spread over n qubits
@@ -233,8 +236,7 @@ class TestBrouwerZimmermann:
                 d = reference_exhaustive_min_weight(logicals, stabs)
                 if dim <= 16:
                     assert brute_force_min_weight(logicals, stabs) == d
-                for floor in range(1, d + 1):
-                    assert exhaustive_min_weight(logicals, stabs, floor) == d, (dim, n, floor)
+                assert exhaustive_min_weight(logicals, stabs) == d, (dim, n)
                 ranks = [r for *_, r in codes._information_sets(logicals + stabs, [1] * dim)]
                 full = ranks.count(dim)
                 shapes["one partial"] += full == 1 and len(ranks) == 2
@@ -253,7 +255,7 @@ class TestBrouwerZimmermann:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(codes, "_column_order", sorted)
             assert [r for *_, r in codes._information_sets(rows, lams)] == [4, 2, 2, 2]
-            assert codes._bz_min_weight(rows, lams, 1) == 3 == brute_force_min_weight(rows[:1], rows[1:])
+            assert codes._bz_min_weight(rows, lams) == 3 == brute_force_min_weight(rows[:1], rows[1:])
 
     def test_no_logicals(self):
         rng = random.Random(73)
@@ -275,8 +277,9 @@ class TestBrouwerZimmermann:
 
     def test_grid_matches_kunneth(self):
         # each (n, dim, d) class of the rep(2)/rep(3)/Hamming product grid
-        # (n <= 140, as scripts/search_costs.py) with dim <= 26, enumerated
-        # from the first level
+        # (n <= 140, as scripts/search_costs.py) with dim <= 28, whose 2^dim
+        # vectors fit in the walk cap: css_search enumerates it, the kernel
+        # does not run, and the uncapped kernel agrees
         seen = set()
         for count in (2, 3):
             for names in product(FACTORS, repeat=count):
@@ -288,18 +291,18 @@ class TestBrouwerZimmermann:
                     pred = kunneth_distance_predictor(spec)
                     for basis, d in (("X", pred.d_x), ("Z", pred.d_z)):
                         dim = q.k + (q.rank_x if basis == "X" else q.rank_z)
-                        if dim <= 26 and (q.n, dim, d) not in seen:
+                        if dim <= 28 and (q.n, dim, d) not in seen:
                             seen.add((q.n, dim, d))
-                            assert enumerated_distance(q, basis) == d, (names, level)
-        assert len(seen) == 23
+                            assert css_search(q, basis) == codes.Search(d, None, "exhaustive", d), (names, level)
+                            assert kernel_search(q, basis).distance == d, (names, level)
+        assert len(seen) == 25
 
 
 class TestRouteChoice:
-    # r3r3r3 hands over at its first connected level, 5, after 1,326 probes:
-    # 2.7-2.9 ms where walking connected levels 5-7 first took 9.5-10.4 ms.
-    # r2r3h7 hands over at level 5 and Brouwer-Zimmermann answers 6 from it:
-    # 1.04-1.11 ms against 1.11-1.16 ms for the kernel through level 6
-    # (medians and minima of 61 css_search calls, 2-vCPU VM, pinned CPU)
+    # each logical space fits in the walk cap and is enumerated from weight 1:
+    # r3r3r3 in 2.1-2.3 ms, where the kernel alone takes 17-22 ms; r2r3h7 in
+    # 0.37-0.42 ms against 0.88-0.98 ms (medians of 21 and 61 calls, 2-vCPU
+    # VM, pinned CPU)
     @pytest.mark.parametrize(
         "name, build, basis, distance, route",
         [
@@ -313,19 +316,6 @@ class TestRouteChoice:
         found = css_search(q, basis)
         assert (found.distance, found.route) == (distance, route), name
         assert _entry(css_search, q, basis) == {"value": distance, "method": route, "bound": None}
-
-    @pytest.mark.parametrize("dim, distance", [(20, 11), (24, 14)])
-    def test_spread_codes_hand_over_at_the_first_connected_level(self, dim, distance):
-        # n = 3 dim distinct single-qubit signatures: C(n, 2) <= n^2 < C(n, 3),
-        # so level 5 is the first connected one, well before the 2^dim work cap
-        q = spread_code(random.Random(0), dim, 3 * dim)
-        found = css_search(q, "X")
-        assert found[:4] + (found.stop,) == (distance, None, "exhaustive", 5, ("connected", comb(3 * dim, 3)))
-        assert kernel_search(q, "X", found.level).distance == INF  # none up to the hand-over level
-        assert enumerated_distance(q, "X") == distance  # from weight 1
-        if dim <= 22:  # the Gray-code reference walks 2^dim vectors: about 2 s at dim 24
-            logicals, stabs = list(logical_basis(q, "X").rows), list(q.x_pivots.rows.values())
-            assert reference_exhaustive_min_weight(logicals, stabs) == distance
 
 
 def connected_only(mp):
@@ -959,60 +949,3 @@ class TestLevelBound:
     def test_no_signatures(self):
         found = min_logical_search([0, 0], 1, 10 ** 6)
         assert found == codes.Search(INF, None, "mitm", level=10 ** 6, probes=0, table_entries=0, stop=None)
-
-
-class TestWorkCap:
-    @pytest.mark.parametrize("force", [connected_only, odd_connected, lex_only])
-    def test_stops_where_the_walked_subsets_exceed_the_cap(self, force):
-        # with work_cap W the search either answers as without it or stops,
-        # distance None, at the first level t whose walked subsets
-        # sum_{u <= t} C(n, ceil(u/2)) exceed W (n distinct nonzero signatures),
-        # or, where no such level comes first, at its first connected level,
-        # where the caller's enumeration of cost W takes over
-        rng = random.Random(67)
-        stops = set()
-        with pytest.MonkeyPatch.context() as mp:
-            force(mp)
-            for draw in [seeded_signatures] * 100 + [planted_cycle] * 50:
-                sigs, k = draw(rng)
-                n = len(set(sigs) - {0})
-                full = min_logical_search(sigs, k, 9)
-                reached = min(9, n) if full.distance == INF else full.distance
-                walked = list(accumulate(comb(n, u - u // 2) for u in range(1, reached + 1)))
-                linked = next((t for t in range(1, reached + 1) if codes._connected_pays(n, t - t // 2)), None)
-                for cap in {0, *(w - 1 for w in walked), *walked[-1:]}:
-                    found = min_logical_search(sigs, k, 9, work_cap=cap)
-                    level = next((t for t, w in enumerate(walked, 1) if w > cap), None)
-                    side = "walk"
-                    if linked is not None and (level is None or linked < level):
-                        side, level = "connected", linked
-                    if level is None:
-                        assert found == full, (sigs, cap)
-                    else:
-                        stop = (side, comb(n, level - level // 2))
-                        assert found[:4] + (found.stop,) == (None, None, "mitm", level, stop), (sigs, cap)
-                        stops.add((side, level))
-        if force is lex_only:
-            assert stops == {("walk", t) for t in range(1, 10)}
-        else:  # level 1 is connected: a cap below its n subsets stops it, else it hands over
-            assert stops == {("walk", 1), ("connected", 1)}
-
-    def test_hands_over_at_the_first_connected_level(self):
-        # unforced, the seeded signatures are first connected at level 5 or 7;
-        # under a work cap that never binds the search answers as without it
-        # below that level and hands over there
-        rng = random.Random(67)
-        stops = set()
-        for draw in [seeded_signatures] * 100 + [planted_cycle] * 50:
-            sigs, k = draw(rng)
-            n = len(set(sigs) - {0})
-            full = min_logical_search(sigs, k, 9)
-            linked = next((t for t in range(1, min(9, n) + 1) if comb(n, t - t // 2) > n * n), None)
-            found = min_logical_search(sigs, k, 9, work_cap=sum(comb(n, u - u // 2) for u in range(1, 10)))
-            if linked is None or full.distance < linked:
-                assert found == full, sigs
-            else:
-                stop = ("connected", comb(n, linked - linked // 2))
-                assert found[:4] + (found.stop,) == (None, None, "mitm", linked, stop), sigs
-                stops.add(linked)
-        assert stops == {5, 7}
