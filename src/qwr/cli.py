@@ -151,11 +151,12 @@ def run_pipeline(cfg: argparse.Namespace) -> dict:
     code = CssCode(hx, hz)
     timing["parse"] = time.monotonic() - t0
 
-    schedule = None
-    schedule_mode = cfg.schedule
+    schedule, seed = None, cfg.seed
+    schedule_mode = f"seed:{seed}" if cfg.schedule == "derived" else cfg.schedule
     if schedule_mode:
         if schedule_mode.startswith("seed:"):
-            schedule = baseline_schedule(code, _spec_int(schedule_mode))
+            seed = _spec_int(schedule_mode)
+            schedule = baseline_schedule(code, seed)
         elif schedule_mode.startswith("file:"):
             path = schedule_mode.split(":", 1)[1]
             with open(path, "r", encoding="utf-8") as f:
@@ -163,8 +164,6 @@ def run_pipeline(cfg: argparse.Namespace) -> dict:
                     schedule = parse_schedule(f.read())
                 except ValueError as e:
                     raise UsageError(f"{path}: {e}") from e
-        elif schedule_mode == "derived":
-            schedule = baseline_schedule(code, cfg.seed)
         else:
             raise UsageError(f"bad --schedule value {schedule_mode!r}")
         schedule.validate(code)
@@ -202,7 +201,7 @@ def run_pipeline(cfg: argparse.Namespace) -> dict:
             "hx": {"path": cfg.hx_path, "sha256": _digest(cfg.hx_path)},
             "hz": {"path": cfg.hz_path, "sha256": _digest(cfg.hz_path)},
         },
-        "seed": cfg.seed,
+        "seed": seed,
         "code": _code_params(code),
         "transforms": provenance,
         "distances": distances,

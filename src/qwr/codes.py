@@ -347,13 +347,14 @@ def min_logical_search(
     table of floor(t/2)-subsets, which maps each syndrome to its pairing,
     or to MULTI once two pairings share it; a subset hits when the table
     holds its syndrome with another pairing.  The size-s table serves
-    t = 2s and 2s+1.  Where all ceil(t/2)-subsets outnumber n^2 pairs, only
-    the connected ones are probed: calling two signatures adjacent when
-    their syndromes share a bit, a minimum set is connected (parts with
-    disjoint syndrome bits would each have zero syndrome, so one is a
-    smaller logical), hence holds a connected ceil(t/2)-subset whose
-    complement is in the table.  Otherwise the lex walk probes every subset
-    and fills the size-(s+1) table on the way.
+    t = 2s and 2s+1.  Where all ceil(t/2)-subsets outnumber n^2 pairs, so
+    that connected levels start at ceil(t/2) = 3, only the connected ones
+    are probed: calling two signatures adjacent when their syndromes share
+    a bit, a minimum set is connected (parts with disjoint syndrome bits
+    would each have zero syndrome, so one is a smaller logical), hence
+    holds a connected ceil(t/2)-subset whose complement is in the table.
+    Otherwise the lex walk probes every subset and fills the size-(s+1)
+    table on the way.
 
     An even level t = 2s that starts with the full size-s table hits iff
     the table holds MULTI, and is walked (for the witness) only then, its
@@ -396,8 +397,7 @@ def min_logical_search(
     hit, a witness pass walks in lex order only the ceil(t/2)-subsets whose
     least index is v, the least index of that hit, against the table the
     level holds (through the anchor if it is one size short).  It fills no
-    table, and is skipped when ceil(t/2) = 1, where the hit is A*.  Both
-    shortcuts keep the witness:
+    table.  Both shortcuts keep the witness:
     - Partners lie above A*.  For a partner B, A* + B is a minimum set
       whose first ceil(t/2) indices hit and come no later than A* in lex
       order, so they are A*: every index of B exceeds max(A*).
@@ -439,9 +439,9 @@ def min_logical_search(
             continue  # an even level the full table answers: no two s-subsets pair into a logical
         nxt = big > small and t < top and not capped(t + 1)  # level t + 1 needs size big
         connected = _connected_pays(n, big)
-        if nbr is None and (connected or size < small):
+        if nbr is None and connected:  # a table one size short only ever follows a connected level
             nbr, anchors = _adjacency(syn, pair)
-        halve = connected and 0 < small == size < big  # odd level, full table: walk the small side, anchored
+        halve = connected and small == size < big  # odd level, full table: walk the small side, anchored
         walk = _connected_walk(syn, pair, nbr, small if halve else big) if connected else _lex_walk(syn, pair, big)
         grow = nxt and not connected and size == small
         hit = None
@@ -456,7 +456,7 @@ def min_logical_search(
         if walk is not None:
             hit, count, grown = _probe(syn, pair, table, walk, grow)
             probes += count
-        if hit is not None and witness and connected and big > 1:  # the lex-first hitter starts at hit's root
+        if hit is not None and witness and connected:  # the lex-first hitter starts at hit's root
             v = min(hit)
             lead = _lex_walk(syn, pair, big - 1, v + 1, (v,), syn[v], pair[v])
             if size == small:
@@ -488,7 +488,8 @@ def min_logical_search(
 
 def _connected_pays(n: int, r: int) -> bool:
     """Probe only connected r-subsets of n signatures: worth building the
-    neighbour masks once all r-subsets outnumber the n^2 pairs."""
+    neighbour masks once all r-subsets outnumber the n^2 pairs, which takes
+    r >= 3."""
     return comb(n, r) > n * n
 
 
@@ -508,11 +509,9 @@ def _connected_walk(syn, pair, nbr, r):
 
     ESU enumeration (Wernicke 2006): a subset grows from its least index v
     through neighbours above v; each added index w extends the candidates by
-    its neighbours not yet in or next to the subset.
+    its neighbours not yet in or next to the subset.  r >= 2: a connected
+    level walks ceil(t/2) >= 3 indices, or floor(t/2) >= 2 on its small side.
     """
-    if r == 1:
-        yield (), range(len(syn)), 0, 0
-        return
     for v in range(len(syn)):
         above = -2 << v
         yield from _esu(syn, pair, nbr, r - 1, (v,), bit_indices(nbr[v] & above), nbr[v] | 1 << v, above,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import ClassVar
 
 from .codes import MITM_PROBE_FACTOR, MITM_TABLE_CAP, CapExceeded, CssCode, _span
-from .f2la import BinMatrix, bit_indices, kernel_basis, mat_mul, solve, transpose
+from .f2la import BinMatrix, bit_indices, kernel_basis, solve
 from .reduce import choose_heights, greedy_heights, thicken
 
 
@@ -41,7 +41,10 @@ class ChainMapF:
 
     1-cells map to their original qubit, 0-cells to their X row (chords to
     zero), -1-cells to zero.  The map itself is read off the part tuples;
-    this object carries the ambient dimensions and build metadata.
+    this object carries the ambient dimensions and build metadata.  The
+    chain-map condition needs no check of its own: at qubit p and X row r it
+    holds iff row r, extended by its cone qubits, meets the 1-cell Z row of
+    p evenly, which the cone code's CssCode commutation check decides.
     """
 
     n: int
@@ -50,30 +53,12 @@ class ChainMapF:
     skipped_rows: tuple[int, ...] = ()
     cycle_basis: ClassVar[str] = "spanning-tree fundamental cycles"
 
-    def validate(self, h_x: BinMatrix, parts: tuple[ConeComplexPart, ...]) -> None:
-        """Check f.d_B == d_A.f on every 1-cell, as a matrix identity: row p
-        of d_1^T.F0, where row t of F0 is the X row of 0-cell t (zero for a
-        chord), is column one_cells[p] of h_x."""
-        cols = transpose(h_x).rows
-        for part in parts:
-            f0 = BinMatrix([0 if xr is None else 1 << xr for xr, _, _ in part.zero_cells], h_x.nrows)
-            image = mat_mul(transpose(_part_d1(part)), f0).rows
-            for qubit, v in zip(part.one_cells, image):
-                if v != cols[qubit]:
-                    raise ValueError(
-                        f"chain-map condition fails at qubit {qubit} of part for Z row {part.parent_z_row}"
-                    )
-
 
 def _part_boundaries(part: ConeComplexPart) -> tuple[BinMatrix, BinMatrix]:
     """(d_1, d_0) of a part: 0-cells x 1-cells, then -1-cells x 0-cells."""
-    return _part_d1(part), BinMatrix.from_support(part.minus_one_cells, len(part.zero_cells))
-
-
-def _part_d1(part: ConeComplexPart) -> BinMatrix:
-    """d_1 of a part, all that ChainMapF.validate reads."""
     pos = {qb: p for p, qb in enumerate(part.one_cells)}
-    return BinMatrix.from_support([(pos[qa], pos[qb]) for _, qa, qb in part.zero_cells], len(part.one_cells))
+    d1 = BinMatrix.from_support([(pos[qa], pos[qb]) for _, qa, qb in part.zero_cells], len(part.one_cells))
+    return d1, BinMatrix.from_support(part.minus_one_cells, len(part.zero_cells))
 
 
 def _fundamental_cycles(n_vertices: int, edges: list[tuple[int, int]]) -> tuple[list[tuple[int, ...]], int]:
@@ -205,7 +190,8 @@ def _walk_cycle(part: ConeComplexPart, cyc: tuple[int, ...]) -> tuple[list[int],
 class ConeIndex:
     """Numbering of the cone code, built in one pass over the parts: original
     rows and columns first, then each part's cells appended in part order
-    (0-cells as qubits, -1-cells as X rows, 1-cells as Z rows)."""
+    (0-cells as qubits, -1-cells as X rows, 1-cells as Z rows).  A 0-cell
+    naming an X row the code lacks raises ValueError: no row would read it."""
 
     def __init__(self, parts: tuple[ConeComplexPart, ...], f: ChainMapF):
         coned = {p.parent_z_row for p in parts}
@@ -222,6 +208,9 @@ class ConeIndex:
             support = {qubit: [qubit] for qubit in part.one_cells}
             for t, (xr, qa, qb) in enumerate(part.zero_cells, start=n_qubits):
                 if xr is not None:
+                    if not 0 <= xr < f.n_x:
+                        raise ValueError(f"part for Z row {part.parent_z_row}: a 0-cell names X row {xr}, "
+                                         f"but the code has {f.n_x} X rows")
                     self.x_extra.setdefault(xr, []).append(t)
                 support[qa].append(t)
                 support[qb].append(t)
@@ -237,7 +226,6 @@ class ConeIndex:
 
 def cone_code(q: CssCode, parts: tuple[ConeComplexPart, ...], f: ChainMapF) -> CssCode:
     """Mapping cone of f: coned Z rows replaced by their parts' cell rows."""
-    f.validate(q.h_x, parts)
     idx = ConeIndex(parts, f)
     bits = lambda support: sum(1 << qb for qb in support)
     x_rows = [v | bits(idx.x_extra.get(r, ())) for r, v in enumerate(q.h_x.rows)]

@@ -358,12 +358,13 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_faultdist_defaults(self, steane_files, seed, capsys):
-        """faultdist alone means --schedule derived (= seed:<seed>) and --max-d 6;
-        the other subcommands keep no schedule."""
+        """faultdist alone means --schedule derived (= seed:<seed>) and --max-d 6,
+        and either way the report names the seed that built the schedule; the
+        other subcommands keep no schedule."""
         hx, hz = steane_files
         reports = []
-        for flags in [[], ["--schedule", f"seed:{seed}", "--max-d", "6"]]:
-            assert main(["faultdist", "--hx", hx, "--hz", hz, "--seed", str(seed)] + flags) == 0
+        for flags in [["--seed", str(seed)], ["--schedule", f"seed:{seed}", "--max-d", "6"]]:
+            assert main(["faultdist", "--hx", hx, "--hz", hz] + flags) == 0
             reports.append(json.loads(capsys.readouterr().out))
             reports[-1].pop("timing_s")
         assert reports[0] == reports[1]

@@ -20,6 +20,7 @@ from qwr.cone import (
 )
 from qwr.f2la import BinMatrix, mat_mul, rank
 from qwr.hgp import hgp
+from qwr.schedule import baseline_schedule, cone_schedule
 
 from helpers import (
     corpus,
@@ -109,11 +110,26 @@ class TestConeCode:
             assert qr.k == q.k
 
     def test_chain_map_validated(self):
+        # the broken chain-map condition at a qubit makes the cone code's X
+        # row anticommute with that qubit's 1-cell Z row
         r, parts, f, _ = hexagon_parts()
         broken = parts[0].zero_cells[:-1] + ((2, parts[0].zero_cells[-1][1], parts[0].zero_cells[-1][2]),)
         bad = ConeComplexPart(parts[0].parent_z_row, parts[0].one_cells, broken, parts[0].minus_one_cells)
-        with pytest.raises(ValueError, match="chain-map"):
+        with pytest.raises(ValueError, match="^stabilizers anticommute: X row 2 vs Z row 4$"):
             cone_code(r, (bad,), f)
+
+    def test_zero_cell_outside_the_x_rows_raises(self):
+        # an added 0-cell naming X row n_x enters two 1-cell Z rows and no X
+        # row, so the code would commute: the numbering itself refuses it
+        r, parts, f, _ = hexagon_parts()
+        _, qa, qb = parts[0].zero_cells[-1]
+        extra = parts[0].zero_cells + ((r.n_x, qa, qb),)
+        bad = (ConeComplexPart(parts[0].parent_z_row, parts[0].one_cells, extra, parts[0].minus_one_cells),)
+        message = f"^part for Z row 0: a 0-cell names X row {r.n_x}, but the code has {r.n_x} X rows$"
+        with pytest.raises(ValueError, match=message):
+            cone_code(r, bad, f)
+        with pytest.raises(ValueError, match=message):
+            cone_schedule(baseline_schedule(r, 0), bad, f)
 
 
 class TestCellulate:
