@@ -11,11 +11,13 @@ of component_weight_audit over the hook faults (thickened stage only), of
 enumerate_faults in both bases, of Schedule.validate, and of the
 construction that builds the stage (input: hgp; copy: copy_code; gauge:
 gauge_code; cone: cone_code on the cellulated parts; thicken and
-thicken_cone: reduce.thicken), and of transpose on both check matrices.
-rank, kernel_basis, solve and transpose run on fresh copies of the matrices,
-made outside the timing, and logical_signatures on a fresh CssCode of such
-copies: a matrix keeps its transpose once computed and a code its pivots, so
-a copy reused across repeats would time a cache hit.
+thicken_cone: reduce.thicken), of transpose on both check matrices, of
+hook_weight_audit on the stage's schedule, and of col_weights on both check
+matrices.  rank, kernel_basis, solve, transpose and col_weights run on fresh
+copies of the matrices, made outside the timing (so col_weights counts the
+row supports, with no transpose cached), and logical_signatures on a fresh
+CssCode of such copies: a matrix keeps its transpose once computed and a
+code its pivots, so a copy reused across repeats would time a cache hit.
 
     PYTHONPATH=src python scripts/gf2_layers.py [--seed S] [--repeat N]
 """
@@ -27,14 +29,14 @@ import time
 from qwr.codes import ClassicalCode, CssCode, logical_signatures
 from qwr.cone import build_cone_parts, cellulate, cone_code
 from qwr.f2la import BinMatrix, kernel_basis, mat_vec, rank, solve, transpose
-from qwr.faultdist import component_weight_audit, enumerate_faults
+from qwr.faultdist import component_weight_audit, enumerate_faults, hook_weight_audit
 from qwr.hgp import hgp
 from qwr.reduce import copy_code, gauge_code, thicken
 from qwr.schedule import baseline_schedule, carry
 
 LAYERS = (
     "rank", "kernel_basis", "solve", "logical_signatures", "component_weight_audit",
-    "enumerate_faults", "validate", "product", "transpose",
+    "enumerate_faults", "validate", "product", "transpose", "hook_weight_audit", "col_weights",
 )
 
 
@@ -108,6 +110,8 @@ def layer_times(q: CssCode, m, audit, product, repeat: int, rng: random.Random) 
         best_of(repeat, lambda _: m.validate(q)),
         best_of(repeat, lambda _: product()),
         best_of(repeat, lambda hs: [transpose(h) for h in hs], copies),
+        best_of(repeat, lambda _: hook_weight_audit(q, m)),
+        best_of(repeat, lambda hs: [h.col_weights() for h in hs], copies),
     ]
 
 

@@ -158,7 +158,7 @@ def run_pipeline(cfg: argparse.Namespace) -> dict:
             seed = _spec_int(schedule_mode)
             schedule = baseline_schedule(code, seed)
         elif schedule_mode.startswith("file:"):
-            path = schedule_mode.split(":", 1)[1]
+            path, seed = schedule_mode.split(":", 1)[1], None  # no seed built it
             with open(path, "r", encoding="utf-8") as f:
                 try:
                     schedule = parse_schedule(f.read())

@@ -115,8 +115,15 @@ class CssCode:
         for i, r in enumerate(mat_mul(h_x, transpose(h_z)).rows):
             if r:
                 raise ValueError(f"stabilizers anticommute: X row {i} vs Z row {(r & -r).bit_length() - 1}")
-        self.h_x = h_x
-        self.h_z = h_z
+        self.h_x, self.h_z = h_x, h_z
+
+    @classmethod
+    def _implied(cls, h_x: BinMatrix, h_z: BinMatrix, x_pivots=None, z_pivots=None) -> "CssCode":
+        """A code whose commutation a checked code implies, built with no product; it shares that code's echelons."""
+        code = cls.__new__(cls)
+        code.h_x, code.h_z = h_x, h_z
+        vars(code).update((k, p) for k, p in (("x_pivots", x_pivots), ("z_pivots", z_pivots)) if p is not None)
+        return code
 
     @property
     def n(self) -> int:
@@ -180,8 +187,8 @@ class CssCode:
         return reduce_vector(v, self.stab_pivots(basis)) != 0
 
     def transposed(self) -> "CssCode":
-        """Same code with the X and Z roles swapped."""
-        return CssCode(self.h_z, self.h_x)
+        """Same code with the X and Z roles and cached pivots swapped; h_z . h_x^T = 0 is the check's transpose."""
+        return CssCode._implied(self.h_z, self.h_x, vars(self).get("z_pivots"), vars(self).get("x_pivots"))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CssCode) and self.h_x == other.h_x and self.h_z == other.h_z
@@ -226,8 +233,10 @@ class ChainComplex:
 
 
 def css_to_complex(q: CssCode) -> ChainComplex:
-    """Three-term complex with d_2 = h_z^T and d_1 = h_x."""
-    return ChainComplex((transpose(q.h_z), q.h_x))
+    """Three-term complex with d_2 = h_z^T and d_1 = h_x, past ChainComplex's check: CssCode found h_x . h_z^T = 0."""
+    c = object.__new__(ChainComplex)
+    vars(c).update(boundaries=(transpose(q.h_z), q.h_x), dims=(q.n_x, q.n, q.n_z))
+    return c
 
 
 def opposite(basis: str) -> str:

@@ -225,7 +225,9 @@ class ConeIndex:
 
 
 def cone_code(q: CssCode, parts: tuple[ConeComplexPart, ...], f: ChainMapF) -> CssCode:
-    """Mapping cone of f: coned Z rows replaced by their parts' cell rows."""
+    """Mapping cone of f, a map into q: coned Z rows replaced by their parts' cell rows."""
+    if (f.n, f.n_x, f.n_z) != (q.n, q.n_x, q.n_z):
+        raise ValueError(f"chain map (n, n_x, n_z) {(f.n, f.n_x, f.n_z)} differs from the code's {(q.n, q.n_x, q.n_z)}")
     idx = ConeIndex(parts, f)
     bits = lambda support: sum(1 << qb for qb in support)
     x_rows = [v | bits(idx.x_extra.get(r, ())) for r, v in enumerate(q.h_x.rows)]

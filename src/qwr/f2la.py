@@ -86,7 +86,14 @@ class BinMatrix:
         return [r.bit_count() for r in self.rows]
 
     def col_weights(self) -> list[int]:
-        return transpose(self).row_weights()
+        """Ones per column: the cached transpose's row weights, else counted over the row supports."""
+        if self._t is not None:
+            return self._t.row_weights()
+        counts = [0] * self.ncols
+        for r in self.rows:
+            for j in bit_indices(r):
+                counts[j] += 1
+        return counts
 
     def max_row_weight(self) -> int:
         return max((r.bit_count() for r in self.rows), default=0)
@@ -112,12 +119,12 @@ class BinMatrix:
 
 
 def bit_indices(v: int) -> list[int]:
-    """The set-bit positions of v, ascending."""
+    """The set-bit positions of v, ascending: cleared top-down (a bit_length and a one-bit XOR each), then reversed."""
     out = []
     while v:
-        low = v & -v
-        out.append(low.bit_length() - 1)
-        v ^= low
+        out.append(j := v.bit_length() - 1)
+        v ^= 1 << j
+    out.reverse()
     return out
 
 

@@ -169,17 +169,19 @@ class HookAuditReport:
 
 
 def hook_weight_audit(q: CssCode, m: Schedule) -> HookAuditReport:
-    """Check every hook is equivalent to at most floor(w/2) data errors.
-    After Schedule.validate every step scores floor(w/2) (cut k leaves w - k
-    qubits of the row, equivalent to the other k), so only a gate order
-    that is not its row's support can be flagged."""
+    """Check every hook is equivalent to at most floor(w/2) data errors.  An order listing its row's support
+    once each, as Schedule.validate requires, scores floor(w/2) with no residual built: cut k leaves w - k
+    qubits of the row, equivalent to the other k.  It does iff it has popcount(row) entries, none negative,
+    whose powers of two sum to the row (w powers reach popcount w only if distinct); others build residuals."""
     per_step: dict[int, int] = {}
     violations = []
     for si, s in enumerate(m.steps):
-        row = q.h(s.basis).rows[s.row]
-        # a residual is equivalent to its complement in the row
-        per_step[si] = max((min(r.bit_count(), (r ^ row).bit_count()) for r in _hook_residuals(s.order)), default=0)
-        if per_step[si] > len(s.order) // 2:
+        row, w = q.h(s.basis).rows[s.row], len(s.order)
+        if w == row.bit_count() and min(s.order, default=0) >= 0 and sum(map((1).__lshift__, s.order)) == row:
+            per_step[si] = w // 2
+        else:  # a residual is equivalent to its complement in the row
+            per_step[si] = max((min(r.bit_count(), (r ^ row).bit_count()) for r in _hook_residuals(s.order)), default=0)
+        if per_step[si] > w // 2:
             violations.append(si)
     return HookAuditReport(per_step, tuple(violations))
 

@@ -202,11 +202,11 @@ def kept_z_rows(bm: BalanceMap, heights: list[int]) -> list[int]:
 
 
 def choose_heights(q_thick: CssCode, bm: BalanceMap, heights: list[int]) -> CssCode:
-    """Keep one Z[T] copy of each original Z row; Z[B] rows stay untouched."""
+    """Keep one Z[T] copy of each original Z row; Z[B] rows stay untouched.  Rows of a checked h_z
+    commute with h_x, so the code is not checked again, and it keeps q_thick's h_x pivots."""
     _require_repetition(bm)
-    keep = kept_z_rows(bm, heights)
-    hz = BinMatrix([q_thick.h_z.rows[r] for r in keep], q_thick.h_z.ncols)
-    return CssCode(q_thick.h_x, hz)
+    hz = BinMatrix([q_thick.h_z.rows[r] for r in kept_z_rows(bm, heights)], q_thick.h_z.ncols)
+    return CssCode._implied(q_thick.h_x, hz, vars(q_thick).get("x_pivots"))
 
 
 @dataclass(frozen=True)

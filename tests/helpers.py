@@ -6,6 +6,7 @@ import importlib.util
 import pathlib
 import random
 from bisect import insort
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -722,6 +723,24 @@ def reference_hook_weight_audit(q, m):
         if worst > w // 2:
             violations.append(si)
     return HookAuditReport(per_step, tuple(violations))
+
+
+def reference_col_weights(a: BinMatrix) -> list[int]:
+    """Ones per column of a, over its 0/1 lists."""
+    return [sum(col) for col in zip(*a.to_lists())] if a.nrows else [0] * a.ncols
+
+
+def reference_commutes(h_x: BinMatrix, h_z: BinMatrix) -> bool:
+    """Every X row meets every Z row evenly, counted qubit by qubit from the
+    rows' binary strings, with no matrix product or transpose."""
+    holders = [([], []) for _ in range(h_x.ncols)]
+    for side, h in enumerate((h_x, h_z)):
+        for i, r in enumerate(h.rows):
+            for j, c in enumerate(reversed(bin(r)[2:])):
+                if c == "1":
+                    holders[j][side].append(i)
+    meets = Counter((i, k) for xs, zs in holders for i in xs for k in zs)
+    return all(c % 2 == 0 for c in meets.values())
 
 
 def reference_fundamental_cycles(n_vertices, edges):

@@ -372,6 +372,20 @@ class TestMainEntry:
         assert main(["info", "--hx", hx, "--hz", hz]) == 0
         assert sorted(json.loads(capsys.readouterr().out)["distances"]) == ["code_X", "code_Z"]
 
+    @pytest.mark.parametrize("seed_flags", [[], ["--seed", "4"]])
+    def test_file_schedule_reports_no_seed(self, steane_files, tmp_path, capsys, seed_flags):
+        """No seed built a file schedule, so its report's seed is null, whatever
+        --seed says; its distances are those of the seed that wrote the file."""
+        hx, hz = steane_files
+        sched = tmp_path / "m.schedule"
+        sched.write_text(format_schedule(baseline_schedule(steane_code(), 4)))
+        reports = []
+        for flags in [["--schedule", f"file:{sched}", *seed_flags], ["--schedule", "seed:4"]]:
+            assert main(["faultdist", "--hx", hx, "--hz", hz, "--max-d", "3"] + flags) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0]["seed"] is None and reports[1]["seed"] == 4
+        assert reports[0]["distances"] == reports[1]["distances"]
+
     @pytest.mark.parametrize(
         "flags, reason",
         [
@@ -568,11 +582,12 @@ class TestTooling:
         assert rows["input"][0] == "89" and rows["thicken"][0] == "1679"
         header = res.stdout.splitlines()[1].split()
         assert header[2:] == ["rank", "kernel_basis", "solve", "logical_signatures", "component_weight_audit",
-                              "enumerate_faults", "validate", "product", "transpose"]
-        assert all(len(cells) == 10 for cells in rows.values())
+                              "enumerate_faults", "validate", "product", "transpose", "hook_weight_audit",
+                              "col_weights"]
+        assert all(len(cells) == 12 for cells in rows.values())
         assert rows["thicken"][5] != "-" and rows["copy"][5] == "-"
         # every stage carries a schedule and times the construction that builds it
-        assert all("-" not in cells[6:10] for cells in rows.values())
+        assert all("-" not in cells[6:12] for cells in rows.values())
 
     def test_search_costs_script(self):
         res = self.run("scripts/search_costs.py", "--repeat", "1")

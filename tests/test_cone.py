@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qwr import cone
 from qwr.codes import CapExceeded, ClassicalCode, CssCode, css_distance, ring_face_code, steane_code, surface_code_2x3
 from qwr.cone import (
+    ChainMapF,
     ConeComplexPart,
     _part_boundaries,
     build_cone_parts,
@@ -117,6 +118,18 @@ class TestConeCode:
         bad = ConeComplexPart(parts[0].parent_z_row, parts[0].one_cells, broken, parts[0].minus_one_cells)
         with pytest.raises(ValueError, match="^stabilizers anticommute: X row 2 vs Z row 4$"):
             cone_code(r, (bad,), f)
+
+    @pytest.mark.parametrize("shift", [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)])
+    def test_chain_map_of_another_shape_raises(self, shift):
+        # f.n places the cone qubits: with n + 1 the code gained an idle qubit
+        # and k = 2 from the hexagon's k = 1, and raised nothing
+        r, parts, f, _ = hexagon_parts()
+        wrong = ChainMapF(f.n + shift[0], f.n_x + shift[1], f.n_z + shift[2])
+        dims = (r.n, r.n_x, r.n_z)
+        moved = tuple(d + s for d, s in zip(dims, shift))
+        message = re.escape(f"chain map (n, n_x, n_z) {moved} differs from the code's {dims}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cone_code(r, parts, wrong)
 
     def test_zero_cell_outside_the_x_rows_raises(self):
         # an added 0-cell naming X row n_x enters two 1-cell Z rows and no X

@@ -8,7 +8,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qwr.codes import (
     CssCode,
@@ -181,6 +181,38 @@ class TestHookAudit:
             off.validate(q)
         assert hook_weight_audit(q, off) == HookAuditReport({0: 3}, (0,))
 
+    def test_broken_orders_match_the_residual_formula(self, stage_chain):
+        # validated orders take the floor(w/2) path; a step broken in one of
+        # the ways below must score as the full residual formula scores it
+        kinds = ("permuted", "repeated", "foreign", "beyond_n", "dropped", "negative_first", "empty")
+        rng = random.Random(5)
+        for q, m in audited_schedules(stage_chain):
+            broken = Schedule(tuple(broken_step(q, s, rng.choice(kinds), rng) for s in m.steps))
+            for sched in (m, broken):
+                assert hook_weight_audit(q, sched) == reference_hook_weight_audit(q, sched)
+
+
+def broken_step(q, s, kind, rng):
+    """s with its gate order broken in one way (permuted keeps the support)."""
+    order = list(s.order)
+    if kind == "permuted":
+        rng.shuffle(order)
+    elif kind == "repeated" and order:
+        order.insert(rng.randrange(len(order) + 1), rng.choice(order))
+    elif kind == "foreign" and order:
+        outside = [qb for qb in range(q.n) if qb not in order]
+        if outside:
+            order[rng.randrange(len(order))] = rng.choice(outside)
+    elif kind == "beyond_n":
+        order.insert(rng.randrange(len(order) + 1), q.n + rng.randrange(3))
+    elif kind == "dropped" and order:
+        order.pop(rng.randrange(len(order)))
+    elif kind == "negative_first" and order:
+        order[0] = -1  # the residuals never read the first qubit
+    elif kind == "empty":
+        order = []
+    return Step(s.basis, s.row, tuple(order))
+
 
 def validate_message(validate, m, q):
     try:
@@ -250,6 +282,9 @@ class TestLogicalBasis:
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**2000 - 1))
+@given(st.integers(0, 2**4000 - 1) | st.sets(st.integers(0, 3999), max_size=40).map(lambda s: sum(1 << j for j in s)))
+@example(0)
+@example(1 << 3999)
+@example(2**4000 - 1)
 def test_bit_indices_ascending(v):
     assert bit_indices(v) == sorted(j for j in range(v.bit_length()) if v >> j & 1)

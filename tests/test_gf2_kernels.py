@@ -19,6 +19,7 @@ from helpers import (
     reference_logical_basis,
     reference_logical_signatures,
     reference_reduce_vector,
+    reference_col_weights,
     reference_solve,
     rowspace_contains,
 )
@@ -84,6 +85,19 @@ def test_elimination_matches_reference(a, seed):
 @example(FULL_ROW_RANK, 0)  # transposed: full column rank
 def test_tall_elimination_matches_reference(a, seed):
     assert_kernels_match(transpose(a), random.Random(seed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gf2_matrices())
+@example(BinMatrix([], 0))
+@example(BinMatrix([], 5))
+@example(BinMatrix.zeros(3, 5))
+def test_col_weights_with_and_without_a_cached_transpose(a):
+    fresh = BinMatrix(a.rows, a.ncols)
+    assert fresh.col_weights() == reference_col_weights(a)
+    assert fresh._t is None  # counted over the row supports, no transpose built
+    transpose(fresh)
+    assert fresh.col_weights() == reference_col_weights(a)
 
 
 def assert_code_outputs_match(q: CssCode, rng: random.Random) -> None:
