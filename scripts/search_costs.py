@@ -7,12 +7,15 @@ for each (n, dim, d) class, dim being the dimension of the logical space
 and d the Kunneth prediction.  For each class it prints the route and level
 that answered codes.css_search, the kernel's work counts (probes: table
 lookups; table_entries: subsets put into tables) and the best-of-N
-perf_counter time of css_search in milliseconds.  A class whose logical
-space of 2^dim vectors fits in the walk cap, 100 x table_cap, is enumerated
-instead: route "exhaustive", level d and no kernel counts.  A class that
-exceeds a cap prints route "capped" with the level the cap stopped at.  The
-last column names what stopped the kernel: "table" (over table_cap entries)
-or "walk" (over the walk cap); "-" when nothing did.
+perf_counter time in milliseconds.  A class whose logical space of 2^dim
+vectors fits in the walk cap, 100 x table_cap, is enumerated instead: route
+"exhaustive", level d and no kernel counts, and its time is css_search's.
+Any other class is timed on its kernel run, all the work css_search does
+before it returns the kernel's record or raises CapExceeded, and its row
+comes from that record.  A class that exceeds a cap prints route "capped"
+with the level the cap stopped at.  The last column names what stopped the
+kernel: "table" (over table_cap entries) or "walk" (over the walk cap); "-"
+when nothing did.
 
 With --spread it asks the X distance of seeded random codes whose logical
 space, of dimension dim = 20, 22, ..., 28, is spread over n = 3 dim qubits
@@ -38,7 +41,8 @@ from itertools import product
 from operator import xor
 
 from qwr.codes import (
-    CapExceeded,
+    MITM_PROBE_FACTOR,
+    MITM_TABLE_CAP,
     CssCode,
     css_search,
     hamming_7_4,
@@ -75,23 +79,22 @@ def grid_classes():
                         yield "".join(names), level, basis, q, dim, d
 
 
-def capped_search(q, basis):
-    """The kernel run of a css_search that no route fits (2^dim over the
-    walk cap, so no enumeration), for the level its cap stopped at, the side
-    that stopped it and its counts."""
+def kernel_search(q, basis):
+    """The kernel run of a css_search whose 2^dim vectors exceed the walk
+    cap, so that no enumeration answers it: css_search returns this record,
+    or raises CapExceeded when a cap stopped the kernel (distance None)."""
     sigs, k = logical_signatures(q, basis)
     return min_logical_search(sigs, k, q.n, witness=False)
 
 
-def timed_search(q, basis, repeat: int):
-    """(Search or None when capped, best wall time in ms over `repeat` calls)."""
-    best, found = float("inf"), None
+def timed_search(q, basis, dim: int, repeat: int):
+    """(Search, best wall time in ms over `repeat` calls) of css_search, or
+    of its kernel run when that is what css_search would do."""
+    search = kernel_search if q.k and 1 << dim > MITM_PROBE_FACTOR * MITM_TABLE_CAP else css_search
+    best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        try:
-            found = css_search(q, basis)
-        except CapExceeded:
-            found = None
+        found = search(q, basis)
         best = min(best, time.perf_counter() - t0)
     return found, 1e3 * best
 
@@ -125,7 +128,7 @@ def spread_costs(repeat: int) -> None:
     for dim in SPREAD_DIMS:
         for _ in range(SPREAD_PER_DIM):
             q = spread_code(rng, dim, 3 * dim)
-            found, ms = timed_search(q, "X", repeat)
+            found, ms = timed_search(q, "X", dim, repeat)
             print(f"{dim:>3}{q.n:>5}{q.k:>4}{found.distance:>4}  {found.route:<10}{found.level:>5}{found.probes:>10}"
                   f"{found.table_entries:>15}{ms:>10.2f}  {found.stop[0] if found.stop else '-'}")
 
@@ -178,10 +181,8 @@ def main(argv=None) -> None:
     print(f"{'product':<8}{'L':>2} {'b':>1}{'n':>5}{'dim':>5}{'d':>3}  {'route':<10}{'level':>5}"
           f"{'probes':>10}{'table_entries':>15}{'ms':>10}  cap")
     for name, level, basis, q, dim, d in grid_classes():
-        found, ms = timed_search(q, basis, args.repeat)
-        route = found.route if found is not None else "capped"
-        if found is None:
-            found = capped_search(q, basis)
+        found, ms = timed_search(q, basis, dim, args.repeat)
+        route = found.route if found.distance is not None else "capped"
         print(f"{name:<8}{level:>2} {basis:>1}{q.n:>5}{dim:>5}{d:>3}  {route:<10}{found.level:>5}"
               f"{found.probes:>10}{found.table_entries:>15}{ms:>10.2f}  {found.stop[0] if found.stop else '-'}")
 

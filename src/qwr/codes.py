@@ -1,25 +1,27 @@
 """Classical codes, CSS codes, chain complexes, and exact distances.
 
-Distances are exact at desk scale, and every exponential search works
-within one budget set by table_cap: it holds at most table_cap items and
-walks or enumerates at most W = MITM_PROBE_FACTOR * table_cap.  One
+Distances are exact at desk scale, and every exponential search works within
+one budget set by table_cap: it holds at most table_cap items and walks or
+enumerates at most W = MITM_PROBE_FACTOR * table_cap.  One
 meet-in-the-middle kernel serves the code and effective distances and stops
 at the level where either limit would be exceeded; Search, the record that
-every exact search returns, names both.  When the 2^dim vectors
-of the logical space fit in W, css_search enumerates that space instead,
-above ten rows by Brouwer-Zimmermann over disjoint information sets, which
-stops once its lower bound meets the best logical found; otherwise it runs
-the kernel, and a stopped kernel raises CapExceeded.  classical_distance
-enumerates its 2^k codewords under the same test.  The kernel
-searches one item per distinct nonzero signature and, on wide levels,
-probes only subsets connected through shared syndrome bits.  Such a level
-builds no table for the next ones: they meet a table one size short through
-an anchor, the rarest set bit of the probe's syndrome, whose holders supply
-the missing item, and fill the full table only once the anchor's extra
-lookups have cost as much.  An odd connected level that holds the full
-table walks its smaller half through the same anchor; an even one is
-answered by it, walked only when it hits.  Infinite distance is the float
-``inf`` sentinel so that ``min()`` treats it as absorbing.
+every exact search returns, names both.  When the 2^dim vectors of the
+logical space fit in W, css_search enumerates that space instead, above ten
+rows by Brouwer-Zimmermann over disjoint information sets, which stops once
+its lower bound meets the best logical found; otherwise it runs the kernel,
+and a stopped kernel raises CapExceeded.  classical_distance enumerates its
+2^k codewords under the same test.  The kernel searches one item per
+distinct nonzero signature and, on wide levels, probes only subsets
+connected through shared syndrome bits.  Such a level builds no table for
+the next ones: they meet a table one size short through an anchor, the
+rarest set bit of the probe's syndrome, whose holders supply the missing
+item.  A level buys the full table at its top only, when it is odd and the
+next level will run or once the anchor's extra lookups have cost as much; a
+walk that runs over that cost is cut short and its level searched again.  An
+odd connected level that holds the full table walks its smaller half through
+the same anchor; an even one is answered by it, walked only when it hits.
+Infinite distance is the float ``inf`` sentinel so that ``min()`` treats it
+as absorbing.
 """
 
 from __future__ import annotations
@@ -320,13 +322,13 @@ class Search(NamedTuple):
     included: one per subset probed against a full table, one per holder of the
     anchor bit when a subset is probed through the anchor (against a table one
     size short, or as the small side of an odd connected level); none on an
-    even level its table answers.  The partner walk that completes the
-    witness is not counted.  table_entries counts the subsets put into
-    tables.  route is "mitm" from the kernel, "oracle" from faultdist's brute
-    force, "exhaustive" when css_search enumerated the logical space
-    (exhaustive_min_weight): level is then the distance, and no work is
-    counted.  (A NamedTuple: small searches build one per call, and it
-    builds faster than a frozen dataclass.)"""
+    even level its table answers; both walks of a level searched twice.  The
+    partner walk that completes the witness is not counted.  table_entries
+    counts the subsets put into tables.  route is "mitm" from the kernel,
+    "oracle" from faultdist's brute force, "exhaustive" when css_search
+    enumerated the logical space (exhaustive_min_weight): level is then the
+    distance, and no work is counted.  (A NamedTuple: small searches build one
+    per call, and it builds faster than a frozen dataclass.)"""
     distance: int | float | None
     witness: tuple | None
     route: str
@@ -381,11 +383,13 @@ def min_logical_search(
     subsets hit as against the full table, because every level below t was
     searched with no hit: a hitting A has syn(A) != 0, any floor(t/2)-set
     matching it holds a holder of sigma, and an anchored match that
-    overlaps A or repeats b XORs to a logical shorter than t.  Once the
-    anchor's lookups beyond one per subset exceed comb(n, floor(t/2)), what
-    the full table costs, the table is filled and the walk goes on against
-    it.  A table two sizes short for level t + 1 is never used: level t
-    fills the size-floor(t/2) table at its end unless level t + 1 is capped.
+    overlaps A or repeats b XORs to a logical shorter than t.  A short table
+    is bought full only at the top of a level: when t is odd and level t + 1
+    will run, so that no level meets a table two sizes short, or when the
+    rent, the anchor's extra lookups on the levels that share the short
+    table, exceeds comb(n, floor(t/2)), the full table's cost.  An anchored
+    walk stops once the rent would exceed it, and its level is searched
+    again from the start against the table it then buys, with no budget.
 
     An odd connected level t = 2s + 1 that has the full size-s table walks
     the connected s-subsets instead, each through the anchor against that
@@ -444,34 +448,34 @@ def min_logical_search(
         if capped(t):
             stop = ("table", comb(n, small)) if comb(n, small) > table_cap else ("walk", comb(n, big))
             return Search(None, None, "mitm", t, probes, entries, stop)
-        if size == small == big and MULTI not in table.values():
-            continue  # an even level the full table answers: no two s-subsets pair into a logical
         nxt = big > small and t < top and not capped(t + 1)  # level t + 1 needs size big
         connected = _connected_pays(n, big)
         if nbr is None and connected:  # a table one size short only ever follows a connected level
             nbr, anchors = _adjacency(syn, pair)
-        halve = connected and small == size < big  # odd level, full table: walk the small side, anchored
-        walk = _connected_walk(syn, pair, nbr, small if halve else big) if connected else _lex_walk(syn, pair, big)
-        grow = nxt and not connected and size == small
-        hit = None
-        if size < small or halve:
-            budget = INF if halve else comb(n, small) - rent
-            hit, count, extra, walk = _anchored_probe(syn, pair, table, anchors, walk, budget)
-            probes += count
-            rent += 0 if halve else extra  # only a table one size short pays rent
-            if walk is not None:  # the extra lookups cost what the full table does: build it, go on direct
+        grow = nxt and not connected  # with nxt the level holds the full table, and a lex walk fills the next one
+        hit, over = None, True
+        while over:  # a level that runs over its budget is searched once more, against the table it then buys
+            if size < small and (nxt or rent > comb(n, small)):  # the one place a full table is bought
                 table, size, rent = _fill(syn, pair, small), small, 0
                 entries += comb(n, small)
-        if walk is not None:
-            hit, count, grown = _probe(syn, pair, table, walk, grow)
+            if size == small == big and MULTI not in table.values():
+                break  # an even level the full table answers: no two s-subsets pair into a logical
+            halve = connected and small == size < big  # odd level, full table: walk the small side, anchored
+            walk = _connected_walk(syn, pair, nbr, small if halve else big) if connected else _lex_walk(syn, pair, big)
+            if size == small and not halve:
+                hit, count, grown = _probe(syn, pair, table, walk, grow)
+                over = False
+            else:
+                budget = INF if halve else comb(n, small) - rent
+                hit, count, extra = _anchored_probe(syn, pair, table, anchors, walk, budget)
+                rent += 0 if halve else extra  # only a table one size short pays rent
+                over = hit is None and extra > budget
             probes += count
         if hit is not None and witness and connected:  # the lex-first hitter starts at hit's root
             v = min(hit)
             lead = _lex_walk(syn, pair, big - 1, v + 1, (v,), syn[v], pair[v])
-            if size == small:
-                hit, count, _ = _probe(syn, pair, table, lead, False)
-            else:
-                hit, count, _, _ = _anchored_probe(syn, pair, table, anchors, lead, INF)
+            hit, count, _ = (_probe(syn, pair, table, lead, False) if size == small
+                             else _anchored_probe(syn, pair, table, anchors, lead, INF))
             probes += count
         if hit is not None:
             found = None
@@ -489,9 +493,6 @@ def min_logical_search(
         if grow:
             table, size, rent = grown, big, 0
             entries += comb(n, big)
-        elif nxt and size < small:
-            table, size, rent = _fill(syn, pair, small), small, 0
-            entries += comb(n, small)
     return Search(INF, None, "mitm", max_t, probes=probes, table_entries=entries)
 
 
@@ -586,10 +587,10 @@ def _anchored_probe(syn, pair, table, anchors, walk, budget):
     x != 0 and pairing p looks up x ^ s with pairing p ^ q for each (s, q)
     in holders[y & -y], the holders of x's rarest bit (y: the XOR of low
     over the subset; anchors = _adjacency's (low, holders)).  Returns the
-    first hitting subset or None; the number of lookups; the extra lookups,
-    beyond the one per walked subset that the full table would take; and,
-    once the extra lookups exceed budget (checked after each group of the
-    walk), the rest of the walk, else None."""
+    first hitting subset or None; the number of lookups; and the extra
+    lookups, beyond the one per walked subset that the full table would
+    take.  With no hit it stops once the extra lookups exceed budget
+    (checked after each group of the walk), leaving the rest unwalked."""
     get = table.get
     low, holders = anchors
     count = walked = 0
@@ -609,10 +610,10 @@ def _anchored_probe(syn, pair, table, anchors, walk, budget):
                 e = get(x ^ s)
                 if e is not None and e != p ^ q:
                     count += held.index((s, q)) + 1 - len(held)
-                    return prefix + (i,), count, count - walked, None
+                    return prefix + (i,), count, count - walked
         if count - walked > budget:
-            return None, count, count - walked, walk
-    return None, count, count - walked, None
+            break
+    return None, count, count - walked
 
 
 def _fill(syn, pair, r):

@@ -115,8 +115,6 @@ def build_cone_parts(
         zero_cells: list[tuple[int | None, int, int]] = []
         for xr in range(q.n_x):
             inter = bit_indices(q.h_x.rows[xr] & sup_mask)
-            if len(inter) % 2:
-                raise ValueError(f"X row {xr} overlaps coned Z row {zr} oddly (non-commuting input)")
             zero_cells += [(xr, inter[a], inter[a + 1]) for a in range(0, len(inter), 2)]
         edges = [(pos[qa], pos[qb]) for _, qa, qb in zero_cells]
         cycles, components = _fundamental_cycles(len(sup), edges)

@@ -467,15 +467,15 @@ def odd_connected(mp):
 
 
 def count_anchored(mp):
-    """Count the anchored probes, and those that ran over their budget and
-    finished the level against the full table."""
+    """Count the anchored probes, and those that ran over their budget, so
+    that the level was searched again against the full table."""
     seen = {"calls": 0, "switched": 0}
     real = codes._anchored_probe
 
     def spy(*args):
         out = real(*args)
         seen["calls"] += 1
-        seen["switched"] += out[3] is not None
+        seen["switched"] += out[0] is None and out[2] > args[5]
         return out
 
     mp.setattr(codes, "_anchored_probe", spy)
@@ -524,7 +524,7 @@ class TestAnchoredRoute:
                 assert min_logical_search(sigs, k, 9, witness=False).distance == found.distance
         if force is not lex_only:
             # both ends of the budget: levels finished by the anchor alone, and
-            # levels that filled the full table part way through the walk
+            # levels whose walk ran over and that bought the full table
             assert seen["calls"] > seen["switched"] > 0
         else:
             assert seen["calls"] == 0
@@ -628,6 +628,32 @@ class TestAnchoredRoute:
         assert (q.n, len(set(sigs) - {0})) == (221, 159)
         assert (found.distance, found.level, found.stop) == (None, 8, ("table", comb(159, 4)))
         assert found.probes < 1_137_690
+
+    def test_odd_level_buys_its_table_before_it_walks(self):
+        # hgp(rep3, rep3, H7) level 2, Z (d = 9): level 7 finds the size-2
+        # table short and level 8 will run, so it buys the size-3 table at
+        # its top and walks its connected 3-subsets through the anchor; no
+        # anchored walk runs over
+        with pytest.MonkeyPatch.context() as mp:
+            seen = count_anchored(mp)
+            found = kernel_search(grid_code("r3r3h7", 2), "Z")
+        assert (found.distance, found.probes, found.table_entries) == (9, 138_090, 161_799)
+        assert seen == {"calls": 5, "switched": 0}
+
+    def test_level_that_runs_over_is_searched_again(self):
+        # copy -> gauge on Steane, seed-0 schedule, Z up to 6 (72 distinct
+        # generators, 72 + C(72, 2) + C(72, 3) table entries): level 6 stops
+        # once its anchored walk has made more than C(72, 3) extra lookups.
+        # The size-3 table it then buys holds no MULTI bucket and answers the
+        # level
+        q = steane_code()
+        qc, mc, cm, _ = carry("copy", q, baseline_schedule(q, 0))
+        qg, mg, _, _ = carry("gauge", qc, mc, cm)
+        with pytest.MonkeyPatch.context() as mp:
+            seen = count_anchored(mp)
+            found = effective_distance(qg, mg, "Z", 6)
+        assert (found.distance, found.probes, found.table_entries) == (INF, 83_244, 62_268)
+        assert seen == {"calls": 2, "switched": 1}
 
 
 def count_small_side(mp):
