@@ -44,6 +44,7 @@ from qwr.codes import (
     MITM_PROBE_FACTOR,
     MITM_TABLE_CAP,
     CssCode,
+    Signatures,
     css_search,
     hamming_7_4,
     logical_signatures,
@@ -83,8 +84,7 @@ def kernel_search(q, basis):
     """The kernel run of a css_search whose 2^dim vectors exceed the walk
     cap, so that no enumeration answers it: css_search returns this record,
     or raises CapExceeded when a cap stopped the kernel (distance None)."""
-    sigs, k = logical_signatures(q, basis)
-    return min_logical_search(sigs, k, q.n, witness=False)
+    return min_logical_search(Signatures.of(*logical_signatures(q, basis)), q.n, witness=False)
 
 
 def timed_search(q, basis, dim: int, repeat: int):

@@ -11,17 +11,17 @@ rows by Brouwer-Zimmermann over disjoint information sets, which stops once
 its lower bound meets the best logical found; otherwise it runs the kernel,
 and a stopped kernel raises CapExceeded.  classical_distance enumerates its
 2^k codewords under the same test.  The kernel searches one item per
-distinct nonzero signature and, on wide levels, probes only subsets
-connected through shared syndrome bits.  Such a level builds no table for
-the next ones: they meet a table one size short through an anchor, the
-rarest set bit of the probe's syndrome, whose holders supply the missing
-item.  A level buys the full table at its top only, when it is odd and the
-next level will run or once the anchor's extra lookups have cost as much; a
-walk that runs over that cost is cut short and its level searched again.  An
-odd connected level that holds the full table walks its smaller half through
-the same anchor; an even one is answered by it, walked only when it hits.
-Infinite distance is the float ``inf`` sentinel so that ``min()`` treats it
-as absorbing.
+distinct nonzero signature (Signatures) and, on wide levels, probes only
+subsets connected through shared syndrome bits.  Such a level builds no
+table for the next ones: they meet a table one size short through an
+anchor, the rarest set bit of the probe's syndrome, whose holders supply the
+missing item.  A level buys the full table at its top only, when it is odd
+and the next level will run or once the anchor's extra lookups have cost as
+much; a walk that runs over that cost is cut short and its level searched
+again.  An odd connected level that holds the full table walks its smaller
+half through the same anchor; an even one is answered by it, walked only
+when it hits.  Infinite distance is the float ``inf`` sentinel so that
+``min()`` treats it as absorbing.
 """
 
 from __future__ import annotations
@@ -278,6 +278,27 @@ def logical_signatures(q: CssCode, basis: str, vectors=None) -> tuple[list[int],
     return list(cols.rows if vectors is None else mat_mul(BinMatrix(vectors, q.n), cols).rows), pair_rows.nrows
 
 
+class Signatures(NamedTuple):
+    """The distinct nonzero signatures in order of first occurrence, split
+    into syndrome and pairing; first[i] indexes signature i's first
+    occurrence among the input vectors.  min_logical_search searches only
+    these: a minimum set holds no zero signature (drop it) and no equal pair
+    (the two cancel), and swapping a later duplicate for its first
+    occurrence keeps it hitting and makes it lex-smaller."""
+    syn: list[int]
+    pair: list[int]
+    first: list[int]
+
+    @classmethod
+    def of(cls, packed: list[int], k: int) -> Signatures:
+        """From logical_signatures' (syndrome << k | pairing) list; the one place zeros and repeats are dropped."""
+        first: dict[int, int] = {}
+        for i, s in enumerate(packed):
+            first.setdefault(s, i)
+        first.pop(0, None)
+        return cls([s >> k for s in first], [s & ((1 << k) - 1) for s in first], list(first.values()))
+
+
 def css_distance(q: CssCode, basis: str, table_cap: int = MITM_TABLE_CAP) -> int | float:
     """Exact minimum weight of a nontrivial logical operator, or inf."""
     return css_search(q, basis, table_cap).distance
@@ -297,7 +318,7 @@ def css_search(q: CssCode, basis: str, table_cap: int = MITM_TABLE_CAP) -> Searc
     if 1 << dim <= walk_cap:
         distance = exhaustive_min_weight(logical_basis(q, basis).rows, stabs)
         return Search(distance, None, "exhaustive", distance)
-    found = min_logical_search(*logical_signatures(q, basis), q.n, table_cap, witness=False)
+    found = min_logical_search(Signatures.of(*logical_signatures(q, basis)), q.n, table_cap, witness=False)
     if found.distance is None:
         raise CapExceeded(
             f"no logical below weight {found.level}, where the search stopped; the 2^{dim} vectors of the "
@@ -317,7 +338,7 @@ class Search(NamedTuple):
     faultdist's.  distance is None when the kernel stopped at level `level`;
     stop then holds that level's count on the side that stopped it: ("table",
     entries) or ("walk", subsets).  An inf distance was searched up to `level`.
-    witness holds one minimum set: sorted signature indices, or fault
+    witness holds one minimum set: sorted indices of input vectors, or fault
     generators from faultdist.  probes counts table lookups, the witness pass's
     included: one per subset probed against a full table, one per holder of the
     anchor bit when a subset is probed through the anchor (against a table one
@@ -343,29 +364,22 @@ class Search(NamedTuple):
         return self.level
 
 
-def min_logical_search(
-    sigs: list[int], k: int, max_t: int, table_cap: int = MITM_TABLE_CAP, witness: bool = True
-) -> Search:
-    """Fewest signatures (see logical_signatures) whose XOR is a logical.
+def min_logical_search(sigs: Signatures, max_t: int, table_cap: int = MITM_TABLE_CAP, witness: bool = True) -> Search:
+    """Fewest of the signatures sigs (see Signatures) whose XOR is a logical.
 
-    Only the first occurrence of each distinct nonzero signature is searched:
-    a minimum set holds no zero signature (drop it) and no equal pair (the
-    two cancel), and swapping a later duplicate for its first occurrence
-    keeps a set hitting while making it lex-smaller.  So levels stop at n,
-    the number of distinct nonzero signatures; beyond it the answer is inf
+    Levels stop at n, the number of signatures: beyond it the answer is inf
     at level max_t, as if every level had been searched.  Level t walks
     ceil(t/2)-subsets with running prefix XORs and looks each one up in a
-    table of floor(t/2)-subsets, which maps each syndrome to its pairing,
-    or to MULTI once two pairings share it; a subset hits when the table
-    holds its syndrome with another pairing.  The size-s table serves
-    t = 2s and 2s+1.  Where all ceil(t/2)-subsets outnumber n^2 pairs, so
-    that connected levels start at ceil(t/2) = 3, only the connected ones
-    are probed: calling two signatures adjacent when their syndromes share
-    a bit, a minimum set is connected (parts with disjoint syndrome bits
-    would each have zero syndrome, so one is a smaller logical), hence
-    holds a connected ceil(t/2)-subset whose complement is in the table.
-    Otherwise the lex walk probes every subset and fills the size-(s+1)
-    table on the way.
+    table of floor(t/2)-subsets, which maps each syndrome to its pairing, or
+    to MULTI once two pairings share it; a subset hits when the table holds
+    its syndrome with another pairing.  The size-s table serves t = 2s and
+    2s+1.  Where all ceil(t/2)-subsets outnumber n^2 pairs, so that connected
+    levels start at ceil(t/2) = 3, only the connected ones are probed:
+    calling two signatures adjacent when their syndromes share a bit, a
+    minimum set is connected (parts with disjoint syndrome bits would each
+    have zero syndrome, so one is a smaller logical), hence holds a connected
+    ceil(t/2)-subset whose complement is in the table.  Otherwise the lex
+    walk probes every subset and fills the size-(s+1) table on the way.
 
     An even level t = 2s that starts with the full size-s table hits iff
     the table holds MULTI, and is walked (for the witness) only then, its
@@ -429,12 +443,8 @@ def min_logical_search(
     ("walk"), counting distinct signatures only.  It stops with distance
     None; no logical weighs less than that level.
     """
-    distinct = dict.fromkeys(sigs)  # in order of first occurrence
-    distinct.pop(0, None)
-    uniq = list(distinct)
-    n = len(uniq)
-    syn = [s >> k for s in uniq]
-    pair = [s & ((1 << k) - 1) for s in uniq]
+    syn, pair, first = sigs
+    n = len(syn)
 
     def capped(t: int) -> bool:
         return comb(n, t // 2) > table_cap or comb(n, t - t // 2) > MITM_PROBE_FACTOR * table_cap
@@ -488,7 +498,7 @@ def min_logical_search(
                     partner = _probe(syn, pair, {xs: xp}, _lex_walk(syn, pair, small, max(hit) + 1), False)[0]
                     if partner is None:
                         raise AssertionError("a table hit has a partner")
-                found = tuple(sorted(sigs.index(uniq[i]) for i in hit + partner))
+                found = tuple(sorted(first[i] for i in hit + partner))
             return Search(t, found, "mitm", t, probes=probes, table_entries=entries)
         if grow:
             table, size, rent = grown, big, 0
@@ -693,7 +703,7 @@ def _bz_min_weight(rows, lams) -> int | float:
                 done[j] = level
                 if best <= stop():
                     return best
-    return best
+    return best  # inf: a nonzero mask returns above, as level dim's bound sum(r_j + 1) exceeds the support, sum(r_j)
 
 
 def _column_order(cols: list[int]) -> list[int]:

@@ -5,8 +5,8 @@ a single data-qubit error, or an ancilla fault at cut position k of a step,
 which spreads to the suffix of the step's gate order; _hook_residuals lists
 those suffixes once, for enumerate_faults and for hook_weight_audit.  The
 effective distance is the least number of generators whose XOR is a
-nontrivial logical; codes.min_logical_search finds it on (stabilizer
-syndrome, logical pairing) signatures, both linear in the residual.
+nontrivial logical; codes.min_logical_search finds it on codes.Signatures:
+distinct nonzero (syndrome, logical pairing) pairs, linear in the residual.
 effective_distance returns its codes.Search with generators as the witness,
 as does the plain combination-enumeration oracle that checks it in tests.
 """
@@ -19,8 +19,8 @@ from math import comb
 from typing import NamedTuple
 
 from .codes import (
-    INF, MITM_PROBE_FACTOR, MITM_TABLE_CAP, CapExceeded, CssCode, Search, logical_signatures, min_logical_search,
-    opposite,
+    INF, MITM_PROBE_FACTOR, MITM_TABLE_CAP, CapExceeded, CssCode, Search, Signatures, logical_signatures,
+    min_logical_search, opposite,
 )
 from .reduce import BalanceMap
 from .schedule import Schedule
@@ -93,7 +93,7 @@ def effective_distance(
 ) -> Search:
     """Exact effective distance up to max_d, else the infinite sentinel.
 
-    Runs codes.min_logical_search over the generators' signatures; a match at
+    Runs codes.min_logical_search over the generators' Signatures; a match at
     the first feasible t is a weight-t witness since lower levels were
     exhausted first.  As in css_search, a level whose table side exceeds
     table_cap, or whose probe side exceeds MITM_PROBE_FACTOR * table_cap,
@@ -102,10 +102,10 @@ def effective_distance(
     if max_d < 1:
         raise ValueError("max_d must be >= 1")
     gens = _generators(q, m, basis, generators)
-    sigs, k = logical_signatures(q, basis, [g.residual for g in gens])  # checks the basis, also for k = 0
+    sigs = logical_signatures(q, basis, [g.residual for g in gens])  # checks the basis, also for k = 0
     if q.k == 0:
         return Search(INF, None, "mitm", max_d)
-    found = min_logical_search(sigs, k, max_d, table_cap)
+    found = min_logical_search(Signatures.of(*sigs), max_d, table_cap)
     t = found.level
     if found.distance is None:
         side, count = found.stop

@@ -277,6 +277,13 @@ def reference_min_logical(sigs: list[int], k: int, max_t: int):
     return INF, None
 
 
+def reference_signatures(packed: list[int], k: int):
+    """(syn, pair, first) of codes.Signatures.of by scanning back: vector i
+    is kept iff its signature is nonzero and no earlier vector has it."""
+    first = [i for i, s in enumerate(packed) if s and s not in packed[:i]]
+    return [packed[i] >> k for i in first], [packed[i] % (1 << k) for i in first], first
+
+
 # The Gray-code pass codes.exhaustive_min_weight made before it switched to
 # Brouwer-Zimmermann enumeration above ten rows, kept as its reference.
 def reference_exhaustive_min_weight(logicals, stabs) -> int | float:

@@ -73,6 +73,13 @@ class TestMatrixFormat:
         m = parse_alist_file(str(p))
         assert m == repetition_code(3).h
 
+    @pytest.mark.parametrize("header", ["-1 3", "2 -1"])
+    def test_negative_dimensions_rejected(self, tmp_path, header):
+        p = tmp_path / "m.mtxf2"
+        p.write_text(header + "\n\n\n")
+        with pytest.raises(UsageError, match="line 1: negative dimensions"):
+            parse_matrix_file(str(p))
+
     def test_rows_past_declared_count_rejected(self, tmp_path):
         p = tmp_path / "m.mtxf2"
         p.write_text("1 3\n1 2 3\n1\n\n")
@@ -407,6 +414,8 @@ class TestMainEntry:
             ("hx.mtxf2", "1 7\n1 2\n3\n"),
             ("hx.mtxf2", "1 7\n2 2\n"),
             ("hx.mtxf2", "1 7 2\n1\n"),
+            ("hx.mtxf2", "-1 3\n"),
+            ("hx.mtxf2", "2 -1\n\n\n"),
             ("hx.mtxf2", b"1 7\n\xff\n"),
             ("hx.alist", REP3_ALIST[:-4] + "1 3\n"),
             ("hx.alist", "x 2\n2 2\n1 2 1\n2 2\n"),

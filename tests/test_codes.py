@@ -11,6 +11,7 @@ from qwr.codes import (
     ChainComplex,
     ClassicalCode,
     CssCode,
+    Signatures,
     classical_distance,
     css_distance,
     css_search,
@@ -76,6 +77,9 @@ class TestCssConstruction:
         q = steane_code()
         assert (q.n, q.k) == (7, 1)
         assert q.w_x == 4 and q.q_x == 3
+
+    def test_repr_names_the_parameters(self):
+        assert repr(steane_code()) == "CssCode(n=7, k=1, n_x=3, n_z=3)"
 
     def test_no_checks(self):
         q = CssCode(BinMatrix([], 5), BinMatrix([], 5))
@@ -195,7 +199,7 @@ class TestCssDistance:
     def test_mitm_route_agrees(self):
         for q, basis in ((hgp(repetition_code(3), repetition_code(3)), "X"), (surface_code_2x3(), "Z")):
             sigs, k = logical_signatures(q, basis, [1 << j for j in range(q.n)])
-            assert min_logical_search(sigs, k, q.n).distance == 3 == css_distance(q, basis)
+            assert min_logical_search(Signatures.of(sigs, k), q.n).distance == 3 == css_distance(q, basis)
 
     def test_ring_face(self):
         r = ring_face_code(6)

@@ -18,6 +18,7 @@ from qwr.cli import _entry
 from qwr.codes import (
     INF,
     CapExceeded,
+    Signatures,
     classical_distance,
     css_search,
     exhaustive_min_weight,
@@ -46,6 +47,7 @@ from helpers import (
     reference_logical_basis,
     reference_logical_signatures,
     reference_min_logical,
+    reference_signatures,
 )
 
 FACTORS = {"r2": repetition_code(2), "r3": repetition_code(3), "h7": hamming_7_4()}
@@ -60,8 +62,7 @@ def grid_code(names: str, level: int):
 def kernel_search(q, basis):
     """The kernel alone on single-qubit supports, every level, whatever the
     size of the logical space."""
-    sigs, k = logical_signatures(q, basis)
-    return min_logical_search(sigs, k, q.n, witness=False)
+    return min_logical_search(Signatures.of(*logical_signatures(q, basis)), q.n, witness=False)
 
 
 def enumerated_distance(q, basis):
@@ -109,7 +110,7 @@ class TestKernelEquivalence:
             # the deduplicated list, and every generator with its duplicates
             for gens in (enumerate_faults(q, m, basis), reference_enumerate_faults(q, m, basis, dedup=False)):
                 sigs, k = logical_signatures(q, basis, [g.residual for g in gens])
-                found = min_logical_search(sigs, k, max_d)
+                found = min_logical_search(Signatures.of(sigs, k), max_d)
                 assert (found.distance, found.witness) == reference_min_logical(sigs, k, max_d)
                 res = effective_distance(q, m, basis, max_d, generators=gens)
                 slow = oracle_effective_distance(q, m, basis, max_d, generators=gens)
@@ -123,7 +124,7 @@ class TestKernelEquivalence:
         q, m = carried_thickening(build())
         gens = enumerate_faults(q, m, basis)
         sigs, k = logical_signatures(q, basis, [g.residual for g in gens])
-        kernel = min_logical_search(sigs, k, 5)
+        kernel = min_logical_search(Signatures.of(sigs, k), 5)
         res = effective_distance(q, m, basis, 5, generators=gens)
         assert (res.distance, res.level, res.probes, res.table_entries) == (
             kernel.distance, kernel.level, kernel.probes, kernel.table_entries)
@@ -135,22 +136,22 @@ class TestKernelEquivalence:
     @given(signature_lists(), st.integers(1, 5))
     def test_matches_reference_on_random_signatures(self, case, max_t):
         sigs, k = case
-        found = min_logical_search(sigs, k, max_t)
+        found = min_logical_search(Signatures.of(sigs, k), max_t)
         assert (found.distance, found.witness) == reference_min_logical(sigs, k, max_t)
-        assert min_logical_search(sigs, k, max_t, witness=False).distance == found.distance
+        assert min_logical_search(Signatures.of(sigs, k), max_t, witness=False).distance == found.distance
 
     def test_multi_pairing_bucket_decides_the_witness(self):
         # syndromes 1, 2, 2, 1 with pairings 0, 0, 1, 1: the first probe that
         # has a partner is index 0, through syndrome 1's second pairing
-        found = min_logical_search([0b10, 0b100, 0b101, 0b11], 1, 2)
+        found = min_logical_search(Signatures.of([0b10, 0b100, 0b101, 0b11], 1), 2)
         assert (found.distance, found.witness) == (2, (0, 3))
 
     def test_cap_is_reported_at_its_level(self):
         sigs = [(1 << (i + 1)) for i in range(6)]  # independent syndromes: no logical
-        found = min_logical_search(sigs, 1, 6, table_cap=10)
+        found = min_logical_search(Signatures.of(sigs, 1), 6, table_cap=10)
         assert found.distance is None and found.level == 4  # C(6, 2) = 15 > 10
         assert found.stop == ("table", 15)
-        assert min_logical_search(sigs, 1, 3, table_cap=10).distance == INF
+        assert min_logical_search(Signatures.of(sigs, 1), 3, table_cap=10).distance == INF
 
 
 def assert_representatives_do_not_matter(q, basis, vectors, max_t, table_cap=codes.MITM_TABLE_CAP):
@@ -162,8 +163,8 @@ def assert_representatives_do_not_matter(q, basis, vectors, max_t, table_cap=cod
     ref, ref_k = reference_logical_signatures(q, basis, vectors)
     assert ref_k == k and [s >> k for s in sigs] == [s >> k for s in ref]
     for witness in (True, False):
-        assert (min_logical_search(sigs, k, max_t, table_cap, witness=witness)
-                == min_logical_search(ref, k, max_t, table_cap, witness=witness))
+        assert (min_logical_search(Signatures.of(sigs, k), max_t, table_cap, witness=witness)
+                == min_logical_search(Signatures.of(ref, k), max_t, table_cap, witness=witness))
 
 
 class TestRepresentativeInvariance:
@@ -266,6 +267,12 @@ class TestBrouwerZimmermann:
             assert exhaustive_min_weight([], stabs) == INF == reference_exhaustive_min_weight([], stabs)
             assert css_search(q, "X").distance == INF
 
+    def test_no_nonzero_mask_weighs_inf(self):
+        # exhaustive_min_weight never calls it so: with no logical row it returns first
+        q = spread_code(random.Random(83), 11, 22, k0=True)
+        rows = list(q.x_pivots.rows.values())
+        assert len(rows) == 11 and codes._bz_min_weight(rows, [0] * len(rows)) == INF
+
     def test_classical_distance_beyond_the_table_pass(self):
         # k = 11-16 kernel rows: every nonzero codeword counts
         rng = random.Random(79)
@@ -366,9 +373,9 @@ class TestConnectedRoute:
         sigs, k = case
         with pytest.MonkeyPatch.context() as mp:
             connected_only(mp)
-            found = min_logical_search(sigs, k, max_t)
+            found = min_logical_search(Signatures.of(sigs, k), max_t)
             assert (found.distance, found.witness) == reference_min_logical(sigs, k, max_t)
-            assert min_logical_search(sigs, k, max_t, witness=False).distance == found.distance
+            assert min_logical_search(Signatures.of(sigs, k), max_t, witness=False).distance == found.distance
 
     def test_witness_comes_from_the_lex_walk(self):
         # syndromes 1, 4, 3, 5, 2 with pairings 0, 1, 0, 0, 1: the lex-first
@@ -377,7 +384,7 @@ class TestConnectedRoute:
         sigs = [0b10, 0b1001, 0b110, 0b1010, 0b101]
         with pytest.MonkeyPatch.context() as mp:
             connected_only(mp)
-            found = min_logical_search(sigs, 1, 3)
+            found = min_logical_search(Signatures.of(sigs, 1), 3)
         assert (found.distance, found.witness) == reference_min_logical(sigs, 1, 3) == (3, (0, 1, 3))
 
     def test_thickened_steane_probes_a_fifth_of_the_subsets(self):
@@ -386,8 +393,8 @@ class TestConnectedRoute:
         gens = enumerate_faults(q, m, "Z")
         sigs, k = logical_signatures(q, "Z", [g.residual for g in gens])
         assert (len(gens), len(set(sigs) - {0})) == (234, 198)
-        first = min_logical_search(sigs, k, 5)
-        again = min_logical_search(sigs, k, 5)
+        first = min_logical_search(Signatures.of(sigs, k), 5)
+        again = min_logical_search(Signatures.of(sigs, k), 5)
         assert first.distance == INF
         assert first.probes < comb(198, 3) // 5
         assert (again.probes, again.table_entries) == (first.probes, first.table_entries)
@@ -399,6 +406,30 @@ class TestConnectedRoute:
         assert [(g.kind, g.qubit) for g in res.witness] == [("data", qb) for qb in (8, 10, 12, 14, 16, 18)]
 
 
+class TestSignatures:
+    @pytest.mark.parametrize("packed, k", [
+        ([0, 0b0110, 0b0110, 0, 0b1100, 0b0110, 0b1100, 0b1011, 0, 0b1011], 1),
+        ([0b101, 0b11, 0b101, 0b10, 0b11, 0b1], 2),
+        ([0, 0, 0], 1),
+        ([], 1),
+    ])
+    def test_hand_made_lists(self, packed, k):
+        assert Signatures.of(packed, k) == reference_signatures(packed, k)
+
+    @pytest.mark.parametrize("build", [steane_code, surface_code_2x3, lambda: hgp(FACTORS["r3"], FACTORS["r3"])],
+                             ids=["steane", "surface2x3", "hgp_r3_r3"])
+    @pytest.mark.parametrize("basis", ["X", "Z"])
+    def test_single_qubits_and_fault_generators(self, build, basis):
+        q = build()
+        lists = [logical_signatures(q, basis)]
+        for seed in range(3):
+            gens = enumerate_faults(q, baseline_schedule(q, seed), basis)
+            lists.append(logical_signatures(q, basis, [g.residual for g in gens]))
+        for packed, k in lists:
+            assert Signatures.of(packed, k) == reference_signatures(packed, k)
+        assert any(len(Signatures.of(*sigs).first) < len(sigs[0]) for sigs in lists)  # something is dropped
+
+
 class TestDeduplication:
     def test_zero_and_repeated_signatures_are_skipped(self):
         # pairing bit 0, syndrome above it; the lex-first minimum set of the
@@ -406,11 +437,11 @@ class TestDeduplication:
         a, b, c = 0b0110, 0b1100, 0b1011
         sigs = [0, a, a, 0, b, a, b, c, 0, c]
         for max_t in range(1, 5):
-            found = min_logical_search(sigs, 1, max_t)
+            found = min_logical_search(Signatures.of(sigs, 1), max_t)
             assert (found.distance, found.witness) == reference_min_logical(sigs, 1, max_t)
-        assert min_logical_search(sigs, 1, 3).witness == (1, 4, 7)
-        assert min_logical_search([0, 0, 0b01], 1, 1).witness == (2,)
-        assert min_logical_search([0, 0b10, 0b10], 1, 4).distance == INF
+        assert min_logical_search(Signatures.of(sigs, 1), 3).witness == (1, 4, 7)
+        assert min_logical_search(Signatures.of([0, 0, 0b01], 1), 1).witness == (2,)
+        assert min_logical_search(Signatures.of([0, 0b10, 0b10], 1), 4).distance == INF
 
     def test_cap_counts_distinct_signatures(self):
         q = steane_code()
@@ -419,7 +450,7 @@ class TestDeduplication:
         sigs, k = logical_signatures(q, "X", [g.residual for g in doubled])
         distinct = len(set(sigs) - {0})
         assert distinct <= len(gens)
-        found = min_logical_search(sigs, k, 4, table_cap=distinct - 1)
+        found = min_logical_search(Signatures.of(sigs, k), 4, table_cap=distinct - 1)
         assert (found.distance, found.level, found.stop) == (None, 2, ("table", distinct))
         with pytest.raises(CapExceeded, match=f"t=2 needs {distinct} entries"):
             effective_distance(q, baseline_schedule(q, 0), "X", 4, generators=doubled, table_cap=distinct - 1)
@@ -439,9 +470,9 @@ class TestBudget:
     def test_walk_side_is_a_hundred_table_caps(self):
         # 101 independent syndromes: level 1 walks 101 > 100 x 1 subsets
         sigs = [(1 << (i + 1)) for i in range(101)]
-        found = min_logical_search(sigs, 1, 3, table_cap=1)
+        found = min_logical_search(Signatures.of(sigs, 1), 3, table_cap=1)
         assert (found.distance, found.level, found.stop) == (None, 1, ("walk", 101))
-        assert min_logical_search(sigs[:100], 1, 1, table_cap=1).distance == INF
+        assert min_logical_search(Signatures.of(sigs[:100], 1), 1, table_cap=1).distance == INF
 
 
 class TestEffectiveDistanceCaps:
@@ -519,9 +550,9 @@ class TestAnchoredRoute:
             seen = count_anchored(mp)
             for _ in range(300):
                 sigs, k = seeded_signatures(rng)
-                found = min_logical_search(sigs, k, 9)
+                found = min_logical_search(Signatures.of(sigs, k), 9)
                 assert (found.distance, found.witness) == reference_min_logical(sigs, k, 9), sigs
-                assert min_logical_search(sigs, k, 9, witness=False).distance == found.distance
+                assert min_logical_search(Signatures.of(sigs, k), 9, witness=False).distance == found.distance
         if force is not lex_only:
             # both ends of the budget: levels finished by the anchor alone, and
             # levels whose walk ran over and that bought the full table
@@ -536,9 +567,9 @@ class TestAnchoredRoute:
         sigs, k = case
         with pytest.MonkeyPatch.context() as mp:
             force(mp)
-            found = min_logical_search(sigs, k, max_t)
+            found = min_logical_search(Signatures.of(sigs, k), max_t)
             assert (found.distance, found.witness) == reference_min_logical(sigs, k, max_t)
-            assert min_logical_search(sigs, k, max_t, witness=False).distance == found.distance
+            assert min_logical_search(Signatures.of(sigs, k), max_t, witness=False).distance == found.distance
 
     def test_anchor_hits_the_same_subsets_as_the_full_table(self):
         # on every level up to the first that hits, each subset hits through
@@ -578,7 +609,7 @@ class TestAnchoredRoute:
         q, m = carried_thickening(surface_code_2x3())
         sigs, k = logical_signatures(q, "Z", [g.residual for g in enumerate_faults(q, m, "Z")])
         n = len(set(sigs) - {0})
-        found = min_logical_search(sigs, k, 6)
+        found = min_logical_search(Signatures.of(sigs, k), 6)
         assert (found.distance, found.witness) == (6, (8, 10, 12, 14, 16, 18))
         assert found.table_entries == comb(n, 1) + comb(n, 2)
 
@@ -591,7 +622,7 @@ class TestAnchoredRoute:
         with pytest.raises(CapExceeded, match=f"^{re.escape(message)}$"):
             css_search(q, "X", table_cap=100_000)
         sigs, k = logical_signatures(q, "X", [1 << j for j in range(q.n)])
-        found = min_logical_search(sigs, k, q.n, 100_000, witness=False)
+        found = min_logical_search(Signatures.of(sigs, k), q.n, 100_000, witness=False)
         assert (found.distance, found.route, found.level, found.stop) == (None, "mitm", 6, ("table", comb(109, 3)))
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
@@ -624,7 +655,7 @@ class TestAnchoredRoute:
         # syndrome bit it made 1,137,690 lookups by then
         q = gauge_code(balance_x(copy_code(hgp(repetition_code(3), repetition_code(3)))[0], repetition_code(3))[0])[0]
         sigs, k = logical_signatures(q, "X", [1 << j for j in range(q.n)])
-        found = min_logical_search(sigs, k, q.n, witness=False)
+        found = min_logical_search(Signatures.of(sigs, k), q.n, witness=False)
         assert (q.n, len(set(sigs) - {0})) == (221, 159)
         assert (found.distance, found.level, found.stop) == (None, 8, ("table", comb(159, 4)))
         assert found.probes < 1_137_690
@@ -713,9 +744,9 @@ class TestSmallSideRoute:
             seen = count_small_side(mp)
             for draw in [seeded_signatures] * 300 + [planted_cycle] * 100:
                 sigs, k = draw(rng)
-                found = min_logical_search(sigs, k, 9)
+                found = min_logical_search(Signatures.of(sigs, k), 9)
                 assert (found.distance, found.witness) == reference_min_logical(sigs, k, 9), sigs
-                assert min_logical_search(sigs, k, 9, witness=False).distance == found.distance
+                assert min_logical_search(Signatures.of(sigs, k), 9, witness=False).distance == found.distance
         assert seen["levels"] > seen["hits"] > 0
 
     @pytest.mark.parametrize("force", [connected_only, odd_connected])
@@ -725,9 +756,9 @@ class TestSmallSideRoute:
         sigs, k = case
         with pytest.MonkeyPatch.context() as mp:
             force(mp)
-            found = min_logical_search(sigs, k, max_t)
+            found = min_logical_search(Signatures.of(sigs, k), max_t)
             assert (found.distance, found.witness) == reference_min_logical(sigs, k, max_t)
-            assert min_logical_search(sigs, k, max_t, witness=False).distance == found.distance
+            assert min_logical_search(Signatures.of(sigs, k), max_t, witness=False).distance == found.distance
 
     def test_small_side_hits_where_the_big_side_does(self):
         # on every odd level t = 2s + 1 >= 5 (the odd levels that can be
@@ -765,10 +796,10 @@ class TestSmallSideRoute:
         # the connected 3-subsets took 132,763
         q, m = carried_thickening(steane_code())
         sigs, k = logical_signatures(q, "Z", [g.residual for g in enumerate_faults(q, m, "Z")])
-        found = min_logical_search(sigs, k, 5)
+        found = min_logical_search(Signatures.of(sigs, k), 5)
         assert (found.distance, found.level) == (INF, 5)
         assert (found.probes, found.table_entries) == (58_247, 19_701) == (
-            min_logical_search(sigs, k, 4).probes + 38_546, comb(198, 1) + comb(198, 2))
+            min_logical_search(Signatures.of(sigs, k), 4).probes + 38_546, comb(198, 1) + comb(198, 2))
         uniq = list(dict.fromkeys(s for s in sigs if s))
         syn, pair = [s >> k for s in uniq], [s & ((1 << k) - 1) for s in uniq]
         nbr, _ = codes._adjacency(syn, pair)
@@ -832,7 +863,7 @@ class TestWitnessPass:
                 sigs, k = draw(rng)
                 uniq, syn, pair = deduplicated(sigs, k)
                 log.clear()
-                t = min_logical_search(uniq, k, 9).distance
+                t = min_logical_search(Signatures.of(uniq, k), 9).distance
                 if t == INF or not codes._connected_pays(len(uniq), t - t // 2):
                     continue
                 first = next(j for j, (name, hit) in enumerate(log) if name != "_fill" and hit is not None)
@@ -853,7 +884,7 @@ class TestWitnessPass:
             for draw in [seeded_signatures] * 300 + [planted_cycle] * 100:
                 sigs, k = draw(rng)
                 uniq, syn, pair = deduplicated(sigs, k)
-                found = min_logical_search(uniq, k, 9)
+                found = min_logical_search(Signatures.of(uniq, k), 9)
                 if found.distance == INF:
                     continue
                 hitter, partners = lex_first_split(syn, pair, found.distance)
@@ -891,7 +922,7 @@ class TestWitnessPass:
                 uniq, syn, pair = deduplicated(sigs, k)
                 starts.clear()
                 tables.clear()
-                found = min_logical_search(uniq, k, 9)
+                found = min_logical_search(Signatures.of(uniq, k), 9)
                 if found.distance == INF or found.distance < 2:
                     continue
                 hitter = found.witness[:found.distance - found.distance // 2]  # partners lie above it
@@ -971,8 +1002,9 @@ class TestEvenLevel:
             for draw in [seeded_signatures] * 200 + [planted_cycle] * 100:
                 sigs, k = draw(rng)
                 n = len(set(sigs) - {0})
+                record = Signatures.of(sigs, k)
                 for t in range(2, min(n, 9) + 1, 2):
-                    below, found = min_logical_search(sigs, k, t - 1), min_logical_search(sigs, k, t)
+                    below, found = min_logical_search(record, t - 1), min_logical_search(record, t)
                     if below.distance != INF:
                         break
                     assert (found.distance, found.witness) == reference_min_logical(sigs, k, t), sigs
@@ -991,12 +1023,12 @@ class TestLevelBound:
         sigs = [0b10, 0b110, 0b100, 0, 0b110]
         with pytest.MonkeyPatch.context() as mp:
             force(mp)
-            up_to_n = min_logical_search(sigs, 1, 3)
+            up_to_n = min_logical_search(Signatures.of(sigs, 1), 3)
             for max_t in (4, 10 ** 6):
-                found = min_logical_search(sigs, 1, max_t)
+                found = min_logical_search(Signatures.of(sigs, 1), max_t)
                 assert found == up_to_n._replace(level=max_t)
                 assert found[:4] == (INF, None, "mitm", max_t)
 
     def test_no_signatures(self):
-        found = min_logical_search([0, 0], 1, 10 ** 6)
+        found = min_logical_search(Signatures.of([0, 0], 1), 10 ** 6)
         assert found == codes.Search(INF, None, "mitm", level=10 ** 6, probes=0, table_entries=0, stop=None)
